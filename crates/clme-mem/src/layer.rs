@@ -23,10 +23,14 @@
 //! # Locking
 //!
 //! Pages shard across reader-writer locks (page → shard by modulo);
-//! the tree root has its own lock, always taken *after* a shard lock,
-//! so disjoint pages proceed in parallel, a page roll (64 blocks
+//! the tree root has its own lock, always taken *after* the shard
+//! locks, so disjoint pages proceed in parallel, a page roll (64 blocks
 //! re-encrypted under one shard lock) is atomic, and [`rekey`] gets
 //! global exclusivity by taking every shard lock in ascending order.
+//! A write batch is one group commit: it takes the write locks of the
+//! shards it touches, also in ascending order, then the root, and holds
+//! them for the whole batch while it verifies each distinct tree node
+//! once and rewrites each touched metadata word once.
 //!
 //! [`rekey`]: EncryptionLayer::rekey
 
@@ -51,7 +55,7 @@ use clme_ecc::layout::EncodedBlock;
 use clme_obs::span::{SpanKind, SpanTracer};
 use clme_obs::TraceSink;
 use clme_types::Time;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
@@ -103,20 +107,25 @@ pub struct RekeyReport {
     pub counterless_blocks: u64,
 }
 
-/// One verified tree node on a page's path (leaf level first).
-struct PathNode {
-    level: usize,
-    group: u64,
-    slot: usize,
+/// A tree node verified earlier in the same write batch: its counters
+/// as stored before the batch, and the reserved bytes it is resealed
+/// with.
+struct TreeNode {
     counters: [u64; NODE_ARITY as usize],
     reserved: [u8; 8],
 }
 
-/// A page's verified metadata: its counter block plus the tree path,
-/// ready for an in-place bump on writes.
-struct VerifiedPage {
+/// The tree nodes a write batch has verified, keyed by
+/// `(level, group)`: each distinct node is read and MAC-checked once
+/// per batch, then rewritten once by the group commit.
+type VerifiedNodes = BTreeMap<(usize, u64), TreeNode>;
+
+/// One page's share of a write batch's group commit: its counter block
+/// after the blocks that committed, and how many blocks that was.
+struct PageCommit {
+    page: u64,
     cb: CounterBlock,
-    path: Vec<PathNode>,
+    blocks: u64,
 }
 
 /// One resident page of the verified-page read cache: plaintext blocks
@@ -250,6 +259,14 @@ fn decode_word(word: &StoredWord) -> EncodedBlock {
     )
 }
 
+/// The counter-mode MAC's truncated pad: the first eight bytes of the
+/// block's pad, which is what
+/// [`pad_trunc64`](clme_crypto::otp::OtpCipher::pad_trunc64) recomputes
+/// with another AES pass.
+fn pad_trunc(pad: &[u8; 64]) -> u64 {
+    u64::from_le_bytes(pad[..8].try_into().expect("64-byte pad"))
+}
+
 /// Encrypts one block under its counter (or counterless past
 /// saturation) into the stored-word form.
 fn encrypt_one(
@@ -264,11 +281,11 @@ fn encrypt_one(
         let mac = counterless_mac(keys.counterless_mac_key(), addr, &ct, COUNTERLESS_FLAG);
         codec::encode(&ct, mac, MetaWord::counterless())
     } else {
-        let ct = keys.otp().encrypt_block64(addr, counter, plaintext);
-        let otp_trunc = keys.otp().pad_trunc64(addr, counter);
+        let pad = keys.otp().pad_block64(addr, counter);
+        let ct = xor64(plaintext, &pad);
         let mac = keys
             .counter_mode_mac()
-            .tag(otp_trunc, plaintext, counter as u32);
+            .tag(pad_trunc(&pad), plaintext, counter as u32);
         codec::encode(&ct, mac, MetaWord::counter(counter as u32))
     };
     encode_word(&block)
@@ -306,9 +323,13 @@ fn decrypt_verify(
         }
         Ok(keys.xts().decrypt_block64(addr, &ct))
     } else {
-        let pt = keys.otp().decrypt_block64(addr, counter, &ct);
-        let otp_trunc = keys.otp().pad_trunc64(addr, counter);
-        if keys.counter_mode_mac().tag(otp_trunc, &pt, counter as u32) != block.mac {
+        let pad = keys.otp().pad_block64(addr, counter);
+        let pt = xor64(&ct, &pad);
+        if keys
+            .counter_mode_mac()
+            .tag(pad_trunc(&pad), &pt, counter as u32)
+            != block.mac
+        {
             return Err(IntegrityError {
                 addr,
                 class: TamperClass::DataMac,
@@ -434,8 +455,8 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         let _shard = self.shard(page).read().unwrap_or_else(PoisonError::into_inner);
         let keys = self.keys();
         let root = self.tree.read().unwrap_or_else(PoisonError::into_inner);
-        let v = self.verify_page(&keys, page, *root, addr)?;
-        Ok(v.cb.counter(self.geo.slot_of(addr)))
+        let cb = self.verify_page(&keys, page, *root, addr, None)?;
+        Ok(cb.counter(self.geo.slot_of(addr)))
     }
 
     /// Whether a block has switched to counterless (XTS) mode.
@@ -832,19 +853,25 @@ impl<B: StoreBackend> EncryptionLayer<B> {
     }
 
     /// Verifies a page's tree path (top-down from the root) and its
-    /// counter word, returning the trusted metadata.
+    /// counter word, returning the trusted counter block. A write batch
+    /// passes its `verified` map: nodes already in it are trusted
+    /// without another read, and newly verified ones join it. Reads
+    /// pass `None`.
     fn verify_page(
         &self,
         keys: &KeyMaterial,
         page: u64,
         root: u64,
         err_addr: u64,
-    ) -> Result<VerifiedPage, MemError> {
+        mut verified: Option<&mut VerifiedNodes>,
+    ) -> Result<CounterBlock, MemError> {
         let mkey = keys.counterless_mac_key();
-        let spec = self.geo.path(page);
-        let mut nodes: Vec<PathNode> = Vec::with_capacity(spec.len());
         let mut parent = root;
-        for &(level, group, slot) in spec.iter().rev() {
+        for (level, group, slot) in self.geo.path(page).into_iter().rev() {
+            if let Some(node) = verified.as_deref().and_then(|m| m.get(&(level, group))) {
+                parent = node.counters[slot];
+                continue;
+            }
             let word = self.backend.read_word(self.geo.node_word(level, group))?;
             let counters_bytes: [u8; 64] = word[..64].try_into().expect("64-byte counters");
             let reserved: [u8; 8] = word[72..80].try_into().expect("8-byte reserved");
@@ -862,15 +889,10 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                     u64::from_le_bytes(word[8 * j..8 * j + 8].try_into().expect("8-byte counter"));
             }
             parent = counters[slot];
-            nodes.push(PathNode {
-                level,
-                group,
-                slot,
-                counters,
-                reserved,
-            });
+            if let Some(map) = verified.as_deref_mut() {
+                map.insert((level, group), TreeNode { counters, reserved });
+            }
         }
-        nodes.reverse();
         let leaf_count = parent;
         let word = self.backend.read_word(self.geo.counter_word(page))?;
         let image: [u8; 64] = word[..64].try_into().expect("64-byte image");
@@ -883,55 +905,65 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             }
             .into());
         }
-        Ok(VerifiedPage {
-            cb: CounterBlock::from_bytes(&image),
-            path: nodes,
-        })
+        Ok(CounterBlock::from_bytes(&image))
     }
 
-    /// Bumps the page's leaf count up the whole path (and the root),
-    /// then rewrites the path's node words and the counter word with
-    /// fresh MACs. Caller holds the shard write lock and `root`.
-    fn commit_metadata(
+    /// A write batch's group commit: adds each page's committed block
+    /// count to the counters on its tree path and to the root, then
+    /// rewrites every touched node word once and every touched counter
+    /// word once, with fresh MACs. The bumps add up, so the store and
+    /// root end byte-identical to one commit per block. Caller holds
+    /// the pages' shard write locks and `root`; `nodes` holds every
+    /// node on the pages' paths as verified before the batch.
+    fn commit_batch(
         &self,
         keys: &KeyMaterial,
-        page: u64,
-        v: &mut VerifiedPage,
         root: &mut u64,
+        nodes: &mut VerifiedNodes,
+        pages: &[PageCommit],
     ) -> Result<(), MemError> {
         let mkey = keys.counterless_mac_key();
-        *root += 1;
-        for node in v.path.iter_mut() {
-            node.counters[node.slot] += 1;
+        let pages: Vec<&PageCommit> = pages.iter().filter(|pc| pc.blocks > 0).collect();
+        let mut dirty = BTreeSet::new();
+        for pc in &pages {
+            *root += pc.blocks;
+            for (level, group, slot) in self.geo.path(pc.page) {
+                nodes
+                    .get_mut(&(level, group))
+                    .expect("every path node verified")
+                    .counters[slot] += pc.blocks;
+                dirty.insert((level, group));
+            }
         }
-        let levels = v.path.len();
-        for i in 0..levels {
-            // The parent of the path node at level i is the path
-            // counter at level i+1 (just bumped), or the root on top.
-            let parent = if i + 1 < levels {
-                let up = &v.path[i + 1];
-                up.counters[up.slot]
-            } else {
+        let top = self.geo.levels() - 1;
+        for (level, group) in dirty {
+            // A node's MAC binds its parent's counter for it: the slot
+            // one level up, or the root above the single top node.
+            let parent = if level == top {
                 *root
+            } else {
+                nodes[&(level + 1, group / NODE_ARITY)].counters[(group % NODE_ARITY) as usize]
             };
-            let node = &v.path[i];
+            let node = &nodes[&(level, group)];
             let mut word = [0u8; WORD_BYTES];
             for (j, counter) in node.counters.iter().enumerate() {
                 word[8 * j..8 * j + 8].copy_from_slice(&counter.to_le_bytes());
             }
             word[72..80].copy_from_slice(&node.reserved);
-            let counters_bytes: [u8; 64] = word[..64].try_into().expect("64-byte counters");
-            let mac = node_mac(mkey, node.level as u8, node.group, &counters_bytes, parent, &node.reserved);
+            let counters: [u8; 64] = word[..64].try_into().expect("64-byte counters");
+            let mac = node_mac(mkey, level as u8, group, &counters, parent, &node.reserved);
             word[64..72].copy_from_slice(&mac.to_le_bytes());
-            self.store_write(self.geo.node_word(node.level, node.group), &word)?;
+            self.store_write(self.geo.node_word(level, group), &word)?;
         }
-        let leaf = v.path[0].counters[v.path[0].slot];
-        let image = v.cb.to_bytes();
-        let mut word = [0u8; WORD_BYTES];
-        word[..64].copy_from_slice(&image);
-        let mac = cb_mac(mkey, page, &image, leaf, &[0u8; 8]);
-        word[64..72].copy_from_slice(&mac.to_le_bytes());
-        self.store_write(self.geo.counter_word(page), &word)?;
+        for pc in pages {
+            let leaf = nodes[&(0, pc.page / NODE_ARITY)].counters[(pc.page % NODE_ARITY) as usize];
+            let image = pc.cb.to_bytes();
+            let mut word = [0u8; WORD_BYTES];
+            word[..64].copy_from_slice(&image);
+            let mac = cb_mac(mkey, pc.page, &image, leaf, &[0u8; 8]);
+            word[64..72].copy_from_slice(&mac.to_le_bytes());
+            self.store_write(self.geo.counter_word(pc.page), &word)?;
+        }
         Ok(())
     }
 
@@ -1001,8 +1033,11 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             let pad_bytes = pad_bytes.as_ref().expect("pad precomputed in counter mode");
             let pt = xor64(&ct, pad_bytes);
             let m0 = Instant::now();
-            let otp_trunc = u64::from_le_bytes(pad_bytes[..8].try_into().expect("64-byte pad"));
-            if keys.counter_mode_mac().tag(otp_trunc, &pt, counter as u32) != block.mac {
+            if keys
+                .counter_mode_mac()
+                .tag(pad_trunc(pad_bytes), &pt, counter as u32)
+                != block.mac
+            {
                 return Err(IntegrityError {
                     addr,
                     class: TamperClass::DataMac,
@@ -1274,9 +1309,9 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                     tenants.page_served(page, TenantServe::Miss);
                 }
                 let meta0 = Instant::now();
-                let v = {
+                let cb = {
                     let root = self.tree.read().unwrap_or_else(PoisonError::into_inner);
-                    self.verify_page(keys, page, *root, addrs[idxs[0]])?
+                    self.verify_page(keys, page, *root, addrs[idxs[0]], None)?
                 };
                 let meta1 = Instant::now();
                 // The page verify is the read path's tree walk; its
@@ -1292,7 +1327,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                         meta1.saturating_duration_since(meta0).as_nanos() as u64;
                 }
                 meta = Some((meta0, meta1));
-                (v.cb, vec![None; idxs.len()])
+                (cb, vec![None; idxs.len()])
             }
         };
 
@@ -1455,6 +1490,16 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         Ok(())
     }
 
+    /// One group commit per batch. The batch takes the write lock of
+    /// every shard it touches in ascending order (the order `rekey`
+    /// uses), then the tree root, and holds them all until its commit.
+    /// Under them it verifies each distinct tree node once, encrypts
+    /// page by page (page rolls included), and lets [`commit_batch`]
+    /// rewrite each touched node and counter word once. A mid-batch
+    /// failure still commits exactly the blocks before it, so the store
+    /// ends as if every block had committed on its own.
+    ///
+    /// [`commit_batch`]: EncryptionLayer::commit_batch
     fn batch_write_inner(&self, writes: &[(u64, Block)]) -> Result<(), MemError> {
         for &(addr, _) in writes {
             self.check_addr(addr)?;
@@ -1463,135 +1508,187 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         for (i, &(addr, _)) in writes.iter().enumerate() {
             by_page.entry(self.geo.page_of(addr)).or_default().push(i);
         }
-        for (page, idxs) in by_page {
-            let shard_idx = self.shard_index(page);
-            // Same shared per-page-visit sampling decision as the read
-            // path: lock probes and the fan-in histogram thin together.
-            let sampled = self.metrics.sample();
-            let lock_probe = sampled.then(Stamp::now);
-            let _shard = self.shard(page).write().unwrap_or_else(PoisonError::into_inner);
-            let acquired = lock_probe.map(|w| {
+        let Some(&first_page) = by_page.keys().next() else {
+            return Ok(());
+        };
+        let shard_ids: BTreeSet<usize> = by_page.keys().map(|&p| self.shard_index(p)).collect();
+        // One sampling decision per batch, shared by its distribution
+        // probes: lock waits and holds, the fan-in histogram and the
+        // tenant visit sample. Tree walk and commit run once per batch,
+        // so every batch times them.
+        let sampled = self.metrics.sample();
+        let lock_probe = sampled.then(Stamp::now);
+        let mut _guards = Vec::with_capacity(shard_ids.len());
+        for &s in &shard_ids {
+            let w = sampled.then(Stamp::now);
+            _guards.push(
+                self.shards[s]
+                    .write()
+                    .unwrap_or_else(PoisonError::into_inner),
+            );
+            if let Some(w) = w {
                 let a = Stamp::now();
-                self.metrics.lock_wait(shard_idx, w, a);
-                self.flight.lock_wait(shard_idx, a.since_ns(w));
-                a
-            });
-            let keys = self.keys();
-            if sampled {
-                self.metrics.fanin_write(idxs.len() as u64);
+                self.metrics.lock_wait(s, w, a);
+                self.flight.lock_wait(s, a.since_ns(w));
             }
-            // Tenant blame accumulates whatever segments this visit
-            // happens to measure (the write path's probes are sampled
-            // per block); ciphertext observations are exact.
-            let mut segs = [0u64; TAIL_CAUSES];
-            if let (Some(w), Some(a)) = (lock_probe, acquired) {
-                segs[TailCause::Lock as usize] = a.since_ns(w);
-            }
-            let mut observed_blocks = 0u64;
-            // Precise invalidation, under the shard write lock and
-            // before any word changes: only this page's entry drops, so
-            // readers of other pages keep their hits and no reader can
-            // ever see plaintext staler than the store.
-            if let Some(cache) = &self.cache {
-                if cache.remove(page) {
-                    self.metrics.cache_invalidated(CacheCause::Write, 1);
+        }
+        let acquired = lock_probe.map(|_| Stamp::now());
+        let keys = self.keys();
+        let mut root = self.tree.write().unwrap_or_else(PoisonError::into_inner);
+        // The batch is one visit for tenant blame, charged to its first
+        // page (a composed tenant batch stays inside one tenant's
+        // pages). Its segments are disjoint intervals inside it, so
+        // they never sum past it.
+        let mut segs = [0u64; TAIL_CAUSES];
+        if let (Some(w), Some(a)) = (lock_probe, acquired) {
+            segs[TailCause::Lock as usize] = a.since_ns(w);
+        }
+
+        // Verify every page's metadata first. A failure stops the walk;
+        // the pages before it are still written and committed.
+        let t0 = Stamp::now();
+        let mut nodes = VerifiedNodes::new();
+        let mut commits: Vec<PageCommit> = Vec::with_capacity(by_page.len());
+        let mut failure = None;
+        for (&page, idxs) in &by_page {
+            match self.verify_page(&keys, page, *root, writes[idxs[0]].0, Some(&mut nodes)) {
+                Ok(cb) => commits.push(PageCommit {
+                    page,
+                    cb,
+                    blocks: 0,
+                }),
+                Err(e) => {
+                    failure = Some(e);
+                    break;
                 }
             }
-            let mut root = self.tree.write().unwrap_or_else(PoisonError::into_inner);
-            // The write path has no pre-existing marks to reuse (the
-            // read path rides the span tracer's), so its tree-walk and
-            // per-block stage probes are sampled too.
-            let tree_probe = self.metrics.sample().then(Stamp::now);
-            let mut v = self.verify_page(&keys, page, *root, writes[idxs[0]].0)?;
-            if let Some(t0) = tree_probe {
-                let t1 = Stamp::now();
-                self.metrics
-                    .stage_between(MemOp::Write, MemStage::TreeWalk, t0, t1);
-                segs[TailCause::TreeWalk as usize] += t1.since_ns(t0);
+        }
+        let t1 = Stamp::now();
+        self.metrics
+            .stage_between(MemOp::Write, MemStage::TreeWalk, t0, t1);
+        segs[TailCause::TreeWalk as usize] = t1.since_ns(t0);
+
+        // An encryption failure comes before any later page's verify
+        // failure in batch order, so it replaces it.
+        for (pc, idxs) in commits.iter_mut().zip(by_page.values()) {
+            if let Err(e) = self.write_page_group(&keys, pc, writes, idxs, sampled, &mut segs) {
+                failure = Some(e);
+                break;
             }
-            for &i in &idxs {
-                // One sampling decision per block: a sampled block gets
-                // the full probe set (op latency, commit, pad gen); an
-                // unsampled block reads no clocks at all.
-                let block_probe = self.metrics.sample();
-                let b0 = block_probe.then(Stamp::now);
-                let (addr, block) = writes[i];
-                let slot = self.geo.slot_of(addr);
-                let old_cb = v.cb.clone();
-                let outcome = v.cb.increment(slot);
-                if outcome.new_counter > self.saturation {
-                    self.metrics.counterless_write();
-                }
-                // On a page roll, verify and decrypt every co-resident
-                // block under its old counter *before* committing
-                // anything, so a tampered neighbour aborts cleanly.
-                let mut reencrypt: Vec<(u64, Block, u64)> = Vec::new();
-                if let Some(others) = &outcome.page_reencryption {
-                    self.metrics.page_roll();
-                    self.flight.page_roll(page);
-                    let m0 = Stamp::now();
-                    for &(other_slot, new_counter) in others {
-                        let other_addr = page * PAGE_BLOCKS + other_slot as u64;
-                        if other_addr >= self.geo.data_blocks() {
-                            continue;
-                        }
-                        let word = self.backend.read_word(self.geo.data_word(other_addr))?;
-                        let pt = decrypt_verify(
-                            &keys,
-                            other_addr,
-                            &word,
-                            old_cb.counter(other_slot),
-                            self.saturation,
-                        )?;
-                        reencrypt.push((other_addr, pt, new_counter));
+        }
+
+        let c0 = Stamp::now();
+        let committed = self.commit_batch(&keys, &mut root, &mut nodes, &commits);
+        let c1 = Stamp::now();
+        self.metrics
+            .stage_between(MemOp::Write, MemStage::Commit, c0, c1);
+        segs[TailCause::Commit as usize] = c1.since_ns(c0);
+        if let (Some(tenants), Some(w)) = (&self.tenants, lock_probe) {
+            tenants.visit_sample(first_page, Stamp::now().since_ns(w), &segs);
+        }
+        if let Some(acquired) = acquired {
+            for &s in &shard_ids {
+                self.metrics.lock_hold(s, acquired);
+            }
+        }
+        failure.map_or(committed, Err)
+    }
+
+    /// Encrypts one page group of a write batch under the page's
+    /// verified counter block and writes its data words, page rolls
+    /// included. On an error `pc` holds exactly the blocks that
+    /// committed before it. Caller holds the page's shard write lock.
+    fn write_page_group(
+        &self,
+        keys: &KeyMaterial,
+        pc: &mut PageCommit,
+        writes: &[(u64, Block)],
+        idxs: &[usize],
+        sampled: bool,
+        segs: &mut VisitSegments,
+    ) -> Result<(), MemError> {
+        let page = pc.page;
+        if sampled {
+            self.metrics.fanin_write(idxs.len() as u64);
+        }
+        // Precise invalidation, before any word changes: only this
+        // page's entry drops, so readers of other pages keep their hits
+        // and no reader can ever see plaintext staler than the store.
+        if let Some(cache) = &self.cache {
+            if cache.remove(page) {
+                self.metrics.cache_invalidated(CacheCause::Write, 1);
+            }
+        }
+        let mut observed_blocks = 0u64;
+        for &i in idxs {
+            // One sampling decision per block: a sampled block gets its
+            // op latency and pad generation timed; an unsampled block
+            // reads no clocks at all.
+            let b0 = self.metrics.sample().then(Stamp::now);
+            let (addr, block) = writes[i];
+            let mut cb = pc.cb.clone();
+            let outcome = cb.increment(self.geo.slot_of(addr));
+            if outcome.new_counter > self.saturation {
+                self.metrics.counterless_write();
+            }
+            // On a page roll, verify and decrypt every co-resident
+            // block under its old counter before this block commits,
+            // so a tampered neighbour aborts cleanly.
+            let mut reencrypt: Vec<(u64, Block, u64)> = Vec::new();
+            if let Some(others) = &outcome.page_reencryption {
+                self.metrics.page_roll();
+                self.flight.page_roll(page);
+                let m0 = Stamp::now();
+                for &(other_slot, new_counter) in others {
+                    let other_addr = page * PAGE_BLOCKS + other_slot as u64;
+                    if other_addr >= self.geo.data_blocks() {
+                        continue;
                     }
-                    let m1 = Stamp::now();
-                    self.metrics
-                        .stage_between(MemOp::Write, MemStage::MacVerify, m0, m1);
-                    segs[TailCause::Mac as usize] += m1.since_ns(m0);
+                    let word = self.backend.read_word(self.geo.data_word(other_addr))?;
+                    let pt = decrypt_verify(
+                        keys,
+                        other_addr,
+                        &word,
+                        pc.cb.counter(other_slot),
+                        self.saturation,
+                    )?;
+                    reencrypt.push((other_addr, pt, new_counter));
                 }
-                let c0 = block_probe.then(Stamp::now);
-                self.commit_metadata(&keys, page, &mut v, &mut root)?;
-                let c1 = c0.map(|_| Stamp::now());
-                let word = encrypt_one(&keys, addr, &block, outcome.new_counter, self.saturation);
-                if let (Some(c0), Some(c1)) = (c0, c1) {
-                    let e1 = Stamp::now();
-                    self.metrics
-                        .stage_between(MemOp::Write, MemStage::Commit, c0, c1);
-                    self.metrics
-                        .stage_between(MemOp::Write, MemStage::PadGen, c1, e1);
-                    segs[TailCause::Commit as usize] += c1.since_ns(c0);
-                    segs[TailCause::Pad as usize] += e1.since_ns(c1);
-                }
-                self.store_write(self.geo.data_word(addr), &word)?;
+                let m1 = Stamp::now();
+                self.metrics
+                    .stage_between(MemOp::Write, MemStage::MacVerify, m0, m1);
+                segs[TailCause::Mac as usize] += m1.since_ns(m0);
+            }
+            pc.cb = cb;
+            pc.blocks += 1;
+            let p0 = b0.map(|_| Stamp::now());
+            let word = encrypt_one(keys, addr, &block, outcome.new_counter, self.saturation);
+            if let Some(p0) = p0 {
+                let p1 = Stamp::now();
+                self.metrics
+                    .stage_between(MemOp::Write, MemStage::PadGen, p0, p1);
+                segs[TailCause::Pad as usize] += p1.since_ns(p0);
+            }
+            self.store_write(self.geo.data_word(addr), &word)?;
+            let observed = self.metrics.observe_ciphertext_write(page);
+            self.flight.ciphertext_write(page, observed);
+            observed_blocks += 1;
+            for (other_addr, pt, new_counter) in reencrypt {
+                self.store_write(
+                    self.geo.data_word(other_addr),
+                    &encrypt_one(keys, other_addr, &pt, new_counter, self.saturation),
+                )?;
                 let observed = self.metrics.observe_ciphertext_write(page);
                 self.flight.ciphertext_write(page, observed);
                 observed_blocks += 1;
-                for (other_addr, pt, new_counter) in reencrypt {
-                    self.store_write(
-                        self.geo.data_word(other_addr),
-                        &encrypt_one(&keys, other_addr, &pt, new_counter, self.saturation),
-                    )?;
-                    let observed = self.metrics.observe_ciphertext_write(page);
-                    self.flight.ciphertext_write(page, observed);
-                    observed_blocks += 1;
-                }
-                if let Some(b0) = b0 {
-                    self.metrics.op_between(MemOp::Write, b0, Stamp::now());
-                }
             }
-            self.flight.write_page(page, idxs.len() as u64);
-            if let Some(tenants) = &self.tenants {
-                tenants.ciphertext_writes(page, observed_blocks);
-                if sampled {
-                    if let Some(w) = lock_probe {
-                        tenants.visit_sample(page, Stamp::now().since_ns(w), &segs);
-                    }
-                }
+            if let Some(b0) = b0 {
+                self.metrics.op_between(MemOp::Write, b0, Stamp::now());
             }
-            if let Some(acquired) = acquired {
-                self.metrics.lock_hold(shard_idx, acquired);
-            }
+        }
+        self.flight.write_page(page, idxs.len() as u64);
+        if let Some(tenants) = &self.tenants {
+            tenants.ciphertext_writes(page, observed_blocks);
         }
         Ok(())
     }
@@ -1815,14 +1912,16 @@ mod tests {
         // The read tree walk reuses the span tracer's marks and records
         // once per page group, so it is exact: reads span pages {0,1,2}.
         assert_eq!(snap.op(MemOp::Read).stages[MemStage::TreeWalk as usize].count(), 3);
+        // The write batch verified and committed once, and both stages
+        // are timed on every batch.
+        assert_eq!(snap.op(MemOp::Write).stages[MemStage::TreeWalk as usize].count(), 1);
+        assert_eq!(snap.op(MemOp::Write).stages[MemStage::Commit as usize].count(), 1);
         // Per-block stage records and lock waits are sampled (1-in-8
-        // write-side, 1-in-64 read-side), so
-        // only bounds are deterministic here: three read blocks, two
-        // write page groups, five groups total took a shard lock.
+        // write-side, 1-in-64 read-side), so only bounds are
+        // deterministic here: three read blocks, and five shard-lock
+        // acquisitions (two by the write batch, three read page visits).
         assert!(snap.op(MemOp::Read).stages[MemStage::MacVerify as usize].count() <= 3);
         assert!(snap.op(MemOp::Read).stages[MemStage::PadGen as usize].count() <= 3);
-        assert!(snap.op(MemOp::Write).stages[MemStage::TreeWalk as usize].count() <= 2);
-        assert!(snap.op(MemOp::Write).stages[MemStage::Commit as usize].count() <= 2);
         let waits: u64 = snap.lock_wait.iter().map(|h| h.count()).sum();
         let holds: u64 = snap.lock_hold.iter().map(|h| h.count()).sum();
         assert_eq!(waits, holds, "every sampled wait pairs with a hold");
@@ -1836,11 +1935,31 @@ mod tests {
 
     #[test]
     #[cfg(not(feature = "telemetry-off"))]
+    fn batch_rewrites_each_metadata_word_once() {
+        let mem = layer(130);
+        let before = mem.metrics_snapshot().store.words_written;
+        // Five writes (one address twice) over three pages under one
+        // leaf node: five data words, three counter words, one node.
+        mem.batch_write(&[
+            (0, pattern(1)),
+            (1, pattern(2)),
+            (0, pattern(3)),
+            (64, pattern(4)),
+            (129, pattern(5)),
+        ])
+        .unwrap();
+        assert_eq!(mem.metrics_snapshot().store.words_written - before, 5 + 3 + 1);
+        assert_eq!(mem.root(), 5, "the root still counts every block");
+        assert_eq!(mem.read_block(0).unwrap(), pattern(3));
+    }
+
+    #[test]
+    #[cfg(not(feature = "telemetry-off"))]
     fn sampled_probes_fire_under_sustained_traffic() {
         use crate::metrics::{MemOp, MemStage};
         let mem = layer(64);
-        // Small batches so the per-round probe-tick stride — 5 write
-        // ticks (lock + tree walk + one per block) plus 2 read-miss
+        // Small batches so the per-round probe-tick stride — 4 write
+        // ticks (the batch's decision + one per block) plus 3 read-miss
         // block ticks = 7 — is coprime with the 1-in-8 sample period
         // and every probe site cycles through a firing tick. (The read
         // path's shared lock/fan-in decision rides its own 1-in-64
@@ -1852,19 +1971,19 @@ mod tests {
                 (2, pattern(round.wrapping_add(2))),
             ])
             .unwrap();
-            let _ = mem.batch_read(&[0, 1]).unwrap();
+            let _ = mem.batch_read(&[0, 1, 2]).unwrap();
         }
         let snap = mem.metrics_snapshot();
         assert_eq!(snap.blocks_written, 48);
-        assert_eq!(snap.blocks_read, 32);
+        assert_eq!(snap.blocks_read, 48);
         let write_lat = snap.op(MemOp::Write).latency.count();
         assert!(
             (1..=48).contains(&write_lat),
             "sampled write latency probes must fire; got {write_lat}"
         );
-        assert_eq!(snap.op(MemOp::Read).latency.count(), 32);
-        assert!(snap.op(MemOp::Write).stages[MemStage::TreeWalk as usize].count() >= 1);
-        assert!(snap.op(MemOp::Write).stages[MemStage::Commit as usize].count() >= 1);
+        assert_eq!(snap.op(MemOp::Read).latency.count(), 48);
+        assert_eq!(snap.op(MemOp::Write).stages[MemStage::TreeWalk as usize].count(), 16);
+        assert_eq!(snap.op(MemOp::Write).stages[MemStage::Commit as usize].count(), 16);
         assert!(snap.op(MemOp::Write).stages[MemStage::PadGen as usize].count() >= 1);
         assert!(snap.op(MemOp::Read).stages[MemStage::MacVerify as usize].count() >= 1);
         assert!(snap.op(MemOp::Read).stages[MemStage::PadGen as usize].count() >= 1);

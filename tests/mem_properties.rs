@@ -3,10 +3,14 @@
 //! and mid-stream `rekey()` sweeps, checked byte-for-byte against a
 //! plaintext `BTreeMap` model, on both backends. A saturation threshold
 //! low enough for hot blocks to overflow keeps both encryption modes
-//! (counter and counterless) in play throughout.
+//! (counter and counterless) in play throughout. The group-commit
+//! checks hold `batch_write` to the store that the same writes leave
+//! when applied one block at a time, on success and on a mid-batch
+//! integrity failure.
 
 use clme::mem::{
-    Block, EncryptionLayer, FileBackend, LayerOptions, MemoryAdt, StoreBackend, VecBackend,
+    Block, EncryptionLayer, FileBackend, IntegrityError, LayerOptions, MemoryAdt, StoreBackend,
+    TamperClass, VecBackend, PAGE_BLOCKS,
 };
 use clme::types::rng::SplitMix64;
 use std::collections::BTreeMap;
@@ -224,4 +228,245 @@ fn backend_clone_hack(backend: &VecBackend) -> VecBackend {
             .expect("in-bounds");
     }
     copy
+}
+
+/// 80 pages (a three-level tree, so batches share interior nodes) with
+/// a partial last page.
+const EQ_BLOCKS: u64 = 79 * PAGE_BLOCKS + 44;
+
+/// Low enough that a block hammered through a page roll goes on to
+/// pass saturation within the same batch.
+const EQ_SATURATION: u64 = 140;
+
+/// One random write batch for the group-commit equivalence check.
+fn equivalence_batch(rng: &mut SplitMix64) -> Vec<(u64, Block)> {
+    let addrs: Vec<u64> = match rng.below(4) {
+        // Spread over the whole store: many pages, few shared leaves.
+        0 | 1 => {
+            let len = 1 + rng.below(96);
+            (0..len).map(|_| rng.below(EQ_BLOCKS)).collect()
+        }
+        // Clustered on four neighbouring pages: repeated addresses and
+        // shared tree nodes.
+        2 => {
+            let base = rng.below(EQ_BLOCKS - 4 * PAGE_BLOCKS);
+            let len = 1 + rng.below(64);
+            (0..len)
+                .map(|_| base + rng.below(4 * PAGE_BLOCKS))
+                .collect()
+        }
+        // Hot: one block written 130+ times among a few neighbours and
+        // strays, which rolls its page mid-batch and can saturate it.
+        _ => {
+            let hot = rng.below(EQ_BLOCKS);
+            let page_base = hot - hot % PAGE_BLOCKS;
+            let len = 150 + rng.below(50);
+            (0..len)
+                .map(|_| match rng.below(16) {
+                    0 => (page_base + rng.below(PAGE_BLOCKS)).min(EQ_BLOCKS - 1),
+                    1 => rng.below(EQ_BLOCKS),
+                    _ => hot,
+                })
+                .collect()
+        }
+    };
+    addrs
+        .into_iter()
+        .map(|addr| (addr, random_block(rng)))
+        .collect()
+}
+
+fn assert_same_store(
+    a: &EncryptionLayer<impl StoreBackend>,
+    b: &EncryptionLayer<impl StoreBackend>,
+    round: usize,
+) {
+    assert_eq!(a.root(), b.root(), "round {round}: root");
+    for w in 0..a.backend().words() {
+        let (x, y) = (a.backend().read_word(w), b.backend().read_word(w));
+        assert!(
+            x.expect("in-bounds") == y.expect("in-bounds"),
+            "round {round}: stored word {w} differs"
+        );
+    }
+}
+
+/// Drives random batches through `grouped.batch_write` and, one block
+/// at a time in batch order, through `single.write_block`; after every
+/// batch the two stores and roots must match byte for byte.
+fn group_commit_matches_block_at_a_time<B: StoreBackend>(
+    grouped: &EncryptionLayer<B>,
+    single: &EncryptionLayer<B>,
+    label: &[u8],
+) {
+    let mut rng = SplitMix64::new(SplitMix64::new(SEED).derive(label));
+    for round in 0..40 {
+        let batch = equivalence_batch(&mut rng);
+        grouped.batch_write(&batch).expect("grouped write");
+        for (addr, block) in &batch {
+            single.write_block(*addr, block).expect("single write");
+        }
+        assert_same_store(grouped, single, round);
+        // Reads between batches fill the verified-page cache (when it
+        // is on), so the next batch has entries to invalidate.
+        let addrs: Vec<u64> = (0..16).map(|_| rng.below(EQ_BLOCKS)).collect();
+        assert_eq!(
+            grouped.batch_read(&addrs).expect("grouped read"),
+            single.batch_read(&addrs).expect("single read"),
+            "round {round}: reads differ"
+        );
+    }
+    let counters: Vec<u64> = (0..EQ_BLOCKS)
+        .map(|addr| grouped.counter_of(addr).expect("verified"))
+        .collect();
+    assert!(
+        counters.iter().any(|&c| c >= 128),
+        "the batches never rolled a page"
+    );
+    assert!(
+        counters.iter().any(|&c| c > EQ_SATURATION),
+        "the batches never saturated a counter"
+    );
+}
+
+fn equivalence_options(cache_pages: usize) -> LayerOptions {
+    LayerOptions {
+        counter_saturation: EQ_SATURATION,
+        cache_pages,
+        ..LayerOptions::default()
+    }
+}
+
+#[test]
+fn group_commit_is_byte_identical_to_block_at_a_time_vec_backend() {
+    for cache_pages in [0, 16] {
+        let make = || {
+            EncryptionLayer::with_options(
+                VecBackend::for_blocks(EQ_BLOCKS),
+                EQ_BLOCKS,
+                MASTER,
+                equivalence_options(cache_pages),
+            )
+            .expect("geometry fits")
+        };
+        let label = format!("props/group-commit/vec/{cache_pages}");
+        group_commit_matches_block_at_a_time(&make(), &make(), label.as_bytes());
+    }
+}
+
+#[test]
+fn group_commit_is_byte_identical_to_block_at_a_time_file_backend() {
+    for cache_pages in [0, 16] {
+        let path = |twin: &str| {
+            std::env::temp_dir().join(format!(
+                "clme-mem-group-commit-{}-{cache_pages}-{twin}.store",
+                std::process::id()
+            ))
+        };
+        let make = |twin: &str| {
+            EncryptionLayer::with_options(
+                FileBackend::create_for_blocks(path(twin), EQ_BLOCKS).expect("temp store"),
+                EQ_BLOCKS,
+                MASTER,
+                equivalence_options(cache_pages),
+            )
+            .expect("geometry fits")
+        };
+        let (grouped, single) = (make("grouped"), make("single"));
+        let label = format!("props/group-commit/file/{cache_pages}");
+        group_commit_matches_block_at_a_time(&grouped, &single, label.as_bytes());
+        drop((grouped, single));
+        for twin in ["grouped", "single"] {
+            std::fs::remove_file(path(twin)).expect("temp file removed");
+        }
+    }
+}
+
+/// A batch over pages 1..=5 whose third page rolls onto a tampered
+/// co-resident: the typed error comes back, pages 1 and 2 commit, and
+/// pages 3..=5 keep their old data — exactly what writing the same
+/// blocks one at a time, stopping at the first error, leaves behind.
+#[test]
+fn mid_batch_roll_failure_commits_exactly_the_earlier_pages() {
+    const PAGES: u64 = 8;
+    let blocks = PAGES * PAGE_BLOCKS;
+    let old = |addr: u64| [addr as u8 ^ 0x5A; 64];
+    let new = |addr: u64| [addr as u8 ^ 0xA5; 64];
+    let hot = 3 * PAGE_BLOCKS + 5;
+    let victim = 3 * PAGE_BLOCKS + 9;
+    let prepare = || {
+        let layer = EncryptionLayer::new(VecBackend::for_blocks(blocks), blocks, MASTER)
+            .expect("geometry fits");
+        for page in 1..=5 {
+            for slot in [5, 6, 9] {
+                let addr = page * PAGE_BLOCKS + slot;
+                layer.write_block(addr, &old(addr)).expect("old data");
+            }
+        }
+        // 127 writes leave the hot block's minor counter full: its next
+        // write rolls page 3.
+        for _ in 1..127 {
+            layer.write_block(hot, &old(hot)).expect("hot writes");
+        }
+        assert_eq!(layer.counter_of(hot).expect("verified"), 127);
+        // Fill the read cache, so the failure must also purge it.
+        let all: Vec<u64> = (0..blocks).collect();
+        layer.batch_read(&all).expect("clean store");
+        let mut word = layer.backend().read_word(victim).expect("in-bounds");
+        word[3] ^= 0x01;
+        layer
+            .backend()
+            .write_word(victim, &word)
+            .expect("in-bounds");
+        layer
+    };
+    let batch: Vec<(u64, Block)> = (1..=5)
+        .flat_map(|page| [page * PAGE_BLOCKS + 5, page * PAGE_BLOCKS + 6])
+        .map(|addr| (addr, new(addr)))
+        .collect();
+    // The flipped ciphertext byte fails the metadata word decoded from
+    // the parity lane, the first check on a data word.
+    let expected = IntegrityError {
+        addr: victim,
+        class: TamperClass::Meta,
+    };
+
+    let grouped = prepare();
+    let root_before = grouped.root();
+    let err = grouped
+        .batch_write(&batch)
+        .expect_err("the roll meets the tampered block");
+    assert_eq!(err.integrity(), Some(&expected), "{err}");
+    assert_eq!(
+        grouped.root(),
+        root_before + 4,
+        "pages 1 and 2 committed two blocks each"
+    );
+    for page in 1..=5 {
+        for slot in [5, 6] {
+            let addr = page * PAGE_BLOCKS + slot;
+            let want = if page <= 2 { new(addr) } else { old(addr) };
+            assert_eq!(
+                grouped.read_block(addr).expect("verifies"),
+                want,
+                "page {page} slot {slot}"
+            );
+        }
+    }
+    assert_eq!(
+        grouped.counter_of(hot).expect("verified"),
+        127,
+        "page 3 never committed"
+    );
+
+    let single = prepare();
+    let mut first_err = None;
+    for (addr, block) in &batch {
+        if let Err(e) = single.write_block(*addr, block) {
+            first_err = Some(e);
+            break;
+        }
+    }
+    assert_eq!(first_err.expect("fails too").integrity(), Some(&expected));
+    assert_same_store(&grouped, &single, 0);
 }
