@@ -2634,10 +2634,6 @@ fn mem_bench_tenants<B: StoreBackend>(
     layer: &EncryptionLayer<B>,
 ) -> Result<MemBenchReport, String> {
     let tenant_count = args.tenants.expect("tenant bench needs --tenants");
-    let telemetry = layer
-        .tenants()
-        .cloned()
-        .ok_or("tenant bench needs tenant telemetry installed")?;
     let mut composer = TenantComposer::new(mem_tenant_traffic(args, tenant_count));
     let mut data_rng = SplitMix64::new(SplitMix64::new(args.seed).derive(b"mem/tenants/data"));
     let ops = args.ops.max(64);
@@ -2679,15 +2675,12 @@ fn mem_bench_tenants<B: StoreBackend>(
                     .map_err(|err| format!("tenant batch_read failed: {err}"))?;
             }
             let elapsed = started.elapsed();
-            telemetry.record_op(
+            layer.record_tenant_batch(
                 composed.tenant,
                 composed.write,
                 elapsed.as_nanos() as u64,
                 blocks_in_batch,
             );
-            layer
-                .flight()
-                .tenant_batch(composed.tenant, blocks_in_batch, composed.write);
             if composed.write {
                 write_secs += elapsed.as_secs_f64();
                 write_blocks += blocks_in_batch;
@@ -2699,8 +2692,10 @@ fn mem_bench_tenants<B: StoreBackend>(
             watch.tick(if composed.write { "write" } else { "read" }, layer);
         }
         // One SLO burn window per rep: window rolls are the bench's
-        // epoch boundary.
-        telemetry.roll_windows();
+        // epoch boundary (no table to roll under telemetry-off).
+        if let Some(tenants) = layer.tenants() {
+            tenants.roll_windows();
+        }
         if !warmup {
             if write_blocks > 0 && write_secs > 0.0 {
                 write_rep_rates.push(write_blocks as f64 / write_secs);

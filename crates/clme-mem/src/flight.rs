@@ -6,16 +6,13 @@
 //! added but never renumbered), and [`FlightRecorder`] is the typed
 //! recording facade the layer calls from its hot paths.
 //!
-//! Like [`MemMetrics`](crate::MemMetrics), the recorder follows the
-//! telemetry twin pattern: the real implementation records through the
-//! lock-free ring, and under the `telemetry-off` feature a zero-sized
-//! twin compiles every call to nothing. Recording never reads a clock —
-//! event order comes from the ring's global sequence stamp — so the
-//! captured timeline is deterministic for a deterministic workload.
+//! The layer's observer is the recorder's only caller: it turns each
+//! finished visit record into events (a `telemetry-off` build has no
+//! recorder at all, and its timeline is empty). Recording never reads a
+//! clock — event order comes from the ring's global sequence stamp — so
+//! the captured timeline is deterministic for a deterministic workload.
 
-#[cfg(not(feature = "telemetry-off"))]
-use clme_obs::flight::FlightRing;
-use clme_obs::flight::FlightSnapshot;
+use clme_obs::flight::{FlightRing, FlightSnapshot};
 
 use crate::error::TamperClass;
 use crate::metrics::CacheCause;
@@ -128,20 +125,14 @@ impl FlightKind {
     }
 }
 
-// ---------------------------------------------------------------------
-// Live recorder — real implementation
-// ---------------------------------------------------------------------
-
 /// Typed facade over the lock-free flight ring. One per
 /// [`EncryptionLayer`](crate::EncryptionLayer); shared by reference
 /// across every thread using the layer.
-#[cfg(not(feature = "telemetry-off"))]
 #[derive(Debug)]
 pub struct FlightRecorder {
     ring: FlightRing,
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 impl FlightRecorder {
     /// A recorder retaining about `capacity` events.
     pub fn new(capacity: usize) -> FlightRecorder {
@@ -247,72 +238,6 @@ impl FlightRecorder {
     pub fn snapshot(&self) -> FlightSnapshot {
         self.ring.snapshot()
     }
-
-    /// Empties the ring (for tests and bench warmup isolation).
-    pub fn clear(&self) {
-        self.ring.clear();
-    }
-}
-
-// ---------------------------------------------------------------------
-// telemetry-off — zero-sized no-op twin
-// ---------------------------------------------------------------------
-
-/// No-op twin of the flight recorder: every record call compiles away
-/// and snapshots come back empty.
-#[cfg(feature = "telemetry-off")]
-#[derive(Debug, Default)]
-pub struct FlightRecorder;
-
-#[cfg(feature = "telemetry-off")]
-impl FlightRecorder {
-    /// Builds the stub (capacity ignored).
-    pub fn new(_capacity: usize) -> FlightRecorder {
-        FlightRecorder
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn read_page(&self, _page: u64, _blocks: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn write_page(&self, _page: u64, _blocks: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn integrity_fail(&self, _addr: u64, _class: TamperClass) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn page_roll(&self, _page: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn rekey_begin(&self, _pages: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn rekey_page(&self, _page: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn rekey_end(&self, _ok: bool) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn lock_wait(&self, _shard: usize, _wait_ns: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn ciphertext_write(&self, _page: u64, _count: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn cache_purge(&self, _cause: CacheCause, _dropped: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn read_hit(&self, _page: u64, _blocks: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn tenant_batch(&self, _tenant: u64, _blocks: u64, _write: bool) {}
-    /// Always empty.
-    pub fn snapshot(&self) -> FlightSnapshot {
-        FlightSnapshot::default()
-    }
-    /// No-op.
-    pub fn clear(&self) {}
 }
 
 #[cfg(test)]
@@ -330,7 +255,6 @@ mod tests {
         assert_eq!(FlightKind::from_code(999), None);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn thresholds_gate_slow_lock_and_burst_events() {
         let rec = FlightRecorder::new(256);
@@ -350,7 +274,6 @@ mod tests {
         assert_eq!(events[2].b, BURST_FLOOR * 2);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn rekey_progress_is_thinned() {
         let rec = FlightRecorder::new(256);
@@ -360,14 +283,5 @@ mod tests {
         let events = rec.snapshot().events;
         let pages: Vec<u64> = events.iter().map(|e| e.a).collect();
         assert_eq!(pages, vec![0, 64, 128, 192]);
-    }
-
-    #[cfg(feature = "telemetry-off")]
-    #[test]
-    fn stub_records_nothing() {
-        let rec = FlightRecorder::new(256);
-        rec.read_page(1, 2);
-        rec.integrity_fail(3, TamperClass::DataMac);
-        assert!(rec.snapshot().events.is_empty());
     }
 }

@@ -32,18 +32,25 @@
 //! them for the whole batch while it verifies each distinct tree node
 //! once and rewrites each touched metadata word once.
 //!
+//! # Observation
+//!
+//! The data path calls no metric, flight or tenant hook itself: each
+//! read page visit and each write batch fills one visit record and
+//! hands it to the layer's observer (`observe.rs`), which also makes
+//! the visit's one sampling decision.
+//!
 //! [`rekey`]: EncryptionLayer::rekey
 
 use crate::adt::{Block, MemoryAdt, BLOCK_BYTES};
 use crate::cache::ClockCache;
 use crate::dump::{DumpBundle, DumpContext};
 use crate::error::{IntegrityError, MemError, TamperClass};
-use crate::flight::{FlightRecorder, FLIGHT_CAPACITY};
+use crate::flight::FLIGHT_CAPACITY;
 use crate::geometry::{Geometry, Region, NODE_ARITY, PAGE_BLOCKS};
-use crate::metrics::{CacheCause, MemMetrics, MemMetricsSnapshot, MemOp, MemStage, Stamp};
+use crate::metrics::{CacheCause, MemMetrics, MemMetricsSnapshot, MemOp};
+use crate::observe::{ns_between, CacheServe, Observer, PageTally, ReadMarks, Visit};
 use crate::store::{StoreBackend, StoredWord, WORD_BYTES};
-use crate::tenant::{TailCause, TenantServe, TenantTelemetry, VisitSegments, TAIL_CAUSES};
-use clme_obs::flight::FlightSnapshot;
+use crate::tenant::{TailCause, TenantTelemetry};
 use clme_counters::split::CounterBlock;
 use clme_crypto::keys::KeyMaterial;
 use clme_crypto::mac::counterless_mac;
@@ -52,11 +59,10 @@ use clme_crypto::sha3::sha3_tag64;
 use clme_ecc::codec;
 use clme_ecc::encmeta::{MetaWord, COUNTERLESS_FLAG, MAX_COUNTER};
 use clme_ecc::layout::EncodedBlock;
-use clme_obs::span::{SpanKind, SpanTracer};
-use clme_obs::TraceSink;
-use clme_types::Time;
+use clme_obs::flight::FlightSnapshot;
+use clme_obs::span::SpanTracer;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -120,14 +126,6 @@ struct TreeNode {
 /// per batch, then rewritten once by the group commit.
 type VerifiedNodes = BTreeMap<(usize, u64), TreeNode>;
 
-/// One page's share of a write batch's group commit: its counter block
-/// after the blocks that committed, and how many blocks that was.
-struct PageCommit {
-    page: u64,
-    cb: CounterBlock,
-    blocks: u64,
-}
-
 /// One resident page of the verified-page read cache: plaintext blocks
 /// decrypted-and-verified earlier, plus the page's verified counter
 /// block so a partial hit can skip the tree walk. Entries are only
@@ -147,21 +145,6 @@ struct PageCacheEntry {
     /// Bitmap of populated slots — [`PAGE_BLOCKS`] is 64, so one `u64`
     /// covers the page exactly.
     present: u64,
-}
-
-/// Host-clock marks of one read, converted to [`Time`] only when a
-/// tracer is installed.
-struct ReadMarks {
-    issue: Instant,
-    /// Pre-data OTP pad generation (counter mode only) — the overlap
-    /// the paper's scheme exists to exploit.
-    pad: Option<(Instant, Instant)>,
-    data: (Instant, Instant),
-    ecc: (Instant, Instant),
-    mac: (Instant, Instant),
-    /// Post-data XTS decrypt (counterless only).
-    xts: Option<(Instant, Instant)>,
-    ready: Instant,
 }
 
 /// The counter-light encryption layer over a backing store.
@@ -190,20 +173,14 @@ pub struct EncryptionLayer<B: StoreBackend> {
     /// Bumped on every completed rekey; cache entries are stamped with
     /// it at fill time.
     key_epoch: AtomicU64,
-    tracer: Mutex<Option<SpanTracer>>,
-    tracing: AtomicBool,
-    epoch: Instant,
-    metrics: MemMetrics,
-    flight: FlightRecorder,
+    /// The one observation path: every visit record and event goes here.
+    obs: Observer,
     /// An armed post-mortem dump: the context plus the metrics baseline
     /// taken at arm time (so the bundle carries window deltas). One-shot
     /// on integrity errors.
     dump: Mutex<Option<(DumpContext, MemMetricsSnapshot)>>,
     /// Where the most recent dump landed.
     last_dump: Mutex<Option<std::path::PathBuf>>,
-    /// Per-tenant attribution, when a multi-tenant driver installed it.
-    /// `None` costs one predictable branch on the hot paths.
-    tenants: Option<Arc<TenantTelemetry>>,
 }
 
 const NODE_MAC_DOMAIN: &[u8] = b"clme-mem:node-mac:v1";
@@ -292,14 +269,22 @@ fn encrypt_one(
 }
 
 /// Verifies and decrypts one stored data word against its verified
-/// counter: metadata word first, then the block MAC.
+/// counter: metadata word first, then the block MAC. `pad` is the
+/// block's counter-mode pad when the caller generated it already (a
+/// read's page-batched pass); otherwise it is generated here. With
+/// `marks`, the ECC decode, MAC and XTS intervals are clocked into it.
 fn decrypt_verify(
     keys: &KeyMaterial,
     addr: u64,
     word: &StoredWord,
     counter: u64,
     saturation: u64,
+    pad: Option<&[u8; 64]>,
+    marks: Option<&mut ReadMarks>,
 ) -> Result<Block, IntegrityError> {
+    let clocked = marks.is_some();
+    let now = || clocked.then(Instant::now);
+    let e0 = now();
     let counterless = counter > saturation;
     let block = decode_word(word);
     let expected = if counterless {
@@ -313,21 +298,33 @@ fn decrypt_verify(
             class: TamperClass::Meta,
         });
     }
+    let e1 = now();
     let ct = block.data();
-    if counterless {
+    let (pt, m0, m1, x1) = if counterless {
+        let m0 = now();
         if counterless_mac(keys.counterless_mac_key(), addr, &ct, COUNTERLESS_FLAG) != block.mac {
             return Err(IntegrityError {
                 addr,
                 class: TamperClass::DataMac,
             });
         }
-        Ok(keys.xts().decrypt_block64(addr, &ct))
+        let m1 = now();
+        let pt = keys.xts().decrypt_block64(addr, &ct);
+        (pt, m0, m1, now())
     } else {
-        let pad = keys.otp().pad_block64(addr, counter);
-        let pt = xor64(&ct, &pad);
+        let own;
+        let pad = match pad {
+            Some(pad) => pad,
+            None => {
+                own = keys.otp().pad_block64(addr, counter);
+                &own
+            }
+        };
+        let pt = xor64(&ct, pad);
+        let m0 = now();
         if keys
             .counter_mode_mac()
-            .tag(pad_trunc(&pad), &pt, counter as u32)
+            .tag(pad_trunc(pad), &pt, counter as u32)
             != block.mac
         {
             return Err(IntegrityError {
@@ -335,8 +332,14 @@ fn decrypt_verify(
                 class: TamperClass::DataMac,
             });
         }
-        Ok(pt)
+        (pt, m0, now(), None)
+    };
+    if let (Some(m), Some(e0), Some(e1), Some(m0), Some(m1)) = (marks, e0, e1, m0, m1) {
+        m.ecc = (e0, e1);
+        m.mac = (m0, m1);
+        m.xts = x1.map(|x1| (m1, x1));
     }
+    Ok(pt)
 }
 
 impl<B: StoreBackend> EncryptionLayer<B> {
@@ -397,7 +400,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             .map(|_| RwLock::new(()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        let metrics = MemMetrics::new(options.shards, geo.pages());
+        let obs = Observer::new(options.shards, geo.pages(), options.flight_capacity);
         let cache = (options.cache_pages > 0 && backend.write_generation().is_some())
             .then(|| ClockCache::new(options.shards, options.cache_pages));
         let foreign_base = backend.write_generation().unwrap_or(0);
@@ -412,14 +415,9 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             self_writes: AtomicU64::new(0),
             foreign_seen: AtomicU64::new(foreign_base),
             key_epoch: AtomicU64::new(0),
-            tracer: Mutex::new(None),
-            tracing: AtomicBool::new(false),
-            epoch: Instant::now(),
-            metrics,
-            flight: FlightRecorder::new(options.flight_capacity),
+            obs,
             dump: Mutex::new(None),
             last_dump: Mutex::new(None),
-            tenants: None,
         })
     }
 
@@ -464,48 +462,54 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         Ok(self.counter_of(addr)? > self.saturation)
     }
 
-    /// The layer's always-on telemetry (a no-op stub when the crate is
-    /// built with the `telemetry-off` feature).
-    pub fn metrics(&self) -> &MemMetrics {
-        &self.metrics
+    /// The layer's always-on telemetry; `None` when the crate is built
+    /// with the `telemetry-off` feature.
+    pub fn metrics(&self) -> Option<&MemMetrics> {
+        self.obs.metrics(self.cache.as_ref().map(|c| c.len() as u64))
     }
 
     /// A snapshot of every layer metric, with the backend's store
-    /// counters folded in.
+    /// counters folded in. Empty under `telemetry-off`.
     pub fn metrics_snapshot(&self) -> MemMetricsSnapshot {
-        if let Some(cache) = &self.cache {
-            self.metrics.set_cache_resident(cache.len() as u64);
-        }
-        self.metrics.snapshot(self.backend.store_metrics())
+        self.metrics().map_or_else(
+            || MemMetricsSnapshot::empty(0),
+            |m| m.snapshot(self.backend.store_metrics()),
+        )
     }
 
     /// The layer's (and backend's) metrics as Prometheus exposition
     /// text. Empty under `telemetry-off`.
     pub fn metrics_prom(&self) -> String {
-        clme_obs::prom::render(&self.metrics.prom_samples(self.backend.store_metrics()))
-    }
-
-    /// The layer's flight recorder (a no-op stub under `telemetry-off`).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
+        self.metrics().map_or_else(String::new, |m| {
+            clme_obs::prom::render(&m.prom_samples(self.backend.store_metrics()))
+        })
     }
 
     /// Installs per-tenant attribution. Takes `&mut self` so it can only
-    /// happen before the layer is shared across threads; hot paths then
-    /// attribute cache results, ciphertext observations, and sampled
-    /// stage blame to the tenant owning each page.
+    /// happen before the layer is shared across threads; every visit
+    /// record then attributes cache results, ciphertext observations,
+    /// and sampled stage blame to the tenant owning its page. A
+    /// `telemetry-off` layer drops it.
     pub fn install_tenants(&mut self, tenants: Arc<TenantTelemetry>) {
-        self.tenants = Some(tenants);
+        self.obs.install_tenants(tenants);
     }
 
     /// The installed per-tenant telemetry, if any.
     pub fn tenants(&self) -> Option<&Arc<TenantTelemetry>> {
-        self.tenants.as_ref()
+        self.obs.tenants()
     }
 
-    /// Merged, ordered view of the flight ring's retained events.
+    /// A multi-tenant driver finished one batch for `tenant`: the batch
+    /// latency and size go to the tenant's row and SLO scores, and the
+    /// flight ring tags the timeline with whose traffic it was.
+    pub fn record_tenant_batch(&self, tenant: u64, write: bool, latency_ns: u64, blocks: u64) {
+        self.obs.tenant_batch(tenant, write, latency_ns, blocks);
+    }
+
+    /// Merged, ordered view of the flight ring's retained events (empty
+    /// under `telemetry-off`).
     pub fn flight_snapshot(&self) -> FlightSnapshot {
-        self.flight.snapshot()
+        self.obs.flight_snapshot()
     }
 
     /// Arms post-mortem capture: the next [`IntegrityError`] raised by a
@@ -548,8 +552,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
     /// nothing verified before the failure may be served again), and
     /// flush the armed dump (one-shot).
     fn note_integrity_error(&self, e: &IntegrityError) {
-        self.metrics.integrity_error();
-        self.flight.integrity_fail(e.addr, e.class);
+        self.obs.integrity_error(e);
         self.purge_cache(CacheCause::Tamper);
         let _ = self.write_dump("integrity-error", Some(*e), true);
     }
@@ -558,9 +561,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
     /// in both the counters and the flight ring.
     fn purge_cache(&self, cause: CacheCause) {
         if let Some(cache) = &self.cache {
-            let dropped = cache.clear();
-            self.metrics.cache_invalidated(cause, dropped);
-            self.flight.cache_purge(cause, dropped);
+            self.obs.cache_purge(cause, cache.clear());
         }
     }
 
@@ -596,9 +597,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         if est > self.foreign_seen.load(Ordering::SeqCst)
             && self.foreign_seen.fetch_max(est, Ordering::SeqCst) < est
         {
-            let dropped = cache.clear();
-            self.metrics.cache_invalidated(CacheCause::Foreign, dropped);
-            self.flight.cache_purge(CacheCause::Foreign, dropped);
+            self.obs.cache_purge(CacheCause::Foreign, cache.clear());
         }
     }
 
@@ -628,7 +627,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             self.saturation,
             &ctx,
             &delta,
-            self.flight.snapshot(),
+            self.flight_snapshot(),
             error,
         );
         crate::dump::write_atomic(&ctx.path, &bundle.to_json().to_pretty())?;
@@ -638,17 +637,12 @@ impl<B: StoreBackend> EncryptionLayer<B> {
 
     /// Installs a span tracer; subsequent reads emit request spans.
     pub fn install_tracer(&self, tracer: SpanTracer) {
-        *self.tracer.lock().unwrap_or_else(PoisonError::into_inner) = Some(tracer);
-        self.tracing.store(true, Ordering::SeqCst);
+        self.obs.spans.install(tracer);
     }
 
     /// Removes and returns the tracer, stopping span emission.
     pub fn take_tracer(&self) -> Option<SpanTracer> {
-        self.tracing.store(false, Ordering::SeqCst);
-        self.tracer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
+        self.obs.spans.take()
     }
 
     /// Re-encrypts every block and reseals all metadata under a new
@@ -669,24 +663,20 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 self.note_integrity_error(ie);
             }
         }
-        self.metrics.rekey_end(result.is_ok());
-        self.flight.rekey_end(result.is_ok());
+        self.obs.rekey_end(result.is_ok());
         result
     }
 
     fn rekey_inner(&self, new_master: [u8; 32]) -> Result<RekeyReport, MemError> {
         let mut _guards = Vec::with_capacity(self.shards.len());
         for (i, s) in self.shards.iter().enumerate() {
-            let w = Stamp::now();
+            let w = Instant::now();
             _guards.push(s.write().unwrap_or_else(PoisonError::into_inner));
-            let a = Stamp::now();
-            self.metrics.lock_wait(i, w, a);
-            self.flight.lock_wait(i, a.since_ns(w));
+            self.obs.rekey_lock(i, w.elapsed());
         }
-        let hold_from = Stamp::now();
+        let hold_from = Instant::now();
         let root = self.tree.write().unwrap_or_else(PoisonError::into_inner);
-        self.metrics.rekey_begin(self.geo.pages());
-        self.flight.rekey_begin(self.geo.pages());
+        self.obs.rekey_begin(self.geo.pages());
         let old = self.keys();
         let new = KeyMaterial::from_master(new_master);
         let old_mkey = old.counterless_mac_key();
@@ -750,23 +740,21 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             self.store_write(index, &word)?;
 
             let cb = CounterBlock::from_bytes(&image);
+            let page_first = blocks;
             for addr in self.geo.page_addr_range(page) {
                 let counter = cb.counter(self.geo.slot_of(addr));
                 let data = self.backend.read_word(self.geo.data_word(addr))?;
-                let pt = decrypt_verify(&old, addr, &data, counter, self.saturation)?;
+                let pt = decrypt_verify(&old, addr, &data, counter, self.saturation, None, None)?;
                 self.store_write(
                     self.geo.data_word(addr),
                     &encrypt_one(&new, addr, &pt, counter, self.saturation),
                 )?;
-                let observed = self.metrics.observe_ciphertext_write(page);
-                self.flight.ciphertext_write(page, observed);
                 blocks += 1;
                 if counter > self.saturation {
                     counterless_blocks += 1;
                 }
             }
-            self.metrics.rekey_page_done();
-            self.flight.rekey_page(page);
+            self.obs.rekey_page(page, blocks - page_first);
         }
         drop(root);
         *self.keys.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(new);
@@ -774,14 +762,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         // the epoch bump makes any survivor of the wholesale purge (in
         // `rekey`) read as a miss.
         self.key_epoch.fetch_add(1, Ordering::SeqCst);
-        for i in 0..self.shards.len() {
-            self.metrics.lock_hold(i, hold_from);
-        }
-        // Every per-tenant key-exposure gauge resets: whatever an
-        // observer collected was written under the now-retired key.
-        if let Some(tenants) = &self.tenants {
-            tenants.on_rekey();
-        }
+        self.obs.rekey_swept(self.shards.len(), hold_from.elapsed());
         Ok(RekeyReport {
             pages: self.geo.pages(),
             blocks,
@@ -813,11 +794,6 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 limit: self.geo.data_blocks(),
             })
         }
-    }
-
-    fn t(&self, at: Instant) -> Time {
-        let ns = at.saturating_duration_since(self.epoch).as_nanos() as u64;
-        Time::from_picos(ns.saturating_mul(1000))
     }
 
     /// Writes the boot-time state: zeroed counters, sealed metadata,
@@ -914,24 +890,28 @@ impl<B: StoreBackend> EncryptionLayer<B> {
     /// word once, with fresh MACs. The bumps add up, so the store and
     /// root end byte-identical to one commit per block. Caller holds
     /// the pages' shard write locks and `root`; `nodes` holds every
-    /// node on the pages' paths as verified before the batch.
+    /// node on the pages' paths as verified before the batch. `cbs` are
+    /// the pages' counter blocks after the blocks that committed, and
+    /// `pages` says how many blocks that was.
     fn commit_batch(
         &self,
         keys: &KeyMaterial,
         root: &mut u64,
         nodes: &mut VerifiedNodes,
-        pages: &[PageCommit],
+        cbs: &[CounterBlock],
+        pages: &[PageTally],
     ) -> Result<(), MemError> {
         let mkey = keys.counterless_mac_key();
-        let pages: Vec<&PageCommit> = pages.iter().filter(|pc| pc.blocks > 0).collect();
+        let pages: Vec<(&CounterBlock, &PageTally)> =
+            cbs.iter().zip(pages).filter(|(_, p)| p.blocks > 0).collect();
         let mut dirty = BTreeSet::new();
-        for pc in &pages {
-            *root += pc.blocks;
-            for (level, group, slot) in self.geo.path(pc.page) {
+        for (_, p) in &pages {
+            *root += p.blocks;
+            for (level, group, slot) in self.geo.path(p.page) {
                 nodes
                     .get_mut(&(level, group))
                     .expect("every path node verified")
-                    .counters[slot] += pc.blocks;
+                    .counters[slot] += p.blocks;
                 dirty.insert((level, group));
             }
         }
@@ -955,158 +935,16 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             word[64..72].copy_from_slice(&mac.to_le_bytes());
             self.store_write(self.geo.node_word(level, group), &word)?;
         }
-        for pc in pages {
-            let leaf = nodes[&(0, pc.page / NODE_ARITY)].counters[(pc.page % NODE_ARITY) as usize];
-            let image = pc.cb.to_bytes();
+        for (cb, p) in pages {
+            let leaf = nodes[&(0, p.page / NODE_ARITY)].counters[(p.page % NODE_ARITY) as usize];
+            let image = cb.to_bytes();
             let mut word = [0u8; WORD_BYTES];
             word[..64].copy_from_slice(&image);
-            let mac = cb_mac(mkey, pc.page, &image, leaf, &[0u8; 8]);
+            let mac = cb_mac(mkey, p.page, &image, leaf, &[0u8; 8]);
             word[64..72].copy_from_slice(&mac.to_le_bytes());
-            self.store_write(self.geo.counter_word(pc.page), &word)?;
+            self.store_write(self.geo.counter_word(p.page), &word)?;
         }
         Ok(())
-    }
-
-    /// Reads, verifies, and decrypts one block whose counter is
-    /// already verified, collecting host-clock span marks.
-    ///
-    /// `batch_pad` is the block's pad when the caller generated it in a
-    /// page-batched [`pad_batch64`](clme_crypto::otp::OtpCipher::pad_batch64)
-    /// pass, together with the whole batch's generation interval (which
-    /// the marks then carry as this block's pad span).
-    fn read_one(
-        &self,
-        keys: &KeyMaterial,
-        addr: u64,
-        counter: u64,
-        batch_pad: Option<(&[u8; 64], (Instant, Instant))>,
-    ) -> Result<(Block, ReadMarks), MemError> {
-        let counterless = counter > self.saturation;
-        let issue = Instant::now();
-        // Counter mode generates the pad *before* touching the store —
-        // the overlap the scheme is built around.
-        let mut pad_bytes = None;
-        let pad = if counterless {
-            None
-        } else if let Some((bytes, interval)) = batch_pad {
-            pad_bytes = Some(*bytes);
-            Some(interval)
-        } else {
-            let p0 = Instant::now();
-            pad_bytes = Some(keys.otp().pad_block64(addr, counter));
-            Some((p0, Instant::now()))
-        };
-        let d0 = Instant::now();
-        let word = self.backend.read_word(self.geo.data_word(addr))?;
-        let d1 = Instant::now();
-        let e0 = Instant::now();
-        let block = decode_word(&word);
-        let expected = if counterless {
-            MetaWord::counterless()
-        } else {
-            MetaWord::counter(counter as u32)
-        };
-        if codec::decode_meta(&block) != expected {
-            return Err(IntegrityError {
-                addr,
-                class: TamperClass::Meta,
-            }
-            .into());
-        }
-        let e1 = Instant::now();
-        let ct = block.data();
-        let (pt, mac, xts) = if counterless {
-            let m0 = Instant::now();
-            if counterless_mac(keys.counterless_mac_key(), addr, &ct, COUNTERLESS_FLAG) != block.mac
-            {
-                return Err(IntegrityError {
-                    addr,
-                    class: TamperClass::DataMac,
-                }
-                .into());
-            }
-            let m1 = Instant::now();
-            let x0 = Instant::now();
-            let pt = keys.xts().decrypt_block64(addr, &ct);
-            (pt, (m0, m1), Some((x0, Instant::now())))
-        } else {
-            let pad_bytes = pad_bytes.as_ref().expect("pad precomputed in counter mode");
-            let pt = xor64(&ct, pad_bytes);
-            let m0 = Instant::now();
-            if keys
-                .counter_mode_mac()
-                .tag(pad_trunc(pad_bytes), &pt, counter as u32)
-                != block.mac
-            {
-                return Err(IntegrityError {
-                    addr,
-                    class: TamperClass::DataMac,
-                }
-                .into());
-            }
-            (pt, (m0, Instant::now()), None)
-        };
-        let ready = Instant::now();
-        Ok((
-            pt,
-            ReadMarks {
-                issue,
-                pad,
-                data: (d0, d1),
-                ecc: (e0, e1),
-                mac,
-                xts,
-                ready,
-            },
-        ))
-    }
-
-    /// Replays a page group's reads into the installed tracer. The
-    /// page's metadata verify is the counter fetch: the first request
-    /// carries its real interval, later ones a point span (they hit
-    /// the just-verified page, like a counter-cache hit).
-    fn emit_read_spans(&self, meta0: Instant, meta1: Instant, requests: &[(u64, ReadMarks)]) {
-        let mut guard = self.tracer.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(tracer) = guard.as_mut() else {
-            return;
-        };
-        for (i, (addr, m)) in requests.iter().enumerate() {
-            let (issue, c0, c1) = if i == 0 {
-                (meta0, meta0, meta1)
-            } else {
-                (m.issue, m.issue, m.issue)
-            };
-            tracer.span_request_begin(self.t(issue), *addr);
-            tracer.span_child(SpanKind::CounterFetch, 0, self.t(c0), self.t(c1));
-            if let Some((p0, p1)) = m.pad {
-                tracer.span_child(SpanKind::PadAes, 0, self.t(p0), self.t(p1));
-            }
-            tracer.span_child(SpanKind::DataDram, 0, self.t(m.data.0), self.t(m.data.1));
-            tracer.span_child(SpanKind::EccDecode, 0, self.t(m.ecc.0), self.t(m.ecc.1));
-            tracer.span_child(SpanKind::MacFetch, 0, self.t(m.mac.0), self.t(m.mac.1));
-            if let Some((x0, x1)) = m.xts {
-                tracer.span_child(SpanKind::PadAes, 0, self.t(x0), self.t(x1));
-            }
-            tracer.span_request_end(self.t(m.data.1), self.t(m.ready));
-        }
-    }
-
-    /// Replays cache-hit reads into the tracer: a begin at lookup time,
-    /// a *point* counter fetch (the verified image was already
-    /// resident), the copy interval as the DRAM child, and **no MAC
-    /// child** — a hit re-verifies nothing, which is exactly what span
-    /// blame should show (DRAM-bound, not MAC-bound).
-    fn emit_hit_spans(&self, t0: Instant, t1: Instant, addrs: &[u64]) {
-        let mut guard = self.tracer.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(tracer) = guard.as_mut() else {
-            return;
-        };
-        for &addr in addrs {
-            tracer.span_request_begin(self.t(t0), addr);
-            tracer.span_child(SpanKind::CounterFetch, 0, self.t(t0), self.t(t0));
-            tracer.span_child(SpanKind::DataDram, 0, self.t(t0), self.t(t1));
-            tracer.span_request_end(self.t(t1), self.t(t1));
-        }
     }
 }
 
@@ -1116,13 +954,10 @@ impl<B: StoreBackend> MemoryAdt for EncryptionLayer<B> {
     }
 
     fn batch_read(&self, addrs: &[u64]) -> Result<Vec<Block>, MemError> {
-        let call0 = Stamp::now();
+        let call0 = self.obs.now();
         let result = self.batch_read_inner(addrs);
         match &result {
-            Ok(_) => {
-                self.metrics.note_read_batch(addrs.len() as u64);
-                self.metrics.op_between(MemOp::Batch, call0, Stamp::now());
-            }
+            Ok(_) => self.obs.batch(false, addrs.len() as u64, call0),
             Err(e) => {
                 if let Some(ie) = e.integrity() {
                     self.note_integrity_error(ie);
@@ -1133,13 +968,10 @@ impl<B: StoreBackend> MemoryAdt for EncryptionLayer<B> {
     }
 
     fn batch_write(&self, writes: &[(u64, Block)]) -> Result<(), MemError> {
-        let call0 = Stamp::now();
+        let call0 = self.obs.now();
         let result = self.batch_write_inner(writes);
         match &result {
-            Ok(_) => {
-                self.metrics.note_write_batch(writes.len() as u64);
-                self.metrics.op_between(MemOp::Batch, call0, Stamp::now());
-            }
+            Ok(_) => self.obs.batch(true, writes.len() as u64, call0),
             Err(e) => {
                 if let Some(ie) = e.integrity() {
                     self.note_integrity_error(ie);
@@ -1160,58 +992,40 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         for (i, &addr) in addrs.iter().enumerate() {
             by_page.entry(self.geo.page_of(addr)).or_default().push(i);
         }
-        let tracing = self.tracing.load(Ordering::Relaxed);
         for (page, idxs) in by_page {
-            let shard_idx = self.shard_index(page);
-            // One sampling decision per page visit, shared by every
-            // distribution probe on this path: the lock wait/hold pair
-            // (two extra clock reads), the fan-in histogram, and the
-            // flight-recorder ring writes inside the page group. With
-            // the verified-page cache a hot read is a few hundred
+            let shard = self.shard_index(page);
+            // One record per page visit. Its sampling decision covers
+            // every distribution probe on the visit: with the
+            // verified-page cache a hot read is a few hundred
             // nanoseconds, so even clockless probes are budget-visible
-            // unless thinned; the read path uses the rarer 1-in-64
-            // tick while hit/miss *counters* and read op latencies
-            // stay exhaustive.
-            let sampled = self.metrics.sample_read();
-            let lock_probe = sampled.then(Stamp::now);
-            let _shard = self.shard(page).read().unwrap_or_else(PoisonError::into_inner);
-            let acquired = lock_probe.map(|w| {
-                let a = Stamp::now();
-                self.metrics.lock_wait(shard_idx, w, a);
-                self.flight.lock_wait(shard_idx, a.since_ns(w));
-                a
-            });
+            // unless thinned.
+            let mut visit = self.obs.begin(MemOp::Read, page, idxs.len() as u64);
+            let wait0 = visit.sampled.then(Instant::now);
+            let guard = self.shard(page).read().unwrap_or_else(PoisonError::into_inner);
+            let held = wait0.map(|_| Instant::now());
+            if visit.sampled {
+                visit.locks.push((shard, ns_between(wait0, held)));
+                visit.add(TailCause::Lock, wait0, held);
+            }
             let keys = self.keys();
-            if sampled {
-                self.metrics.fanin_read(idxs.len() as u64);
+            let result = self.read_page_group(&keys, page, addrs, &idxs, &mut out, &mut visit);
+            if visit.sampled {
+                let end = Some(Instant::now());
+                visit.hold_ns = ns_between(held, end);
+                visit.total_ns = ns_between(wait0, end);
             }
-            // Sampled visits hand their measured segments to the tenant
-            // blame tables; the marks are the ones span tracing and the
-            // stage histograms already read, so attribution adds
-            // arithmetic, not clock reads.
-            let mut segs = [0u64; TAIL_CAUSES];
-            if let (Some(w), Some(a)) = (lock_probe, acquired) {
-                segs[TailCause::Lock as usize] = a.since_ns(w);
-            }
-            self.read_page_group(&keys, page, addrs, &idxs, &mut out, tracing, sampled, &mut segs)?;
-            if sampled {
-                if let (Some(tenants), Some(w)) = (&self.tenants, lock_probe) {
-                    tenants.visit_sample(page, Stamp::now().since_ns(w), &segs);
-                }
-            }
-            if let Some(acquired) = acquired {
-                self.metrics.lock_hold(shard_idx, acquired);
-            }
+            drop(guard);
+            self.obs.visit(&visit);
+            result?;
         }
         Ok(out)
     }
 
-    /// Serves one page group of a batch read: consult the verified-page
+    /// Serves one page visit of a batch read: consult the verified-page
     /// cache first, then verify-and-fetch whatever is missing with the
     /// page's pads generated in one batched pass. Caller holds the
-    /// page's shard read lock. On sampled visits `segs` accumulates the
-    /// measured nanosecond segments for tenant blame attribution.
-    #[allow(clippy::too_many_arguments)]
+    /// page's shard read lock; `visit` records what happened, including
+    /// on an error.
     fn read_page_group(
         &self,
         keys: &KeyMaterial,
@@ -1219,11 +1033,14 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         addrs: &[u64],
         idxs: &[usize],
         out: &mut [Block],
-        tracing: bool,
-        sampled: bool,
-        segs: &mut VisitSegments,
+        visit: &mut Visit,
     ) -> Result<(), MemError> {
-        let issue = Instant::now();
+        let tracing = self.obs.spans.on();
+        // Read op latency is each block's share of its batch call, so a
+        // visit reads the clock only for its tree walk, when sampled, or
+        // for the tracer's spans.
+        let trace_now = || tracing.then(Instant::now);
+        let issue = trace_now();
         let epoch = self.key_epoch.load(Ordering::SeqCst);
         let mut cached: Option<(CounterBlock, Vec<Option<Block>>)> = None;
         if let Some(cache) = &self.cache {
@@ -1249,38 +1066,24 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 }
                 None => {}
             }
-        } else {
-            self.metrics.cache_bypass();
         }
 
         let hits = cached
             .as_ref()
             .map_or(0, |(_, got)| got.iter().flatten().count());
+        visit.hits = hits as u64;
 
         // Full hit: a pure copy — no store traffic, no tree walk, no
-        // MACs. Read op latency stays exhaustive on every path.
+        // MACs.
         if hits == idxs.len() {
             if let Some((_, got)) = &cached {
-                let done = Instant::now();
-                let elapsed = done.saturating_duration_since(issue);
                 for (&i, block) in idxs.iter().zip(got.iter()) {
                     out[i] = (*block).expect("full hit");
                 }
-                // All blocks shared the one measured interval: a single
-                // weighted record keeps the count exhaustive (one
-                // latency sample per block) at one histogram pass.
-                self.metrics
-                    .op_duration_n(MemOp::Read, elapsed, idxs.len() as u64);
-                self.metrics.cache_hit();
-                if let Some(tenants) = &self.tenants {
-                    tenants.page_served(page, TenantServe::Hit);
-                }
-                if sampled {
-                    self.flight.read_hit(page, idxs.len() as u64);
-                }
-                if tracing {
+                visit.serve = CacheServe::Hit;
+                if let (Some(t0), Some(t1)) = (issue, trace_now()) {
                     let hit_addrs: Vec<u64> = idxs.iter().map(|&i| addrs[i]).collect();
-                    self.emit_hit_spans(issue, done, &hit_addrs);
+                    self.obs.spans.hits(t0, t1, &hit_addrs);
                 }
                 return Ok(());
             }
@@ -1290,50 +1093,30 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         // the tree walk is skipped and only the absent blocks pay for
         // store I/O and a MAC. Miss: the full verification chain.
         let was_partial = cached.is_some();
-        let mut meta: Option<(Instant, Instant)> = None;
+        let mut meta = None;
         let (cb, got) = match cached {
             Some((cb, got)) => {
-                self.metrics.cache_partial_hit();
-                if let Some(tenants) = &self.tenants {
-                    tenants.page_served(page, TenantServe::Partial);
-                }
+                visit.serve = CacheServe::Partial;
                 (cb, got)
             }
             None => {
                 if self.cache.is_some() {
-                    self.metrics.cache_miss();
+                    visit.serve = CacheServe::Miss;
                 }
-                // Tenant tables fold bypasses in with misses: either
-                // way the full verification chain ran for this tenant.
-                if let Some(tenants) = &self.tenants {
-                    tenants.page_served(page, TenantServe::Miss);
-                }
-                let meta0 = Instant::now();
+                let meta0 = visit.now();
                 let cb = {
                     let root = self.tree.read().unwrap_or_else(PoisonError::into_inner);
                     self.verify_page(keys, page, *root, addrs[idxs[0]], None)?
                 };
-                let meta1 = Instant::now();
-                // The page verify is the read path's tree walk; its
-                // marks already exist for span tracing, so telemetry
-                // reuses them instead of reading the clock again.
-                self.metrics.stage_duration(
-                    MemOp::Read,
-                    MemStage::TreeWalk,
-                    meta1.saturating_duration_since(meta0),
-                );
-                if sampled {
-                    segs[TailCause::TreeWalk as usize] +=
-                        meta1.saturating_duration_since(meta0).as_nanos() as u64;
-                }
-                meta = Some((meta0, meta1));
+                let meta1 = visit.now();
+                visit.tree_walked = true;
+                visit.add(TailCause::TreeWalk, meta0, meta1);
+                meta = meta0.zip(meta1);
                 (cb, vec![None; idxs.len()])
             }
         };
 
         // Serve the cached blocks before paying for any store I/O.
-        let served = Instant::now();
-        let hit_elapsed = served.saturating_duration_since(issue);
         let mut hit_addrs: Vec<u64> = Vec::new();
         for (k, &i) in idxs.iter().enumerate() {
             if let Some(block) = got[k] {
@@ -1343,11 +1126,12 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 }
             }
         }
-        // The cached blocks all shared the one serve interval: one
-        // weighted record per visit instead of one per block.
-        self.metrics
-            .op_duration_n(MemOp::Read, hit_elapsed, hits as u64);
+        let served = trace_now();
 
+        // Per-block clock marks only on sampled visits or under a
+        // tracer.
+        let clocked = visit.sampled || tracing;
+        let now = || clocked.then(Instant::now);
         // One batched pass over the shared AES key schedule generates
         // every absent counter-mode block's pad up front (the paper's
         // pads-before-data overlap, amortized page-wide).
@@ -1361,96 +1145,65 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 }
             }
         }
-        let p0 = Instant::now();
+        let p0 = now();
         let pads = keys.otp().pad_batch64(&pad_reqs);
-        let pad_iv = (p0, Instant::now());
-        if sampled {
-            segs[TailCause::Pad as usize] +=
-                pad_iv.1.saturating_duration_since(pad_iv.0).as_nanos() as u64;
-        }
+        let pad_iv = p0.map(|p0| (p0, Instant::now()));
+        visit.add(TailCause::Pad, p0, pad_iv.map(|iv| iv.1));
 
         let mut traced: Vec<(u64, ReadMarks)> = Vec::new();
         let mut fresh: Vec<(usize, Block)> = Vec::new();
         let mut next_pad = 0usize;
-        for (k, &i) in idxs.iter().enumerate() {
-            if got[k].is_some() {
-                continue;
-            }
-            let addr = addrs[i];
-            let counter = cb.counter(self.geo.slot_of(addr));
-            if counter > self.saturation {
-                self.metrics.counterless_read();
-            }
-            let batch_pad = (counter <= self.saturation).then(|| {
-                let pad = &pads[next_pad];
-                next_pad += 1;
-                (pad, pad_iv)
-            });
-            let (block, marks) = self.read_one(keys, addr, counter, batch_pad)?;
-            if sampled {
-                let iv = |(a, b): (Instant, Instant)| b.saturating_duration_since(a).as_nanos() as u64;
-                // ECC decode rides the store segment: it is part of
-                // turning the fetched word into usable bytes.
-                segs[TailCause::Store as usize] += iv(marks.data) + iv(marks.ecc);
-                segs[TailCause::Mac as usize] += iv(marks.mac);
-                if let Some(x) = marks.xts {
-                    segs[TailCause::Pad as usize] += iv(x);
+        let fetched = (|| -> Result<(), MemError> {
+            for (k, &i) in idxs.iter().enumerate() {
+                if got[k].is_some() {
+                    continue;
                 }
-            }
-            // The marks are free (span tracing reads those clocks
-            // anyway), but each histogram record touches a bucket
-            // cache line the workload then evicts, so the per-block
-            // stage records are sampled like the write-path probes.
-            if self.metrics.sample() {
-                self.metrics.stage_duration(
-                    MemOp::Read,
-                    MemStage::MacVerify,
-                    marks.mac.1.saturating_duration_since(marks.mac.0),
-                );
-                if let Some((p0, p1)) = marks.pad {
-                    self.metrics.stage_duration(
-                        MemOp::Read,
-                        MemStage::PadGen,
-                        p1.saturating_duration_since(p0),
-                    );
+                let addr = addrs[i];
+                let slot = self.geo.slot_of(addr);
+                let counter = cb.counter(slot);
+                let pad = (counter <= self.saturation).then(|| {
+                    next_pad += 1;
+                    &pads[next_pad - 1]
+                });
+                visit.counterless += u64::from(pad.is_none());
+                let d0 = now();
+                let word = self.backend.read_word(self.geo.data_word(addr))?;
+                let mut marks = d0.map(|d0| {
+                    let d1 = Instant::now();
+                    ReadMarks {
+                        issue: d0,
+                        pad: pad.and(pad_iv),
+                        data: (d0, d1),
+                        ecc: (d1, d1),
+                        mac: (d1, d1),
+                        xts: None,
+                        ready: d1,
+                    }
+                });
+                let sat = self.saturation;
+                let block = decrypt_verify(keys, addr, &word, counter, sat, pad, marks.as_mut())?;
+                if let Some(mut m) = marks {
+                    m.ready = Instant::now();
+                    visit.add_marks(&m);
+                    if tracing {
+                        traced.push((addr, m));
+                    }
                 }
-                if let Some((x0, x1)) = marks.xts {
-                    self.metrics.stage_duration(
-                        MemOp::Read,
-                        MemStage::PadGen,
-                        x1.saturating_duration_since(x0),
-                    );
-                }
+                out[i] = block;
+                fresh.push((slot, block));
+                visit.fetched += 1;
             }
-            self.metrics.op_duration(
-                MemOp::Read,
-                marks.ready.saturating_duration_since(marks.issue),
-            );
-            out[i] = block;
-            fresh.push((self.geo.slot_of(addr), block));
-            if tracing {
-                traced.push((addr, marks));
-            }
-        }
-        if tracing {
+            Ok(())
+        })();
+        fetched?;
+        if let (Some(issue), Some(served)) = (issue, served) {
             if !hit_addrs.is_empty() {
-                self.emit_hit_spans(issue, served, &hit_addrs);
+                self.obs.spans.hits(issue, served, &hit_addrs);
             }
             if !traced.is_empty() {
                 // A partial hit has no verify interval: its first
                 // request gets a point counter fetch like the rest.
-                let (m0, m1) = meta.unwrap_or((issue, issue));
-                self.emit_read_spans(m0, m1, &traced);
-            }
-        }
-        // Flight-recorder ring writes ride the caller's per-page-visit
-        // sampling decision: the ring is a diagnostic trace, not an
-        // exact count, and recording every visit would cost more than
-        // the cache-served read it describes.
-        if sampled {
-            self.flight.read_page(page, idxs.len() as u64);
-            if hits > 0 {
-                self.flight.read_hit(page, hits as u64);
+                self.obs.spans.reads(meta.unwrap_or((issue, issue)), &traced);
             }
         }
 
@@ -1475,16 +1228,14 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                     blocks[slot] = block;
                     present |= 1 << slot;
                 }
-                self.metrics.cache_fill();
                 let entry = PageCacheEntry {
                     epoch,
                     cb,
                     blocks,
                     present,
                 };
-                if cache.insert(page, entry).is_some() {
-                    self.metrics.cache_evict();
-                }
+                visit.filled = true;
+                visit.evicted = cache.insert(page, entry).is_some();
             }
         }
         Ok(())
@@ -1512,183 +1263,144 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             return Ok(());
         };
         let shard_ids: BTreeSet<usize> = by_page.keys().map(|&p| self.shard_index(p)).collect();
-        // One sampling decision per batch, shared by its distribution
-        // probes: lock waits and holds, the fan-in histogram and the
-        // tenant visit sample. Tree walk and commit run once per batch,
-        // so every batch times them.
-        let sampled = self.metrics.sample();
-        let lock_probe = sampled.then(Stamp::now);
-        let mut _guards = Vec::with_capacity(shard_ids.len());
+        // One record per batch, charged to its first page (a composed
+        // tenant batch stays inside one tenant's pages). Its sampling
+        // decision covers lock waits and holds, fan-in, write latency,
+        // pad generation and the tenant visit sample; tree walk and
+        // commit run once per batch, so every batch times them.
+        let mut visit = self.obs.begin(MemOp::Write, first_page, writes.len() as u64);
+        let wait0 = visit.sampled.then(Instant::now);
+        let mut guards = Vec::with_capacity(shard_ids.len());
         for &s in &shard_ids {
-            let w = sampled.then(Stamp::now);
-            _guards.push(
+            let w = visit.sampled.then(Instant::now);
+            guards.push(
                 self.shards[s]
                     .write()
                     .unwrap_or_else(PoisonError::into_inner),
             );
             if let Some(w) = w {
-                let a = Stamp::now();
-                self.metrics.lock_wait(s, w, a);
-                self.flight.lock_wait(s, a.since_ns(w));
+                visit.locks.push((s, w.elapsed().as_nanos() as u64));
             }
         }
-        let acquired = lock_probe.map(|_| Stamp::now());
+        let held = wait0.map(|_| Instant::now());
+        visit.add(TailCause::Lock, wait0, held);
         let keys = self.keys();
         let mut root = self.tree.write().unwrap_or_else(PoisonError::into_inner);
-        // The batch is one visit for tenant blame, charged to its first
-        // page (a composed tenant batch stays inside one tenant's
-        // pages). Its segments are disjoint intervals inside it, so
-        // they never sum past it.
-        let mut segs = [0u64; TAIL_CAUSES];
-        if let (Some(w), Some(a)) = (lock_probe, acquired) {
-            segs[TailCause::Lock as usize] = a.since_ns(w);
-        }
 
         // Verify every page's metadata first. A failure stops the walk;
         // the pages before it are still written and committed.
-        let t0 = Stamp::now();
+        let t0 = visit.now();
         let mut nodes = VerifiedNodes::new();
-        let mut commits: Vec<PageCommit> = Vec::with_capacity(by_page.len());
+        let mut cbs: Vec<CounterBlock> = Vec::with_capacity(by_page.len());
         let mut failure = None;
         for (&page, idxs) in &by_page {
             match self.verify_page(&keys, page, *root, writes[idxs[0]].0, Some(&mut nodes)) {
-                Ok(cb) => commits.push(PageCommit {
-                    page,
-                    cb,
-                    blocks: 0,
-                }),
+                Ok(cb) => {
+                    cbs.push(cb);
+                    visit.pages.push(PageTally {
+                        page,
+                        blocks: 0,
+                        observed: 0,
+                        rolls: 0,
+                    });
+                }
                 Err(e) => {
                     failure = Some(e);
                     break;
                 }
             }
         }
-        let t1 = Stamp::now();
-        self.metrics
-            .stage_between(MemOp::Write, MemStage::TreeWalk, t0, t1);
-        segs[TailCause::TreeWalk as usize] = t1.since_ns(t0);
+        let t1 = visit.now();
+        visit.add(TailCause::TreeWalk, t0, t1);
 
         // An encryption failure comes before any later page's verify
         // failure in batch order, so it replaces it.
-        for (pc, idxs) in commits.iter_mut().zip(by_page.values()) {
-            if let Err(e) = self.write_page_group(&keys, pc, writes, idxs, sampled, &mut segs) {
+        for (j, (cb, idxs)) in cbs.iter_mut().zip(by_page.values()).enumerate() {
+            if let Err(e) = self.write_page_group(&keys, cb, j, writes, idxs, &mut visit) {
                 failure = Some(e);
                 break;
             }
         }
 
-        let c0 = Stamp::now();
-        let committed = self.commit_batch(&keys, &mut root, &mut nodes, &commits);
-        let c1 = Stamp::now();
-        self.metrics
-            .stage_between(MemOp::Write, MemStage::Commit, c0, c1);
-        segs[TailCause::Commit as usize] = c1.since_ns(c0);
-        if let (Some(tenants), Some(w)) = (&self.tenants, lock_probe) {
-            tenants.visit_sample(first_page, Stamp::now().since_ns(w), &segs);
+        let c0 = visit.now();
+        visit.data_ns = ns_between(t1, c0);
+        let committed = self.commit_batch(&keys, &mut root, &mut nodes, &cbs, &visit.pages);
+        let c1 = visit.now();
+        visit.add(TailCause::Commit, c0, c1);
+        if visit.sampled {
+            let end = Some(Instant::now());
+            visit.hold_ns = ns_between(held, end);
+            visit.total_ns = ns_between(wait0, end);
         }
-        if let Some(acquired) = acquired {
-            for &s in &shard_ids {
-                self.metrics.lock_hold(s, acquired);
-            }
-        }
+        drop(root);
+        drop(guards);
+        self.obs.visit(&visit);
         failure.map_or(committed, Err)
     }
 
     /// Encrypts one page group of a write batch under the page's
-    /// verified counter block and writes its data words, page rolls
-    /// included. On an error `pc` holds exactly the blocks that
-    /// committed before it. Caller holds the page's shard write lock.
+    /// verified counter block `cb` and writes its data words, page rolls
+    /// included, tallying into `visit.pages[j]`. On an error the tally
+    /// holds exactly the blocks that committed before it. Caller holds
+    /// the page's shard write lock.
     fn write_page_group(
         &self,
         keys: &KeyMaterial,
-        pc: &mut PageCommit,
+        cb: &mut CounterBlock,
+        j: usize,
         writes: &[(u64, Block)],
         idxs: &[usize],
-        sampled: bool,
-        segs: &mut VisitSegments,
+        visit: &mut Visit,
     ) -> Result<(), MemError> {
-        let page = pc.page;
-        if sampled {
-            self.metrics.fanin_write(idxs.len() as u64);
-        }
+        let page = visit.pages[j].page;
         // Precise invalidation, before any word changes: only this
         // page's entry drops, so readers of other pages keep their hits
         // and no reader can ever see plaintext staler than the store.
         if let Some(cache) = &self.cache {
-            if cache.remove(page) {
-                self.metrics.cache_invalidated(CacheCause::Write, 1);
-            }
+            visit.invalidated += u64::from(cache.remove(page));
         }
-        let mut observed_blocks = 0u64;
         for &i in idxs {
-            // One sampling decision per block: a sampled block gets its
-            // op latency and pad generation timed; an unsampled block
-            // reads no clocks at all.
-            let b0 = self.metrics.sample().then(Stamp::now);
             let (addr, block) = writes[i];
-            let mut cb = pc.cb.clone();
-            let outcome = cb.increment(self.geo.slot_of(addr));
-            if outcome.new_counter > self.saturation {
-                self.metrics.counterless_write();
-            }
+            let mut next = cb.clone();
+            let outcome = next.increment(self.geo.slot_of(addr));
+            visit.counterless += u64::from(outcome.new_counter > self.saturation);
             // On a page roll, verify and decrypt every co-resident
             // block under its old counter before this block commits,
             // so a tampered neighbour aborts cleanly.
             let mut reencrypt: Vec<(u64, Block, u64)> = Vec::new();
             if let Some(others) = &outcome.page_reencryption {
-                self.metrics.page_roll();
-                self.flight.page_roll(page);
-                let m0 = Stamp::now();
+                visit.pages[j].rolls += 1;
+                let m0 = visit.now();
                 for &(other_slot, new_counter) in others {
                     let other_addr = page * PAGE_BLOCKS + other_slot as u64;
                     if other_addr >= self.geo.data_blocks() {
                         continue;
                     }
                     let word = self.backend.read_word(self.geo.data_word(other_addr))?;
-                    let pt = decrypt_verify(
-                        keys,
-                        other_addr,
-                        &word,
-                        pc.cb.counter(other_slot),
-                        self.saturation,
-                    )?;
+                    let old = cb.counter(other_slot);
+                    let pt =
+                        decrypt_verify(keys, other_addr, &word, old, self.saturation, None, None)?;
                     reencrypt.push((other_addr, pt, new_counter));
                 }
-                let m1 = Stamp::now();
-                self.metrics
-                    .stage_between(MemOp::Write, MemStage::MacVerify, m0, m1);
-                segs[TailCause::Mac as usize] += m1.since_ns(m0);
+                let m1 = visit.now();
+                visit.add(TailCause::Mac, m0, m1);
             }
-            pc.cb = cb;
-            pc.blocks += 1;
-            let p0 = b0.map(|_| Stamp::now());
+            *cb = next;
+            visit.pages[j].blocks += 1;
+            let p0 = visit.sampled.then(Instant::now);
             let word = encrypt_one(keys, addr, &block, outcome.new_counter, self.saturation);
-            if let Some(p0) = p0 {
-                let p1 = Stamp::now();
-                self.metrics
-                    .stage_between(MemOp::Write, MemStage::PadGen, p0, p1);
-                segs[TailCause::Pad as usize] += p1.since_ns(p0);
+            if p0.is_some() {
+                visit.add(TailCause::Pad, p0, Some(Instant::now()));
             }
             self.store_write(self.geo.data_word(addr), &word)?;
-            let observed = self.metrics.observe_ciphertext_write(page);
-            self.flight.ciphertext_write(page, observed);
-            observed_blocks += 1;
+            visit.pages[j].observed += 1;
             for (other_addr, pt, new_counter) in reencrypt {
                 self.store_write(
                     self.geo.data_word(other_addr),
                     &encrypt_one(keys, other_addr, &pt, new_counter, self.saturation),
                 )?;
-                let observed = self.metrics.observe_ciphertext_write(page);
-                self.flight.ciphertext_write(page, observed);
-                observed_blocks += 1;
+                visit.pages[j].observed += 1;
             }
-            if let Some(b0) = b0 {
-                self.metrics.op_between(MemOp::Write, b0, Stamp::now());
-            }
-        }
-        self.flight.write_page(page, idxs.len() as u64);
-        if let Some(tenants) = &self.tenants {
-            tenants.ciphertext_writes(page, observed_blocks);
         }
         Ok(())
     }
@@ -1698,7 +1410,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
 mod tests {
     use super::*;
     use crate::store::{FileBackend, VecBackend};
-    use clme_obs::span::Blame;
+    use clme_obs::span::{Blame, SpanKind};
 
     const MASTER: [u8; 32] = [0x42; 32];
 
@@ -1906,7 +1618,7 @@ mod tests {
         assert_eq!(snap.batch_reads, 1);
         assert_eq!(snap.integrity_errors, 0);
         assert_eq!(snap.op(MemOp::Read).latency.count(), 3);
-        // Write op latency is part of the sampled per-block probe set.
+        // Write op latency rides the batch's sampling decision.
         assert!(snap.op(MemOp::Write).latency.count() <= 2);
         assert_eq!(snap.op(MemOp::Batch).latency.count(), 2);
         // The read tree walk reuses the span tracer's marks and records
@@ -1916,10 +1628,11 @@ mod tests {
         // are timed on every batch.
         assert_eq!(snap.op(MemOp::Write).stages[MemStage::TreeWalk as usize].count(), 1);
         assert_eq!(snap.op(MemOp::Write).stages[MemStage::Commit as usize].count(), 1);
-        // Per-block stage records and lock waits are sampled (1-in-8
-        // write-side, 1-in-64 read-side), so only bounds are
-        // deterministic here: three read blocks, and five shard-lock
-        // acquisitions (two by the write batch, three read page visits).
+        // Per-block stage records and lock waits ride the visit's
+        // sampling decision (1-in-8 write batches, 1-in-64 read page
+        // visits), so only bounds are asserted here: three read blocks,
+        // and five shard-lock acquisitions (two by the write batch,
+        // three read page visits).
         assert!(snap.op(MemOp::Read).stages[MemStage::MacVerify as usize].count() <= 3);
         assert!(snap.op(MemOp::Read).stages[MemStage::PadGen as usize].count() <= 3);
         let waits: u64 = snap.lock_wait.iter().map(|h| h.count()).sum();
@@ -1958,12 +1671,10 @@ mod tests {
     fn sampled_probes_fire_under_sustained_traffic() {
         use crate::metrics::{MemOp, MemStage};
         let mem = layer(64);
-        // Small batches so the per-round probe-tick stride — 4 write
-        // ticks (the batch's decision + one per block) plus 3 read-miss
-        // block ticks = 7 — is coprime with the 1-in-8 sample period
-        // and every probe site cycles through a firing tick. (The read
-        // path's shared lock/fan-in decision rides its own 1-in-64
-        // tick and does not advance this one.)
+        // Sixteen rounds of one write batch and one read visit: the
+        // 1-in-8 write decision fires on two batches and the 1-in-64
+        // read decision on the first visit, and each sampled visit
+        // carries every one of its probes.
         for round in 0..16u8 {
             mem.batch_write(&[
                 (0, pattern(round)),
@@ -2004,8 +1715,9 @@ mod tests {
         // 129 direct writes plus the co-residents re-encrypted on rolls.
         assert!(snap.observed_writes_total > 129);
         assert_eq!(snap.observed_writes_max_page, 0);
-        assert_eq!(snap.observed_writes_max, mem.metrics().observed_writes(0));
-        assert_eq!(mem.metrics().observed_writes(1), snap.observed_writes_total - mem.metrics().observed_writes(0));
+        let metrics = mem.metrics().expect("telemetry compiled in");
+        assert_eq!(snap.observed_writes_max, metrics.observed_writes(0));
+        assert_eq!(metrics.observed_writes(1), snap.observed_writes_total - metrics.observed_writes(0));
     }
 
     #[test]
@@ -2201,5 +1913,7 @@ mod tests {
         let snap = mem.metrics_snapshot();
         assert_eq!(snap.blocks_written, 0);
         assert!(mem.metrics_prom().is_empty());
+        // The off build keeps no flight recorder: the timeline is empty.
+        assert!(mem.flight_snapshot().events.is_empty());
     }
 }

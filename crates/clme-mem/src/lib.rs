@@ -51,6 +51,7 @@ pub mod flight;
 pub mod geometry;
 pub mod layer;
 pub mod metrics;
+mod observe;
 pub mod store;
 pub mod tenant;
 
@@ -63,8 +64,9 @@ pub use geometry::{Geometry, Region, NODE_ARITY, PAGE_BLOCKS};
 pub use layer::{EncryptionLayer, LayerOptions, RekeyReport, DEFAULT_CACHE_PAGES};
 pub use metrics::{
     CacheCause, CacheStats, MemMetrics, MemMetricsSnapshot, MemOp, MemStage, OpStats, RekeyStats,
-    Stamp, StoreMetrics, StoreStats, CACHE_CAUSES, MEM_OPS, MEM_STAGES,
+    StoreMetrics, StoreStats, CACHE_CAUSES, MEM_OPS, MEM_STAGES,
 };
+pub use observe::{READ_SAMPLE_EVERY, WRITE_SAMPLE_EVERY};
 pub use store::{FileBackend, StoreBackend, StoredWord, VecBackend, WORD_BYTES};
 pub use tenant::{
     SloRow, SloSpec, TailCause, TenantRanges, TenantRow, TenantServe, TenantSnapshot,

@@ -2,12 +2,11 @@
 //!
 //! [`MemMetrics`] is built from the atomic primitives in
 //! [`clme_obs::registry`]: relaxed counters, gauges, and per-thread
-//! sharded log2 histograms, so the hot paths pay a handful of relaxed
-//! RMWs and a few host-clock reads per operation — never a lock, never
-//! an allocation. What it watches, per the scaling roadmap:
+//! sharded log2 histograms, so recording costs a handful of relaxed
+//! RMWs — never a lock, never an allocation. What it watches:
 //!
 //! * **Lock contention** — wait- and hold-time histograms per page-shard
-//!   lock (the finer-locking work item needs a before/after).
+//!   lock.
 //! * **Crypto stages** — tree walk, MAC verify, pad generation, and
 //!   metadata commit latencies, split by operation class (single read /
 //!   single write / whole batch call).
@@ -20,37 +19,41 @@
 //!   time, and the dwell of the key just retired (Security Through
 //!   Amnesia's lifetime concern, live instead of test-only).
 //!
-//! Compiling the crate with the `telemetry-off` feature replaces every
-//! type in this module with a zero-sized, no-op twin: [`Stamp::now`]
-//! stops reading the clock and every record call compiles to nothing.
-//! The `ci.sh` overhead gate benches both builds and fails the PR if
-//! the always-on default costs more than 3% throughput.
+//! The layer never calls these recorders from its data path directly.
+//! There is one observation path: the data path fills one visit record
+//! per read page visit and one per write batch, and the layer's
+//! observer (`observe.rs`) fans each record out to these metrics, the
+//! per-tenant tables, the flight ring and the span tracer. The observer
+//! makes one sampling decision per visit — every 8th write batch and
+//! every 64th read page visit on a thread — and a sampled visit carries
+//! the per-block clock marks behind the lock, fan-in, write-latency and
+//! per-block stage histograms. Counters, the tree-walk and commit
+//! stages, and the cache and observation tables are recorded on every
+//! visit; batch latency on every call, with each read block's share of
+//! it as the read op latency.
 //!
-//! Snapshot types ([`MemMetricsSnapshot`] and friends) are compiled in
-//! both modes so callers (the `clme mem --stats` pipeline) are
-//! feature-agnostic; under `telemetry-off` a snapshot is simply empty.
+//! Compiling the crate with the `telemetry-off` feature swaps the
+//! observer for a twin that records nothing (the layer's snapshot and
+//! exposition come back empty) and [`StoreMetrics`] for a zero-sized
+//! twin, since backends record their own counters. The `ci.sh` overhead
+//! gate benches both builds and fails when the always-on default costs
+//! more than 3% throughput.
+//!
+//! Snapshot types ([`MemMetricsSnapshot`] and friends) serve both modes
+//! so callers (the `clme mem --stats` pipeline) are feature-agnostic.
 
+use clme_obs::registry::{Counter, Gauge, Registry, Sample, ShardedHistogram};
 use clme_obs::Log2Histogram;
 use clme_types::json::JsonValue;
-
-#[cfg(not(feature = "telemetry-off"))]
-use clme_obs::registry::{Counter, Gauge, Registry, Sample, ShardedHistogram};
-#[cfg(not(feature = "telemetry-off"))]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(not(feature = "telemetry-off"))]
 use std::sync::Arc;
-#[cfg(not(feature = "telemetry-off"))]
-use std::time::Instant;
-
-#[cfg(feature = "telemetry-off")]
-use clme_obs::registry::Sample;
-
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Operation classes the per-op histograms split on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MemOp {
     /// One block read (per-block latency inside any read call).
+    #[default]
     Read = 0,
     /// One block written (per-block latency inside any write call).
     Write = 1,
@@ -632,56 +635,6 @@ impl MemMetricsSnapshot {
 // Live metrics — real implementation
 // ---------------------------------------------------------------------
 
-/// A host-clock mark. With telemetry on this is an [`Instant`]; under
-/// `telemetry-off` it is a zero-sized token and [`Stamp::now`] does not
-/// read the clock, so instrumentation sites cost literally nothing.
-#[cfg(not(feature = "telemetry-off"))]
-#[derive(Clone, Copy, Debug)]
-pub struct Stamp(Instant);
-
-#[cfg(not(feature = "telemetry-off"))]
-impl Stamp {
-    /// The current instant.
-    #[inline]
-    pub fn now() -> Stamp {
-        Stamp(Instant::now())
-    }
-
-    #[inline]
-    fn since(self, earlier: Stamp) -> Duration {
-        self.0.saturating_duration_since(earlier.0)
-    }
-
-    /// Nanoseconds since `earlier` (zero under `telemetry-off`). Lets
-    /// instrumentation sites compare an already-taken probe against a
-    /// threshold — e.g. the flight recorder's slow-lock event — without
-    /// reaching into the `Instant`.
-    #[inline]
-    pub fn since_ns(self, earlier: Stamp) -> u64 {
-        u64::try_from(self.since(earlier).as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
-/// Every `SAMPLE_EVERY`-th [`MemMetrics::sample`] call per thread says
-/// yes; the rest skip the clock-reading probes entirely.
-#[cfg(not(feature = "telemetry-off"))]
-const SAMPLE_EVERY: u64 = 8;
-
-/// The read path's own, rarer period: with the verified-page cache a
-/// hot read page-visit finishes in a couple hundred nanoseconds, so
-/// even at 1-in-8 its probe set (lock stamps, fan-in, flight ring) is
-/// visible against the 3% telemetry budget. 1-in-64 keeps every
-/// distribution populated under real traffic at ~1/8 the cost.
-#[cfg(not(feature = "telemetry-off"))]
-const READ_SAMPLE_EVERY: u64 = 64;
-
-#[cfg(not(feature = "telemetry-off"))]
-thread_local! {
-    static SAMPLE_TICK: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    static READ_SAMPLE_TICK: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-#[cfg(not(feature = "telemetry-off"))]
 struct OpHandles {
     latency: Arc<ShardedHistogram>,
     stages: [Arc<ShardedHistogram>; MEM_STAGES],
@@ -693,7 +646,6 @@ struct OpHandles {
 /// [`Registry`]; the record methods below are the hot path (relaxed
 /// atomics, no locks, no allocation) and the snapshot/exposition
 /// methods are the cold path.
-#[cfg(not(feature = "telemetry-off"))]
 pub struct MemMetrics {
     registry: Registry,
     ops: Vec<OpHandles>,
@@ -734,7 +686,6 @@ pub struct MemMetrics {
     sweep_start_ms: AtomicU64,
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 impl MemMetrics {
     /// Builds the full metric set for a layer with `lock_shards` page
     /// shards over `pages` pages.
@@ -897,53 +848,16 @@ impl MemMetrics {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    /// The sampling decision for probes that must *read the clock* to
-    /// measure (stage stamps, lock wait/hold on the batch paths): true
-    /// on every [`SAMPLE_EVERY`]-th call on this thread. A host clock
-    /// read costs ~35 ns; sampling keeps the latency *distributions*
-    /// while bounding the per-block cost. Counters and op latencies
-    /// stay exhaustive — they either don't read the clock or reuse
-    /// marks the layer already collects.
+    /// Records a shard-lock wait.
     #[inline]
-    pub fn sample(&self) -> bool {
-        SAMPLE_TICK.with(|tick| {
-            let t = tick.get();
-            tick.set(t.wrapping_add(1));
-            t % SAMPLE_EVERY == 0
-        })
+    pub fn lock_wait(&self, shard: usize, d: Duration) {
+        self.lock_wait[shard].record_duration(d);
     }
 
-    /// The read path's sampling decision: same shape as
-    /// [`sample`](Self::sample) but on its own tick with the rarer
-    /// [`READ_SAMPLE_EVERY`] period, because a cache-served read visit
-    /// is an order of magnitude faster than anything on the write
-    /// path. The first call on each thread still fires, so even a
-    /// short single-threaded run populates every read-side histogram.
+    /// Records a shard-lock hold.
     #[inline]
-    pub fn sample_read(&self) -> bool {
-        READ_SAMPLE_TICK.with(|tick| {
-            let t = tick.get();
-            tick.set(t.wrapping_add(1));
-            t % READ_SAMPLE_EVERY == 0
-        })
-    }
-
-    /// Records a shard-lock wait interval.
-    #[inline]
-    pub fn lock_wait(&self, shard: usize, from: Stamp, to: Stamp) {
-        self.lock_wait[shard].record_duration(to.since(from));
-    }
-
-    /// Records a shard-lock hold that started at `from` and ends now.
-    #[inline]
-    pub fn lock_hold(&self, shard: usize, from: Stamp) {
-        self.lock_hold[shard].record_duration(Stamp::now().since(from));
-    }
-
-    /// Records an op latency from a stamp pair.
-    #[inline]
-    pub fn op_between(&self, op: MemOp, from: Stamp, to: Stamp) {
-        self.ops[op as usize].latency.record_duration(to.since(from));
+    pub fn lock_hold(&self, shard: usize, d: Duration) {
+        self.lock_hold[shard].record_duration(d);
     }
 
     /// Records an op latency measured outside (e.g. from read marks the
@@ -963,16 +877,17 @@ impl MemMetrics {
         self.ops[op as usize].latency.record_duration_n(d, n);
     }
 
-    /// Records a stage latency from a stamp pair.
-    #[inline]
-    pub fn stage_between(&self, op: MemOp, stage: MemStage, from: Stamp, to: Stamp) {
-        self.ops[op as usize].stages[stage as usize].record_duration(to.since(from));
-    }
-
     /// Records a stage latency measured outside.
     #[inline]
     pub fn stage_duration(&self, op: MemOp, stage: MemStage, d: Duration) {
         self.ops[op as usize].stages[stage as usize].record_duration(d);
+    }
+
+    /// Records `n` stage latencies of the same duration in one pass —
+    /// a visit's per-block share of a stage it measured once.
+    #[inline]
+    pub fn stage_duration_n(&self, op: MemOp, stage: MemStage, d: Duration, n: u64) {
+        self.ops[op as usize].stages[stage as usize].record_duration_n(d, n);
     }
 
     /// One `batch_read` call that decrypted `blocks` blocks.
@@ -995,32 +910,32 @@ impl MemMetrics {
         self.integrity_errors.inc();
     }
 
-    /// A minor-counter overflow re-encrypted a whole page.
+    /// `n` minor-counter overflows re-encrypted whole pages.
     #[inline]
-    pub fn page_roll(&self) {
-        self.page_rolls.inc();
+    pub fn page_rolls(&self, n: u64) {
+        self.page_rolls.add(n);
     }
 
-    /// A read hit a counterless (XTS) block.
+    /// `n` reads hit counterless (XTS) blocks.
     #[inline]
-    pub fn counterless_read(&self) {
-        self.counterless_reads.inc();
+    pub fn counterless_reads(&self, n: u64) {
+        self.counterless_reads.add(n);
     }
 
-    /// A write landed on a counterless (XTS) block.
+    /// `n` writes landed on counterless (XTS) blocks.
     #[inline]
-    pub fn counterless_write(&self) {
-        self.counterless_writes.inc();
+    pub fn counterless_writes(&self, n: u64) {
+        self.counterless_writes.add(n);
     }
 
-    /// A fresh ciphertext for `page` became visible in the store.
+    /// `n` fresh ciphertexts for `page` became visible in the store.
     /// Returns the page's new observation count (0 when the page is out
     /// of range), so callers can detect write bursts without re-reading.
     #[inline]
-    pub fn observe_ciphertext_write(&self, page: u64) -> u64 {
-        self.observed_total.inc();
+    pub fn observe_ciphertext_writes(&self, page: u64, n: u64) -> u64 {
+        self.observed_total.add(n);
         match self.observed.get(page as usize) {
-            Some(slot) => slot.fetch_add(1, Ordering::Relaxed) + 1,
+            Some(slot) => slot.fetch_add(n, Ordering::Relaxed) + n,
             None => 0,
         }
     }
@@ -1203,321 +1118,199 @@ impl MemMetrics {
         self.refresh_derived();
         let mut samples = self.registry.snapshot();
         if let Some(s) = store {
-            samples.extend(s.registry.snapshot());
+            samples.extend(s.samples());
         }
         samples
     }
 }
 
-/// Per-backend store counters: word traffic, page-cache behaviour, and
-/// file I/O. Backends own one and report it via
-/// [`StoreBackend::store_metrics`](crate::StoreBackend::store_metrics).
-#[cfg(not(feature = "telemetry-off"))]
-pub struct StoreMetrics {
-    registry: Registry,
-    words_read: Arc<Counter>,
-    words_written: Arc<Counter>,
-    page_cache_hits: Arc<Counter>,
-    page_cache_misses: Arc<Counter>,
-    page_cache_evictions: Arc<Counter>,
-    page_cache_read_fill_evictions: Arc<Counter>,
-    page_cache_write_fill_evictions: Arc<Counter>,
-    file_reads: Arc<Counter>,
-    file_writes: Arc<Counter>,
-}
-
-#[cfg(not(feature = "telemetry-off"))]
-impl StoreMetrics {
-    /// Builds the counter set.
-    pub fn new() -> StoreMetrics {
-        let registry = Registry::new();
-        let ok = "static metric names are valid";
-        let counter = |name: &str, help: &str| registry.counter(name, help, &[]).expect(ok);
-        StoreMetrics {
-            words_read: counter("clme_store_words_read_total", "stored words read"),
-            words_written: counter("clme_store_words_written_total", "stored words written"),
-            page_cache_hits: counter("clme_store_page_cache_hits_total", "page-cache hits"),
-            page_cache_misses: counter("clme_store_page_cache_misses_total", "page-cache misses"),
-            page_cache_evictions: counter(
-                "clme_store_page_cache_evictions_total",
-                "cache fills displacing a live page",
-            ),
-            page_cache_read_fill_evictions: registry
-                .counter(
-                    "clme_store_page_cache_fill_evictions_total",
-                    "cache-fill evictions, by the filling side",
-                    &[("fill", "read")],
-                )
-                .expect(ok),
-            page_cache_write_fill_evictions: registry
-                .counter(
-                    "clme_store_page_cache_fill_evictions_total",
-                    "cache-fill evictions, by the filling side",
-                    &[("fill", "write")],
-                )
-                .expect(ok),
-            file_reads: counter("clme_store_file_reads_total", "positioned file reads"),
-            file_writes: counter("clme_store_file_writes_total", "positioned file writes"),
-            registry,
-        }
-    }
-
-    /// One stored word read.
-    #[inline]
-    pub fn word_read(&self) {
-        self.words_read.inc();
-    }
-
-    /// One stored word written.
-    #[inline]
-    pub fn word_written(&self) {
-        self.words_written.inc();
-    }
-
-    /// A page-cache hit.
-    #[inline]
-    pub fn cache_hit(&self) {
-        self.page_cache_hits.inc();
-    }
-
-    /// A page-cache miss.
-    #[inline]
-    pub fn cache_miss(&self) {
-        self.page_cache_misses.inc();
-    }
-
-    /// A cache fill displaced a live page; `write_fill` says whether the
-    /// filling side was a write-allocate (vs a read-miss fill).
-    #[inline]
-    pub fn cache_evicted(&self, write_fill: bool) {
-        self.page_cache_evictions.inc();
-        if write_fill {
-            self.page_cache_write_fill_evictions.inc();
-        } else {
-            self.page_cache_read_fill_evictions.inc();
-        }
-    }
-
-    /// One positioned file read.
-    #[inline]
-    pub fn file_read(&self) {
-        self.file_reads.inc();
-    }
-
-    /// One positioned file write.
-    #[inline]
-    pub fn file_write(&self) {
-        self.file_writes.inc();
-    }
-
-    /// Copies the counters out.
-    pub fn snapshot(&self) -> StoreStats {
-        StoreStats {
-            words_read: self.words_read.get(),
-            words_written: self.words_written.get(),
-            page_cache_hits: self.page_cache_hits.get(),
-            page_cache_misses: self.page_cache_misses.get(),
-            page_cache_evictions: self.page_cache_evictions.get(),
-            page_cache_read_fill_evictions: self.page_cache_read_fill_evictions.get(),
-            page_cache_write_fill_evictions: self.page_cache_write_fill_evictions.get(),
-            file_reads: self.file_reads.get(),
-            file_writes: self.file_writes.get(),
-        }
-    }
-}
-
-#[cfg(not(feature = "telemetry-off"))]
-impl Default for StoreMetrics {
-    fn default() -> StoreMetrics {
-        StoreMetrics::new()
-    }
-}
-
 // ---------------------------------------------------------------------
-// Live metrics — `telemetry-off` stubs
+// Store counters — recorded by the backends themselves, so they keep a
+// zero-sized twin for `telemetry-off` builds
 // ---------------------------------------------------------------------
 
-/// Zero-sized stand-in for the host-clock mark: `now()` reads nothing.
-#[cfg(feature = "telemetry-off")]
-#[derive(Clone, Copy, Debug)]
-pub struct Stamp;
+#[cfg(not(feature = "telemetry-off"))]
+mod store_counters {
+    use super::*;
 
-#[cfg(feature = "telemetry-off")]
-impl Stamp {
-    /// A token; no clock is read.
-    #[inline(always)]
-    pub fn now() -> Stamp {
-        Stamp
-    }
-
-    /// Always zero; no clock exists to subtract.
-    #[inline(always)]
-    pub fn since_ns(self, _earlier: Stamp) -> u64 {
-        0
-    }
-}
-
-/// No-op twin of the live metrics: every record call compiles away and
-/// snapshots come back empty.
-#[cfg(feature = "telemetry-off")]
-#[derive(Debug, Default)]
-pub struct MemMetrics;
-
-#[cfg(feature = "telemetry-off")]
-impl MemMetrics {
-    /// Builds the stub (arguments ignored).
-    pub fn new(_lock_shards: usize, _pages: u64) -> MemMetrics {
-        MemMetrics
+    /// Per-backend store counters: word traffic, page-cache behaviour, and
+    /// file I/O. Backends own one and report it via
+    /// [`StoreBackend::store_metrics`](crate::StoreBackend::store_metrics).
+    pub struct StoreMetrics {
+        registry: Registry,
+        words_read: Arc<Counter>,
+        words_written: Arc<Counter>,
+        page_cache_hits: Arc<Counter>,
+        page_cache_misses: Arc<Counter>,
+        page_cache_evictions: Arc<Counter>,
+        page_cache_read_fill_evictions: Arc<Counter>,
+        page_cache_write_fill_evictions: Arc<Counter>,
+        file_reads: Arc<Counter>,
+        file_writes: Arc<Counter>,
     }
 
-    /// No-op.
-    #[inline(always)]
-    pub fn lock_wait(&self, _shard: usize, _from: Stamp, _to: Stamp) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn lock_hold(&self, _shard: usize, _from: Stamp) {}
-    /// Always false: no probe ever fires.
-    #[inline(always)]
-    pub fn sample(&self) -> bool {
-        false
-    }
-    /// Always false: no probe ever fires.
-    #[inline(always)]
-    pub fn sample_read(&self) -> bool {
-        false
-    }
-    /// No-op.
-    #[inline(always)]
-    pub fn op_between(&self, _op: MemOp, _from: Stamp, _to: Stamp) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn op_duration(&self, _op: MemOp, _d: Duration) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn op_duration_n(&self, _op: MemOp, _d: Duration, _n: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn stage_between(&self, _op: MemOp, _stage: MemStage, _from: Stamp, _to: Stamp) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn stage_duration(&self, _op: MemOp, _stage: MemStage, _d: Duration) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn note_read_batch(&self, _blocks: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn note_write_batch(&self, _blocks: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn integrity_error(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn page_roll(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn counterless_read(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn counterless_write(&self) {}
-    /// No-op; always zero.
-    #[inline(always)]
-    pub fn observe_ciphertext_write(&self, _page: u64) -> u64 {
-        0
-    }
-    /// Always zero.
-    pub fn observed_writes(&self, _page: u64) -> u64 {
-        0
-    }
-    /// No-op.
-    #[inline(always)]
-    pub fn cache_hit(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn cache_partial_hit(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn cache_miss(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn cache_fill(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn cache_evict(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn cache_bypass(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn cache_invalidated(&self, _cause: CacheCause, _entries: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn set_cache_resident(&self, _pages: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn fanin_read(&self, _blocks: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn fanin_write(&self, _blocks: u64) {}
-    /// No-op.
-    pub fn rekey_begin(&self, _pages: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn rekey_page_done(&self) {}
-    /// No-op.
-    pub fn rekey_end(&self, _ok: bool) {}
+    impl StoreMetrics {
+        /// Builds the counter set.
+        pub fn new() -> StoreMetrics {
+            let registry = Registry::new();
+            let ok = "static metric names are valid";
+            let counter = |name: &str, help: &str| registry.counter(name, help, &[]).expect(ok);
+            StoreMetrics {
+                words_read: counter("clme_store_words_read_total", "stored words read"),
+                words_written: counter("clme_store_words_written_total", "stored words written"),
+                page_cache_hits: counter("clme_store_page_cache_hits_total", "page-cache hits"),
+                page_cache_misses: counter("clme_store_page_cache_misses_total", "page-cache misses"),
+                page_cache_evictions: counter(
+                    "clme_store_page_cache_evictions_total",
+                    "cache fills displacing a live page",
+                ),
+                page_cache_read_fill_evictions: registry
+                    .counter(
+                        "clme_store_page_cache_fill_evictions_total",
+                        "cache-fill evictions, by the filling side",
+                        &[("fill", "read")],
+                    )
+                    .expect(ok),
+                page_cache_write_fill_evictions: registry
+                    .counter(
+                        "clme_store_page_cache_fill_evictions_total",
+                        "cache-fill evictions, by the filling side",
+                        &[("fill", "write")],
+                    )
+                    .expect(ok),
+                file_reads: counter("clme_store_file_reads_total", "positioned file reads"),
+                file_writes: counter("clme_store_file_writes_total", "positioned file writes"),
+                registry,
+            }
+        }
 
-    /// An empty snapshot.
-    pub fn snapshot(&self, _store: Option<&StoreMetrics>) -> MemMetricsSnapshot {
-        MemMetricsSnapshot::empty(0)
+        /// One stored word read.
+        #[inline]
+        pub fn word_read(&self) {
+            self.words_read.inc();
+        }
+
+        /// One stored word written.
+        #[inline]
+        pub fn word_written(&self) {
+            self.words_written.inc();
+        }
+
+        /// A page-cache hit.
+        #[inline]
+        pub fn cache_hit(&self) {
+            self.page_cache_hits.inc();
+        }
+
+        /// A page-cache miss.
+        #[inline]
+        pub fn cache_miss(&self) {
+            self.page_cache_misses.inc();
+        }
+
+        /// A cache fill displaced a live page; `write_fill` says whether the
+        /// filling side was a write-allocate (vs a read-miss fill).
+        #[inline]
+        pub fn cache_evicted(&self, write_fill: bool) {
+            self.page_cache_evictions.inc();
+            if write_fill {
+                self.page_cache_write_fill_evictions.inc();
+            } else {
+                self.page_cache_read_fill_evictions.inc();
+            }
+        }
+
+        /// One positioned file read.
+        #[inline]
+        pub fn file_read(&self) {
+            self.file_reads.inc();
+        }
+
+        /// One positioned file write.
+        #[inline]
+        pub fn file_write(&self) {
+            self.file_writes.inc();
+        }
+
+        /// The counters as exposition samples.
+        pub(crate) fn samples(&self) -> Vec<Sample> {
+            self.registry.snapshot()
+        }
+
+        /// Copies the counters out.
+        pub fn snapshot(&self) -> StoreStats {
+            StoreStats {
+                words_read: self.words_read.get(),
+                words_written: self.words_written.get(),
+                page_cache_hits: self.page_cache_hits.get(),
+                page_cache_misses: self.page_cache_misses.get(),
+                page_cache_evictions: self.page_cache_evictions.get(),
+                page_cache_read_fill_evictions: self.page_cache_read_fill_evictions.get(),
+                page_cache_write_fill_evictions: self.page_cache_write_fill_evictions.get(),
+                file_reads: self.file_reads.get(),
+                file_writes: self.file_writes.get(),
+            }
+        }
     }
 
-    /// No samples.
-    pub fn prom_samples(&self, _store: Option<&StoreMetrics>) -> Vec<Sample> {
-        Vec::new()
+    impl Default for StoreMetrics {
+        fn default() -> StoreMetrics {
+            StoreMetrics::new()
+        }
     }
 }
 
-/// No-op twin of the backend counters.
 #[cfg(feature = "telemetry-off")]
-#[derive(Debug, Default)]
-pub struct StoreMetrics;
+mod store_counters {
+    use super::*;
 
-#[cfg(feature = "telemetry-off")]
-impl StoreMetrics {
-    /// Builds the stub.
-    pub fn new() -> StoreMetrics {
-        StoreMetrics
-    }
+    /// No-op twin of the backend counters.
+    #[derive(Debug, Default)]
+    pub struct StoreMetrics;
 
-    /// No-op.
-    #[inline(always)]
-    pub fn word_read(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn word_written(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn cache_hit(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn cache_miss(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn cache_evicted(&self, _write_fill: bool) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn file_read(&self) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn file_write(&self) {}
+    impl StoreMetrics {
+        /// Builds the stub.
+        pub fn new() -> StoreMetrics {
+            StoreMetrics
+        }
 
-    /// Always-zero stats.
-    pub fn snapshot(&self) -> StoreStats {
-        StoreStats::default()
+        /// No-op.
+        #[inline(always)]
+        pub fn word_read(&self) {}
+        /// No-op.
+        #[inline(always)]
+        pub fn word_written(&self) {}
+        /// No-op.
+        #[inline(always)]
+        pub fn cache_hit(&self) {}
+        /// No-op.
+        #[inline(always)]
+        pub fn cache_miss(&self) {}
+        /// No-op.
+        #[inline(always)]
+        pub fn cache_evicted(&self, _write_fill: bool) {}
+        /// No-op.
+        #[inline(always)]
+        pub fn file_read(&self) {}
+        /// No-op.
+        #[inline(always)]
+        pub fn file_write(&self) {}
+
+        /// Always-zero stats.
+        pub fn snapshot(&self) -> StoreStats {
+            StoreStats::default()
+        }
+
+        /// No samples.
+        pub(crate) fn samples(&self) -> Vec<Sample> {
+            Vec::new()
+        }
     }
 }
 
-#[cfg(all(test, not(feature = "telemetry-off")))]
+pub use store_counters::StoreMetrics;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1539,9 +1332,9 @@ mod tests {
     fn observation_counters_track_per_page_and_max() {
         let m = MemMetrics::new(2, 4);
         for _ in 0..3 {
-            m.observe_ciphertext_write(1);
+            m.observe_ciphertext_writes(1, 1);
         }
-        m.observe_ciphertext_write(3);
+        m.observe_ciphertext_writes(3, 1);
         let snap = m.snapshot(None);
         assert_eq!(snap.observed_writes_total, 4);
         assert_eq!(snap.observed_writes_max, 3);
@@ -1549,7 +1342,7 @@ mod tests {
         assert_eq!(m.observed_writes(1), 3);
         assert_eq!(m.observed_writes(3), 1);
         // Out-of-range pages are counted in the total only.
-        m.observe_ciphertext_write(99);
+        m.observe_ciphertext_writes(99, 1);
         assert_eq!(m.snapshot(None).observed_writes_total, 5);
     }
 
@@ -1604,7 +1397,7 @@ mod tests {
         newer.cache_hit();
         newer.cache_hit();
         newer.cache_invalidated(CacheCause::Rekey, 7);
-        newer.observe_ciphertext_write(0);
+        newer.observe_ciphertext_writes(0, 1);
         newer.op_duration(MemOp::Read, Duration::from_nanos(50));
         let delta = live.snapshot(None).delta_since(&newer.snapshot(None));
         assert_eq!(delta.blocks_read, 0);
@@ -1652,6 +1445,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(not(feature = "telemetry-off"))] // the store counters have a twin
     fn prom_samples_render_with_store() {
         let m = MemMetrics::new(2, 4);
         let s = StoreMetrics::new();

@@ -26,24 +26,18 @@
 //!   its *dominant* segment, so "tenant-3's tail is lock waits behind
 //!   tenant-0's page rolls" is a table lookup.
 //!
-//! Like [`MemMetrics`](crate::MemMetrics) and the flight recorder, the
-//! type follows the telemetry twin pattern: under `telemetry-off` a
-//! stub with the identical API compiles every probe to nothing.
+//! The layer feeds it through its observer, one call per finished
+//! visit record, and the traffic driver through
+//! [`EncryptionLayer::record_tenant_batch`](crate::EncryptionLayer::record_tenant_batch).
+//! A `telemetry-off` layer drops an installed table and never feeds it.
 
-use clme_types::json::JsonValue;
-
-#[cfg(not(feature = "telemetry-off"))]
-use std::collections::HashMap;
-#[cfg(not(feature = "telemetry-off"))]
-use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(not(feature = "telemetry-off"))]
-use std::sync::Mutex;
-
-#[cfg(not(feature = "telemetry-off"))]
 use clme_obs::registry::ShardedHistogram;
-#[cfg(not(feature = "telemetry-off"))]
 use clme_obs::tenant::{tenant_label, HeavyHitter, TenantScope, TenantSketch, OTHER_TENANT};
 use clme_obs::{Log2Histogram, MetricKind, Sample, SampleValue};
+use clme_types::json::JsonValue;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// How many rolled burn windows each SLO retains per tenant.
 pub const BURN_WINDOWS: usize = 8;
@@ -598,11 +592,6 @@ impl TenantSnapshot {
     }
 }
 
-// ---------------------------------------------------------------------
-// Live telemetry — real implementation
-// ---------------------------------------------------------------------
-
-#[cfg(not(feature = "telemetry-off"))]
 struct TenantSlot {
     read: ShardedHistogram,
     write: ShardedHistogram,
@@ -621,7 +610,6 @@ struct TenantSlot {
     win_bad: Vec<AtomicU64>,
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 impl TenantSlot {
     fn new(slos: usize) -> TenantSlot {
         let zeros = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
@@ -648,7 +636,6 @@ impl TenantSlot {
 /// shared with the traffic driver, which records op latencies and SLO
 /// scores exhaustively while the layer attributes cache results,
 /// ciphertext observations, and sampled stage blame by page.
-#[cfg(not(feature = "telemetry-off"))]
 pub struct TenantTelemetry {
     ranges: TenantRanges,
     scope: TenantScope,
@@ -670,7 +657,6 @@ pub struct TenantTelemetry {
     names: Mutex<HashMap<u64, String>>,
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 impl TenantTelemetry {
     /// Builds telemetry for `ranges.count` tenants with `top_k` exact
     /// slots, primed with `heaviest` (the composer's expected-heaviest
@@ -720,22 +706,6 @@ impl TenantTelemetry {
             windows: Mutex::new(windows),
             names: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The page ranges this telemetry attributes by.
-    pub fn ranges(&self) -> TenantRanges {
-        self.ranges
-    }
-
-    /// Configured SLOs.
-    pub fn slos(&self) -> &[SloSpec] {
-        &self.slos
-    }
-
-    /// Visits at or past this many nanoseconds count a dominant tail
-    /// cause (the tightest SLO threshold, or the default cutoff).
-    pub fn tail_cutoff_ns(&self) -> u64 {
-        self.tail_cutoff_ns
     }
 
     /// Overrides a tenant's display label. Values are escaped by the
@@ -948,70 +918,6 @@ impl TenantTelemetry {
     }
 }
 
-// ---------------------------------------------------------------------
-// telemetry-off — zero-cost no-op twin
-// ---------------------------------------------------------------------
-
-/// No-op twin: every probe compiles away, snapshots come back empty.
-#[cfg(feature = "telemetry-off")]
-pub struct TenantTelemetry {
-    ranges: TenantRanges,
-}
-
-#[cfg(feature = "telemetry-off")]
-impl TenantTelemetry {
-    /// Builds the stub (slot/SLO configuration ignored).
-    pub fn new(
-        ranges: TenantRanges,
-        _top_k: usize,
-        _heaviest: &[u64],
-        _slos: Vec<SloSpec>,
-    ) -> TenantTelemetry {
-        TenantTelemetry { ranges }
-    }
-
-    /// The page ranges this telemetry attributes by.
-    pub fn ranges(&self) -> TenantRanges {
-        self.ranges
-    }
-
-    /// Always empty.
-    pub fn slos(&self) -> &[SloSpec] {
-        &[]
-    }
-
-    /// The default cutoff.
-    pub fn tail_cutoff_ns(&self) -> u64 {
-        DEFAULT_TAIL_CUTOFF_NS
-    }
-
-    /// No-op.
-    pub fn set_label(&self, _id: u64, _name: &str) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn record_op(&self, _tenant: u64, _write: bool, _latency_ns: u64, _blocks: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn page_served(&self, _page: u64, _serve: TenantServe) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn ciphertext_writes(&self, _page: u64, _n: u64) {}
-    /// No-op.
-    #[inline(always)]
-    pub fn visit_sample(&self, _page: u64, _total_ns: u64, _segs: &VisitSegments) {}
-    /// No-op.
-    pub fn on_rekey(&self) {}
-    /// No-op.
-    pub fn roll_windows(&self) {}
-    /// Always empty.
-    pub fn snapshot(&self) -> TenantSnapshot {
-        TenantSnapshot {
-            tenant_count: self.ranges.count,
-            ..TenantSnapshot::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1073,7 +979,6 @@ mod tests {
         assert!((s.burn(90, 10) - 10.0).abs() < 1e-12);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn record_op_fills_slots_and_folds_tail() {
         let ranges = TenantRanges {
@@ -1105,7 +1010,6 @@ mod tests {
         assert_eq!(snap.folded_ops, 1);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn page_hooks_attribute_by_range() {
         let ranges = TenantRanges {
@@ -1131,7 +1035,6 @@ mod tests {
         assert_eq!(snap.rows[2].key_exposure_writes, 0, "exposure resets");
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn visit_samples_blame_the_dominant_cause() {
         let ranges = TenantRanges {
@@ -1156,7 +1059,6 @@ mod tests {
         assert_eq!(row.dominant_tail(), Some(TailCause::Lock));
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn windows_roll_and_retain_burns() {
         let ranges = TenantRanges {
@@ -1183,7 +1085,6 @@ mod tests {
         assert_eq!(slo.good + slo.bad, 10 * (BURN_WINDOWS as u64 + 2));
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn sketch_flags_unadmitted_heavy_hitters() {
         let ranges = TenantRanges {
@@ -1206,7 +1107,6 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn snapshot_json_and_prom_have_tenant_families() {
         let ranges = TenantRanges {

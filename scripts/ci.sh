@@ -10,6 +10,12 @@ cargo build --release --offline
 echo "== tests =="
 cargo test -q --offline
 
+echo "== tests (telemetry-off build) =="
+# The clme-mem observer's telemetry-off twin and the tests gated on that
+# feature only compile in this build; its own target dir keeps the
+# default tree untouched.
+cargo test -q --offline -p clme-mem --features telemetry-off --target-dir target/telemetry-off
+
 echo "== golden smoke diff (tiny matrix) =="
 cargo run --release -q --offline -p clme-bench --bin clme -- \
     diff --tiny --golden goldens/tiny
