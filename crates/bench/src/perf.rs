@@ -204,10 +204,18 @@ pub fn perf_json(
 /// next artifact can carry it forward. Unreadable or mismatched-schema
 /// text yields an empty history (the artifact regenerates cleanly).
 pub fn extract_history(text: &str) -> Vec<JsonValue> {
+    extract_history_for(text, &[PERF_SCHEMA])
+}
+
+/// [`extract_history`] for any artifact with a top-level `schema` and
+/// `history`: the history survives only when the schema is one of
+/// `schemas`.
+pub fn extract_history_for(text: &str, schemas: &[u64]) -> Vec<JsonValue> {
     let Ok(doc) = json::parse(text) else {
         return Vec::new();
     };
-    if doc.get("schema").and_then(JsonValue::as_f64) != Some(PERF_SCHEMA as f64) {
+    let schema = doc.get("schema").and_then(JsonValue::as_f64);
+    if !schemas.iter().any(|&v| schema == Some(v as f64)) {
         return Vec::new();
     }
     match doc.get("history") {
