@@ -8,6 +8,7 @@ use crate::profile::{ns, record_cell};
 use clme_core::engine::EngineKind;
 use clme_mem::write_atomic;
 use clme_obs::Stage;
+use clme_sim::PhaseTimes;
 use clme_types::json::JsonValue;
 use std::path::PathBuf;
 
@@ -65,16 +66,15 @@ pub fn parse(args: &[String]) -> Result<PerfArgs, String> {
 
 /// Per-stage ns/op of one profiled calibrated cell: how much host time
 /// the simulator spends per simulated stage event (plus the simulated
-/// mean for context). Rendered into `BENCH_perf.json`.
+/// mean for context), beside the host time of the phases before the
+/// measured window. Rendered into `BENCH_perf.json`.
 ///
-/// The recorder only knows the whole cell's wall time, so the host cost
-/// is apportioned by each stage's share of simulated work (samples ×
-/// simulated mean): a stage that simulated twice the picoseconds is
-/// charged twice the host nanoseconds. Dividing the total wall by each
-/// stage's sample count — the old rule — charged every equal-count
-/// stage the identical ns/op regardless of what it simulated.
-fn perf_stage_json(wall: f64, rec: &clme_obs::Recorder) -> Vec<(String, JsonValue)> {
-    let wall_ns = wall * 1e9;
+/// The recorder's stage histograms cover only the measured window, so
+/// only that window's wall time is apportioned, by each stage's share of
+/// simulated work (samples × simulated mean): a stage that simulated
+/// twice the picoseconds is charged twice the host nanoseconds.
+fn perf_stage_json(times: &PhaseTimes, rec: &clme_obs::Recorder) -> Vec<(String, JsonValue)> {
+    let wall_ns = times.measured_s * 1e9;
     let total_work: f64 = Stage::ALL
         .iter()
         .map(|&stage| {
@@ -82,7 +82,7 @@ fn perf_stage_json(wall: f64, rec: &clme_obs::Recorder) -> Vec<(String, JsonValu
             hist.count() as f64 * hist.mean_ps()
         })
         .sum();
-    Stage::ALL
+    let stages = Stage::ALL
         .iter()
         .map(|&stage| {
             let hist = rec.stage(stage);
@@ -101,7 +101,16 @@ fn perf_stage_json(wall: f64, rec: &clme_obs::Recorder) -> Vec<(String, JsonValu
                 ]),
             )
         })
-        .collect()
+        .collect();
+    vec![
+        (
+            "functional_warmup_s".into(),
+            JsonValue::Num(times.functional_warmup_s),
+        ),
+        ("warmup_window_s".into(), JsonValue::Num(times.warmup_window_s)),
+        ("measured_window_s".into(), JsonValue::Num(times.measured_s)),
+        ("stages".into(), JsonValue::Obj(stages)),
+    ]
 }
 
 pub fn run(args: PerfArgs) -> i32 {
@@ -124,8 +133,11 @@ pub fn run(args: PerfArgs) -> i32 {
         clme_bench::perf::measure_best(args.threads, args.seed, 3)
     };
     println!(
-        "perf: {:.3} cells/sec over {} cells ({:.2} s wall)",
-        measurement.cells_per_sec, measurement.cells, measurement.wall_seconds
+        "perf: {:.3} cells/sec over {} passes of {} cells ({:.2} s wall)",
+        measurement.cells_per_sec,
+        clme_bench::perf::PASSES,
+        measurement.cells,
+        measurement.wall_seconds
     );
     println!(
         "calibration: {:.3} ns/iter -> normalized score {:.4}",
@@ -134,13 +146,13 @@ pub fn run(args: PerfArgs) -> i32 {
 
     // One profiled cell for the per-stage ns/op breakdown.
     let spec = CellSpec::new(CONFIG_NAMES[0], EngineKind::CounterLight, "bfs");
-    let (_, stage_wall, _, recorder) = record_cell(
+    let (_, times, _, recorder) = record_cell(
         &spec,
         tiny_cell_params(),
         args.seed,
         clme_obs::DEFAULT_RING_CAPACITY,
     );
-    let stages = perf_stage_json(stage_wall, &recorder);
+    let profiled = perf_stage_json(&times, &recorder);
 
     let history = std::fs::read_to_string(&args.out)
         .map(|text| clme_bench::perf::extract_history(&text))
@@ -149,7 +161,7 @@ pub fn run(args: PerfArgs) -> i32 {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs_f64())
         .unwrap_or(0.0);
-    let artifact = clme_bench::perf::perf_json(&measurement, stages, history, unix_time);
+    let artifact = clme_bench::perf::perf_json(&measurement, profiled, history, unix_time);
     if let Err(err) = write_atomic(&args.out, &artifact) {
         eprintln!("cannot write {}: {err}", args.out.display());
         return 1;
@@ -210,5 +222,42 @@ pub fn run(args: PerfArgs) -> i32 {
                 }
             }
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clme_obs::TraceSink;
+    use clme_types::TimeDelta;
+
+    /// The stage host times add up to the measured window alone: the
+    /// build and warm-up phases are reported beside them, not charged
+    /// to them.
+    #[test]
+    fn stages_apportion_only_the_measured_window() {
+        let mut rec = clme_obs::Recorder::new();
+        rec.latency(Stage::Dram, TimeDelta::from_ns(30));
+        rec.latency(Stage::Dram, TimeDelta::from_ns(50));
+        rec.latency(Stage::Cache, TimeDelta::from_ns(10));
+        let times = PhaseTimes {
+            build_s: 1.0,
+            functional_warmup_s: 6.0,
+            warmup_window_s: 2.0,
+            measured_s: 0.5,
+        };
+        let doc = JsonValue::Obj(perf_stage_json(&times, &rec));
+        let num = |v: Option<&JsonValue>| v.and_then(JsonValue::as_f64).unwrap();
+        assert_eq!(num(doc.get("functional_warmup_s")), 6.0);
+        assert_eq!(num(doc.get("warmup_window_s")), 2.0);
+        let stages = doc.get("stages").unwrap();
+        let charged: f64 = Stage::ALL
+            .iter()
+            .map(|s| {
+                let stage = stages.get(s.name()).unwrap();
+                num(stage.get("samples")) * num(stage.get("host_ns_per_op"))
+            })
+            .sum();
+        assert!((charged - 0.5e9).abs() < 1.0, "charged {charged} ns");
     }
 }

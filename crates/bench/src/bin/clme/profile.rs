@@ -8,7 +8,7 @@ use crate::args::{
 };
 use clme_core::engine::EngineKind;
 use clme_obs::{Blame, EventKind, Log2Histogram, Stage};
-use clme_sim::{run_benchmark_recorded, run_benchmark_series, SimParams};
+use clme_sim::{run_benchmark_recorded, run_benchmark_series, PhaseTimes, SimParams};
 use clme_types::json::JsonValue;
 use std::path::PathBuf;
 
@@ -91,21 +91,19 @@ pub fn parse(args: &[String]) -> Result<ProfileArgs, String> {
 }
 
 /// Runs one cell with a recorder installed. Returns the label, the
-/// wall-clock seconds the cell took, and the run's outputs.
+/// wall-clock seconds of each phase of the cell, and the run's outputs.
 pub fn record_cell(
     spec: &CellSpec,
     params: SimParams,
     master_seed: u64,
     ring: usize,
-) -> (String, f64, clme_sim::SimResult, clme_obs::Recorder) {
+) -> (String, PhaseTimes, clme_sim::SimResult, clme_obs::Recorder) {
     let label = spec.label();
     let seed = spec.workload_seed(master_seed);
     eprintln!("profiling {label} (workload seed {seed:#x})");
-    let started = std::time::Instant::now();
-    let (result, recorder) =
+    let (result, recorder, times) =
         run_benchmark_recorded(&spec.cfg, spec.engine, &spec.bench, params, seed, ring);
-    let wall = started.elapsed().as_secs_f64();
-    (label, wall, result, recorder)
+    (label, times, result, recorder)
 }
 
 pub fn ns(ps: f64) -> f64 {
@@ -315,8 +313,9 @@ pub fn run(args: ProfileArgs) -> i32 {
     if args.series {
         return run_series_profile(&args);
     }
-    let (label, wall, result, recorder) =
+    let (label, times, result, recorder) =
         record_cell(&args.cell, args.params, args.seed, args.ring);
+    let wall = times.total_s();
     println!("{result}\n");
     print_stage_table(&recorder);
     println!("\nevent counters (measured window):");
@@ -345,8 +344,9 @@ pub fn run(args: ProfileArgs) -> i32 {
 }
 
 pub fn run_trace(args: ProfileArgs) -> i32 {
-    let (label, wall, _result, recorder) =
+    let (label, times, _result, recorder) =
         record_cell(&args.cell, args.params, args.seed, args.ring);
+    let wall = times.total_s();
     let ring = recorder.ring();
     if ring.dropped() > 0 {
         eprintln!(

@@ -1,10 +1,12 @@
 //! The three-level cache hierarchy of Table I: per-core L1d and L2 with a
 //! shared LLC, plus the configured prefetchers.
 //!
-//! [`MemorySystemCaches::access`] performs one demand access and reports
-//! everything the memory controller needs: which level served it, which
-//! dirty LLC lines were displaced to memory (LLC writebacks), and which
-//! prefetched blocks must be fetched from memory.
+//! [`MemorySystemCaches::access_into`] performs one demand access and
+//! reports everything the memory controller needs: which level served it,
+//! which dirty LLC lines were displaced to memory (LLC writebacks), and
+//! which prefetched blocks must be fetched from memory. It fills a
+//! caller-owned [`CacheAccessResult`] and keeps its own prefetch buffer,
+//! so a caller that reuses one result allocates nothing per access.
 //!
 //! Modelling choices (documented in DESIGN.md): caches are non-inclusive
 //! with write-back/write-allocate; dirty evictions cascade one level down;
@@ -14,7 +16,7 @@
 //! workloads, as in Section I).
 
 use crate::prefetch::{NextLinePrefetcher, PrefetchThrottle, StridePrefetcher};
-use crate::set_assoc::SetAssocCache;
+use crate::set_assoc::{Evicted, Install, SetAssocCache};
 use clme_obs::{Component, EventKind, NopSink, TraceSink};
 use clme_types::config::SystemConfig;
 use clme_types::stats::Ratio;
@@ -80,6 +82,9 @@ pub struct MemorySystemCaches {
     llc: SetAssocCache,
     llc_demand: Ratio,
     timeliness: clme_types::rng::Xoshiro256,
+    /// Prefetch suggestions of the access in flight; empty between
+    /// accesses, kept for its allocation.
+    suggestions: Vec<u64>,
 }
 
 /// Fraction of accepted prefetches that arrive in time to cover the next
@@ -112,10 +117,13 @@ impl MemorySystemCaches {
             llc: SetAssocCache::with_capacity(cfg.llc.capacity_bytes, cfg.llc.ways),
             llc_demand: Ratio::new(),
             timeliness: clme_types::rng::Xoshiro256::seed_from(TIMELINESS_SEED),
+            suggestions: Vec::new(),
         }
     }
 
-    /// Performs one demand access by `core` to `block`.
+    /// Performs one demand access by `core` to `block` and returns a
+    /// fresh result; [`MemorySystemCaches::access_into`] is the form that
+    /// reuses one.
     ///
     /// # Panics
     ///
@@ -124,9 +132,8 @@ impl MemorySystemCaches {
         self.access_obs(core, block, write, Time::ZERO, &mut NopSink)
     }
 
-    /// [`MemorySystemCaches::access`] with an observability sink: reports
-    /// the serving level (L1/L2 hits as counters; LLC hits and misses as
-    /// trace events stamped `at`).
+    /// [`MemorySystemCaches::access`] with an observability sink, as
+    /// [`MemorySystemCaches::access_into`] reports to it.
     ///
     /// # Panics
     ///
@@ -140,17 +147,40 @@ impl MemorySystemCaches {
         obs: &mut dyn TraceSink,
     ) -> CacheAccessResult {
         let mut result = CacheAccessResult::default();
+        self.access_into(core, block, write, at, obs, &mut result);
+        result
+    }
+
+    /// Performs one demand access by `core` to `block`, overwriting
+    /// `result` with its outcome, and reports the serving level to `obs`
+    /// (L1/L2 hits as counters; LLC hits and misses as trace events
+    /// stamped `at`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    pub fn access_into(
+        &mut self,
+        core: usize,
+        block: u64,
+        write: bool,
+        at: Time,
+        obs: &mut dyn TraceSink,
+        result: &mut CacheAccessResult,
+    ) {
+        result.writebacks.clear();
+        result.prefetch_fills.clear();
 
         // Train prefetchers on every demand access; collect suggestions.
-        let mut suggestions: Vec<u64> = Vec::new();
+        let mut suggestions = std::mem::take(&mut self.suggestions);
         {
             let cc = &mut self.cores[core];
             cc.throttle.on_demand(block);
-            suggestions.extend(cc.stride_l1.observe(block));
-            suggestions.extend(cc.stride_l2.observe(block));
+            cc.stride_l1.observe(block, &mut suggestions);
+            cc.stride_l2.observe(block, &mut suggestions);
         }
 
-        let level = self.demand_path(core, block, write, &mut result);
+        let level = self.demand_path(core, block, write, result);
         result.level = Some(level);
         if obs.enabled() {
             match level {
@@ -182,16 +212,17 @@ impl MemorySystemCaches {
         // LLC misses as memory fetches.
         suggestions.sort_unstable();
         suggestions.dedup();
-        for pf_block in suggestions {
+        for &pf_block in &suggestions {
             if pf_block == block || !self.cores[core].throttle.allows() {
                 continue;
             }
             self.cores[core].throttle.on_issue(pf_block);
             if self.timeliness.chance(PREFETCH_TIMELINESS) {
-                self.prefetch_install(core, pf_block, &mut result);
+                self.prefetch_install(core, pf_block, result);
             }
         }
-        result
+        suggestions.clear();
+        self.suggestions = suggestions;
     }
 
     fn demand_path(
@@ -223,14 +254,11 @@ impl MemorySystemCaches {
     }
 
     fn prefetch_install(&mut self, core: usize, block: u64, result: &mut CacheAccessResult) {
-        let in_llc = self.llc.probe(block);
-        if !in_llc {
+        if let Install::Filled(evicted) = self.llc.install(block, false) {
             result.prefetch_fills.push(block);
-            self.fill_llc(block, false, result);
+            Self::write_back(evicted, result);
         }
-        if !self.cores[core].l2.probe(block) {
-            self.fill_l2(core, block, result);
-        }
+        self.fill_l2(core, block, result);
     }
 
     fn fill_l1(&mut self, core: usize, block: u64, dirty: bool, result: &mut CacheAccessResult) {
@@ -246,8 +274,10 @@ impl MemorySystemCaches {
         }
     }
 
+    /// Installs `block` into `core`'s L2 unless it is resident (a demand
+    /// fill follows an L2 miss; a prefetch leaves a resident line alone).
     fn fill_l2(&mut self, core: usize, block: u64, result: &mut CacheAccessResult) {
-        if let Some(evicted) = self.cores[core].l2.fill(block, false) {
+        if let Install::Filled(Some(evicted)) = self.cores[core].l2.install(block, false) {
             if evicted.dirty {
                 self.fill_llc(evicted.block, true, result);
             }
@@ -255,17 +285,16 @@ impl MemorySystemCaches {
     }
 
     fn fill_llc(&mut self, block: u64, dirty: bool, result: &mut CacheAccessResult) {
-        if self.llc.probe(block) {
-            if dirty {
-                // Merge dirtiness into the existing line.
-                self.llc.access(block, true);
-            }
-            return;
+        // A resident line only merges the dirtiness.
+        if let Install::Filled(evicted) = self.llc.install(block, dirty) {
+            Self::write_back(evicted, result);
         }
-        if let Some(evicted) = self.llc.fill(block, dirty) {
-            if evicted.dirty {
-                result.writebacks.push(evicted.block);
-            }
+    }
+
+    /// A dirty line displaced from the LLC becomes a memory writeback.
+    fn write_back(evicted: Option<Evicted>, result: &mut CacheAccessResult) {
+        if let Some(Evicted { block, dirty: true }) = evicted {
+            result.writebacks.push(block);
         }
     }
 
@@ -471,6 +500,23 @@ mod tests {
             used.llc_demand_hit_ratio().hits(),
             fresh.llc_demand_hit_ratio().hits()
         );
+    }
+
+    #[test]
+    fn reused_result_matches_fresh_results() {
+        let cfg = small_config();
+        let mut fresh = MemorySystemCaches::new(&cfg);
+        let mut reusing = MemorySystemCaches::new(&cfg);
+        let mut result = CacheAccessResult::default();
+        let mut rng = clme_types::rng::Xoshiro256::seed_from(21);
+        for step in 0..5_000 {
+            let core = rng.below(2) as usize;
+            // Short strided runs train the prefetchers between jumps.
+            let block = if rng.chance(0.7) { step * 3 } else { rng.below(1 << 14) };
+            let write = rng.chance(0.3);
+            reusing.access_into(core, block, write, Time::ZERO, &mut NopSink, &mut result);
+            assert_eq!(result, fresh.access(core, block, write), "step {step}");
+        }
     }
 
     #[test]

@@ -40,11 +40,14 @@ struct StrideEntry {
 /// use clme_cache::prefetch::StridePrefetcher;
 ///
 /// let mut pf = StridePrefetcher::new(16, 2);
-/// pf.observe(100);
-/// pf.observe(102); // stride 2 seen once
-/// pf.observe(104); // stride 2 confirmed -> confident
-/// let suggestions = pf.observe(106);
-/// assert_eq!(suggestions, vec![108, 110]);
+/// let mut suggestions = Vec::new();
+/// pf.observe(100, &mut suggestions);
+/// pf.observe(102, &mut suggestions); // stride 2 seen once
+/// assert!(suggestions.is_empty());
+/// pf.observe(104, &mut suggestions); // stride 2 confirmed -> confident
+/// assert_eq!(suggestions, vec![106, 108]);
+/// pf.observe(106, &mut suggestions); // appends
+/// assert_eq!(suggestions, vec![106, 108, 108, 110]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct StridePrefetcher {
@@ -70,11 +73,12 @@ impl StridePrefetcher {
         }
     }
 
-    /// Observes a demand access to `block` and returns the blocks to
-    /// prefetch (empty while training or with degree 0).
-    pub fn observe(&mut self, block: u64) -> Vec<u64> {
+    /// Observes a demand access to `block` and appends the blocks to
+    /// prefetch to `out` (nothing while training or with degree 0).
+    /// Block arithmetic wraps around the 64-bit block space.
+    pub fn observe(&mut self, block: u64, out: &mut Vec<u64>) {
         if self.degree == 0 {
-            return Vec::new();
+            return;
         }
         // Key by 4 KB region: 64 blocks per region.
         let region = block >> 6;
@@ -88,26 +92,26 @@ impl StridePrefetcher {
                 confidence: 0,
                 valid: true,
             };
-            return Vec::new();
+            return;
         }
-        let observed = block as i64 - entry.last_block as i64;
+        let observed = block.wrapping_sub(entry.last_block) as i64;
         entry.last_block = block;
         if observed == 0 {
-            return Vec::new();
+            return;
         }
         if observed == entry.stride {
             entry.confidence = (entry.confidence + 1).min(3);
         } else {
             entry.stride = observed;
             entry.confidence = 1;
-            return Vec::new();
+            return;
         }
         if entry.confidence >= Self::CONFIDENT {
-            (1..=self.degree as i64)
-                .map(|k| (block as i64 + entry.stride * k) as u64)
-                .collect()
-        } else {
-            Vec::new()
+            let stride = entry.stride;
+            out.extend(
+                (1..=i64::from(self.degree))
+                    .map(|k| block.wrapping_add(stride.wrapping_mul(k) as u64)),
+            );
         }
     }
 
@@ -124,6 +128,13 @@ impl StridePrefetcher {
 mod tests {
     use super::*;
 
+    /// The suggestions one observation appends to an empty buffer.
+    fn observe(pf: &mut StridePrefetcher, block: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        pf.observe(block, &mut out);
+        out
+    }
+
     #[test]
     fn next_line_suggests_successor() {
         let pf = NextLinePrefetcher::new();
@@ -134,37 +145,37 @@ mod tests {
     #[test]
     fn stride_learns_unit_stride() {
         let mut pf = StridePrefetcher::new(8, 1);
-        assert!(pf.observe(0).is_empty()); // allocate
-        assert!(pf.observe(1).is_empty()); // stride=1, conf=1
-        assert_eq!(pf.observe(2), vec![3]); // conf=2: prefetch
-        assert_eq!(pf.observe(3), vec![4]);
+        assert!(observe(&mut pf, 0).is_empty()); // allocate
+        assert!(observe(&mut pf, 1).is_empty()); // stride=1, conf=1
+        assert_eq!(observe(&mut pf, 2), vec![3]); // conf=2: prefetch
+        assert_eq!(observe(&mut pf, 3), vec![4]);
     }
 
     #[test]
     fn stride_learns_negative_stride() {
         let mut pf = StridePrefetcher::new(8, 1);
-        pf.observe(40);
-        pf.observe(38);
-        assert_eq!(pf.observe(36), vec![34]);
+        observe(&mut pf, 40);
+        observe(&mut pf, 38);
+        assert_eq!(observe(&mut pf, 36), vec![34]);
     }
 
     #[test]
     fn degree_two_prefetches_two_ahead() {
         let mut pf = StridePrefetcher::new(8, 2);
-        pf.observe(100);
-        pf.observe(104);
-        assert_eq!(pf.observe(108), vec![112, 116]);
+        observe(&mut pf, 100);
+        observe(&mut pf, 104);
+        assert_eq!(observe(&mut pf, 108), vec![112, 116]);
     }
 
     #[test]
     fn stride_change_resets_confidence() {
         let mut pf = StridePrefetcher::new(8, 1);
-        pf.observe(0);
-        pf.observe(1);
-        assert!(!pf.observe(2).is_empty());
+        observe(&mut pf, 0);
+        observe(&mut pf, 1);
+        assert!(!observe(&mut pf, 2).is_empty());
         // Break the pattern.
-        assert!(pf.observe(10).is_empty()); // stride becomes 8, conf 1
-        assert!(!pf.observe(18).is_empty()); // stride 8 confirmed
+        assert!(observe(&mut pf, 10).is_empty()); // stride becomes 8, conf 1
+        assert!(!observe(&mut pf, 18).is_empty()); // stride 8 confirmed
     }
 
     #[test]
@@ -175,7 +186,7 @@ mod tests {
         for _ in 0..1000 {
             // Random blocks over a huge range: regions rarely repeat with
             // a consistent stride.
-            issued += pf.observe(rng.next_u64() >> 20).len();
+            issued += observe(&mut pf, rng.next_u64() >> 20).len();
         }
         assert!(issued < 50, "random stream triggered {issued} prefetches");
     }
@@ -183,18 +194,42 @@ mod tests {
     #[test]
     fn repeated_same_block_is_ignored() {
         let mut pf = StridePrefetcher::new(8, 1);
-        pf.observe(5);
+        observe(&mut pf, 5);
         for _ in 0..10 {
-            assert!(pf.observe(5).is_empty());
+            assert!(observe(&mut pf, 5).is_empty());
         }
+    }
+
+    #[test]
+    fn predictions_wrap_around_the_block_space() {
+        let mut pf = StridePrefetcher::new(8, 2);
+        for block in [u64::MAX - 2, u64::MAX - 1] {
+            observe(&mut pf, block);
+        }
+        assert_eq!(observe(&mut pf, u64::MAX), vec![0, 1]);
+        let top = i64::MAX as u64;
+        for block in [top - 2, top - 1] {
+            observe(&mut pf, block);
+        }
+        assert_eq!(observe(&mut pf, top), vec![top + 1, top + 2]);
+    }
+
+    #[test]
+    fn appends_to_the_callers_buffer() {
+        let mut pf = StridePrefetcher::new(8, 1);
+        let mut out = vec![7];
+        for block in [0, 1, 2] {
+            pf.observe(block, &mut out);
+        }
+        assert_eq!(out, vec![7, 3]);
     }
 
     #[test]
     fn degree_zero_disables() {
         let mut pf = StridePrefetcher::new(8, 0);
-        pf.observe(0);
-        pf.observe(1);
-        assert!(pf.observe(2).is_empty());
+        observe(&mut pf, 0);
+        observe(&mut pf, 1);
+        assert!(observe(&mut pf, 2).is_empty());
     }
 }
 

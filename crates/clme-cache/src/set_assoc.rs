@@ -17,15 +17,20 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    last_use: u64,
+/// What [`SetAssocCache::install`] found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Install {
+    /// The block was already resident; only its dirtiness was merged.
+    Resident,
+    /// The block was installed, displacing the evicted line, if any.
+    Filled(Option<Evicted>),
 }
 
 /// A set-associative cache over block indices.
+///
+/// Lines live in flat arrays indexed `set * ways + way`: the block tag,
+/// the tick of the line's last use (0 marks an invalid line), and the
+/// dirty bit.
 ///
 /// # Examples
 ///
@@ -40,7 +45,10 @@ struct Line {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
-    sets: Vec<Vec<Line>>,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
+    ways: usize,
     set_mask: u64,
     tick: u64,
     hits: Ratio,
@@ -55,19 +63,12 @@ impl SetAssocCache {
     pub fn new(sets: usize, ways: usize) -> SetAssocCache {
         assert!(sets.is_power_of_two() && sets > 0, "sets must be a power of two");
         assert!(ways > 0, "need at least one way");
+        let lines = sets * ways;
         SetAssocCache {
-            sets: vec![
-                vec![
-                    Line {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        last_use: 0,
-                    };
-                    ways
-                ];
-                sets
-            ],
+            tags: vec![0; lines],
+            stamps: vec![0; lines],
+            dirty: vec![false; lines],
+            ways,
             set_mask: sets as u64 - 1,
             tick: 0,
             hits: Ratio::new(),
@@ -84,78 +85,118 @@ impl SetAssocCache {
 
     /// Total lines.
     pub fn lines(&self) -> usize {
-        self.sets.len() * self.sets[0].len()
+        self.tags.len()
+    }
+
+    /// Index of `block`'s set's first line.
+    fn base(&self, block: u64) -> usize {
+        (block & self.set_mask) as usize * self.ways
+    }
+
+    /// The line holding `block`, if resident.
+    fn find(&self, block: u64) -> Option<usize> {
+        let base = self.base(block);
+        let tags = &self.tags[base..base + self.ways];
+        let stamps = &self.stamps[base..base + self.ways];
+        tags.iter()
+            .zip(stamps)
+            .position(|(&tag, &stamp)| tag == block && stamp != 0)
+            .map(|way| base + way)
+    }
+
+    /// One pass over `block`'s set: `Ok(line)` where it is resident,
+    /// else `Err(line)` of the victim — the first line with the smallest
+    /// stamp, so an invalid line before the true-LRU one.
+    fn lookup(&self, block: u64) -> Result<usize, usize> {
+        let base = self.base(block);
+        let tags = &self.tags[base..base + self.ways];
+        let stamps = &self.stamps[base..base + self.ways];
+        let (mut victim, mut oldest) = (0, u64::MAX);
+        for (way, (&tag, &stamp)) in tags.iter().zip(stamps).enumerate() {
+            if tag == block && stamp != 0 {
+                return Ok(base + way);
+            }
+            if stamp < oldest {
+                (victim, oldest) = (way, stamp);
+            }
+        }
+        Err(base + victim)
+    }
+
+    /// Marks `line` used now, dirtied by `dirty`.
+    fn touch(&mut self, line: usize, dirty: bool) {
+        self.tick += 1;
+        self.stamps[line] = self.tick;
+        self.dirty[line] |= dirty;
+    }
+
+    /// Puts `block` into the victim `line`, returning what it displaced.
+    fn replace(&mut self, line: usize, block: u64, dirty: bool) -> Option<Evicted> {
+        let evicted = (self.stamps[line] != 0).then(|| Evicted {
+            block: self.tags[line],
+            dirty: self.dirty[line],
+        });
+        self.tick += 1;
+        self.tags[line] = block;
+        self.stamps[line] = self.tick;
+        self.dirty[line] = dirty;
+        evicted
     }
 
     /// Looks up `block`; on a hit updates recency (and dirtiness for a
     /// write) and returns `true`. A miss returns `false` and does *not*
     /// allocate — call [`SetAssocCache::fill`] when the data arrive.
     pub fn access(&mut self, block: u64, write: bool) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = &mut self.sets[(block & self.set_mask) as usize];
-        let tag = block;
-        let hit = set.iter_mut().find(|line| line.valid && line.tag == tag);
+        let hit = self.find(block);
         match hit {
-            Some(line) => {
-                line.last_use = tick;
-                line.dirty |= write;
-                self.hits.record(true);
-                true
-            }
-            None => {
-                self.hits.record(false);
-                false
-            }
+            Some(line) => self.touch(line, write),
+            None => self.tick += 1,
         }
+        self.hits.record(hit.is_some());
+        hit.is_some()
     }
 
     /// Checks presence without touching recency or statistics.
     pub fn probe(&self, block: u64) -> bool {
-        self.sets[(block & self.set_mask) as usize]
-            .iter()
-            .any(|line| line.valid && line.tag == block)
+        self.find(block).is_some()
     }
 
     /// Installs `block`, evicting the LRU line of its set if necessary.
     /// Returns the evicted line, if any valid line was displaced.
     pub fn fill(&mut self, block: u64, dirty: bool) -> Option<Evicted> {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = &mut self.sets[(block & self.set_mask) as usize];
-        // Already present (e.g. racing prefetch): just update.
-        if let Some(line) = set.iter_mut().find(|line| line.valid && line.tag == block) {
-            line.last_use = tick;
-            line.dirty |= dirty;
-            return None;
+        match self.lookup(block) {
+            // Already present (e.g. racing prefetch): just update.
+            Ok(line) => {
+                self.touch(line, dirty);
+                None
+            }
+            Err(victim) => self.replace(victim, block, dirty),
         }
-        let victim = set
-            .iter_mut()
-            .min_by_key(|line| if line.valid { line.last_use } else { 0 })
-            .expect("ways > 0");
-        let evicted = victim.valid.then_some(Evicted {
-            block: victim.tag,
-            dirty: victim.dirty,
-        });
-        *victim = Line {
-            tag: block,
-            valid: true,
-            dirty,
-            last_use: tick,
-        };
-        evicted
+    }
+
+    /// Installs `block` if it is absent, as [`SetAssocCache::fill`] does.
+    /// A resident line keeps its place in LRU order unless `dirty`, which
+    /// marks it as a write hit ([`SetAssocCache::access`]) would. One
+    /// pass over the set either way: the same outcome as a
+    /// [`SetAssocCache::probe`] followed by `access` or `fill`.
+    pub fn install(&mut self, block: u64, dirty: bool) -> Install {
+        match self.lookup(block) {
+            Ok(line) => {
+                if dirty {
+                    self.touch(line, true);
+                    self.hits.record(true);
+                }
+                Install::Resident
+            }
+            Err(victim) => Install::Filled(self.replace(victim, block, dirty)),
+        }
     }
 
     /// Removes `block` if present, returning whether it was dirty.
     pub fn invalidate(&mut self, block: u64) -> Option<bool> {
-        let set = &mut self.sets[(block & self.set_mask) as usize];
-        for line in set.iter_mut() {
-            if line.valid && line.tag == block {
-                line.valid = false;
-                return Some(line.dirty);
-            }
-        }
-        None
+        let line = self.find(block)?;
+        self.stamps[line] = 0;
+        Some(self.dirty[line])
     }
 
     /// Hit-rate statistics accumulated by [`SetAssocCache::access`].
@@ -173,16 +214,9 @@ impl SetAssocCache {
     /// the allocation — returns the cache to its just-constructed state
     /// (run-matrix arena reuse).
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                *line = Line {
-                    tag: 0,
-                    valid: false,
-                    dirty: false,
-                    last_use: 0,
-                };
-            }
-        }
+        self.tags.fill(0);
+        self.stamps.fill(0);
+        self.dirty.fill(false);
         self.tick = 0;
         self.hits = Ratio::new();
     }
@@ -324,6 +358,191 @@ mod tests {
         let mut fresh = SetAssocCache::new(2, 2);
         for b in [0u64, 2, 4, 6, 0, 8] {
             assert_eq!(c.fill(b, false), fresh.fill(b, false));
+        }
+    }
+}
+
+/// The nested-`Vec` cache the flat arrays replaced, kept as the
+/// reference model the equivalence property drives side by side.
+#[cfg(test)]
+mod reference {
+    use super::Evicted;
+    use clme_types::stats::Ratio;
+
+    #[derive(Clone, Copy, Debug)]
+    struct Line {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        last_use: u64,
+    }
+
+    const EMPTY: Line = Line {
+        tag: 0,
+        valid: false,
+        dirty: false,
+        last_use: 0,
+    };
+
+    pub struct ReferenceCache {
+        sets: Vec<Vec<Line>>,
+        set_mask: u64,
+        tick: u64,
+        hits: Ratio,
+    }
+
+    impl ReferenceCache {
+        pub fn new(sets: usize, ways: usize) -> ReferenceCache {
+            ReferenceCache {
+                sets: vec![vec![EMPTY; ways]; sets],
+                set_mask: sets as u64 - 1,
+                tick: 0,
+                hits: Ratio::new(),
+            }
+        }
+
+        pub fn access(&mut self, block: u64, write: bool) -> bool {
+            self.tick += 1;
+            let tick = self.tick;
+            let set = &mut self.sets[(block & self.set_mask) as usize];
+            match set.iter_mut().find(|line| line.valid && line.tag == block) {
+                Some(line) => {
+                    line.last_use = tick;
+                    line.dirty |= write;
+                    self.hits.record(true);
+                    true
+                }
+                None => {
+                    self.hits.record(false);
+                    false
+                }
+            }
+        }
+
+        pub fn probe(&self, block: u64) -> bool {
+            self.sets[(block & self.set_mask) as usize]
+                .iter()
+                .any(|line| line.valid && line.tag == block)
+        }
+
+        pub fn fill(&mut self, block: u64, dirty: bool) -> Option<Evicted> {
+            self.tick += 1;
+            let tick = self.tick;
+            let set = &mut self.sets[(block & self.set_mask) as usize];
+            if let Some(line) = set.iter_mut().find(|line| line.valid && line.tag == block) {
+                line.last_use = tick;
+                line.dirty |= dirty;
+                return None;
+            }
+            let victim = set
+                .iter_mut()
+                .min_by_key(|line| if line.valid { line.last_use } else { 0 })
+                .expect("ways > 0");
+            let evicted = victim.valid.then_some(Evicted {
+                block: victim.tag,
+                dirty: victim.dirty,
+            });
+            *victim = Line {
+                tag: block,
+                valid: true,
+                dirty,
+                last_use: tick,
+            };
+            evicted
+        }
+
+        pub fn invalidate(&mut self, block: u64) -> Option<bool> {
+            let set = &mut self.sets[(block & self.set_mask) as usize];
+            for line in set.iter_mut() {
+                if line.valid && line.tag == block {
+                    line.valid = false;
+                    return Some(line.dirty);
+                }
+            }
+            None
+        }
+
+        pub fn hit_ratio(&self) -> Ratio {
+            self.hits
+        }
+
+        pub fn clear(&mut self) {
+            for set in &mut self.sets {
+                set.fill(EMPTY);
+            }
+            self.tick = 0;
+            self.hits = Ratio::new();
+        }
+    }
+}
+
+#[cfg(test)]
+mod equivalence {
+    use super::reference::ReferenceCache;
+    use super::*;
+    use clme_types::rng::Xoshiro256;
+
+    /// Drives the flat cache and the nested-`Vec` reference through one
+    /// seeded random operation sequence and requires every return value,
+    /// every `Evicted` and the hit statistics to agree. `install` is
+    /// checked against the reference's probe-then-access/fill, the two
+    /// calls it replaces in the hierarchy. Blocks come from a small
+    /// window (so sets conflict) either near 0 or near `u64::MAX`.
+    fn drive(sets: usize, ways: usize, seed: u64, steps: usize) {
+        let mut flat = SetAssocCache::new(sets, ways);
+        let mut reference = ReferenceCache::new(sets, ways);
+        let mut rng = Xoshiro256::seed_from(seed);
+        let window = (sets * ways * 3) as u64;
+        let high = rng.chance(0.5);
+        for step in 0..steps {
+            let offset = rng.below(window);
+            let block = if high { u64::MAX - offset } else { offset };
+            let flag = rng.chance(0.3);
+            let what = format!("{sets}x{ways} seed {seed} step {step} block {block:#x}");
+            match rng.below(100) {
+                0..=34 => assert_eq!(
+                    flat.access(block, flag),
+                    reference.access(block, flag),
+                    "access: {what}"
+                ),
+                35..=64 => assert_eq!(
+                    flat.fill(block, flag),
+                    reference.fill(block, flag),
+                    "fill: {what}"
+                ),
+                65..=79 => {
+                    let expected = if reference.probe(block) {
+                        if flag {
+                            reference.access(block, true);
+                        }
+                        Install::Resident
+                    } else {
+                        Install::Filled(reference.fill(block, flag))
+                    };
+                    assert_eq!(flat.install(block, flag), expected, "install: {what}");
+                }
+                80..=89 => assert_eq!(flat.probe(block), reference.probe(block), "probe: {what}"),
+                90..=98 => assert_eq!(
+                    flat.invalidate(block),
+                    reference.invalidate(block),
+                    "invalidate: {what}"
+                ),
+                _ => {
+                    flat.clear();
+                    reference.clear();
+                }
+            }
+            assert_eq!(flat.hit_ratio(), reference.hit_ratio(), "hits: {what}");
+        }
+    }
+
+    #[test]
+    fn flat_cache_matches_nested_reference() {
+        for seed in 0..16u64 {
+            drive(1, 1, 0x5E7A + seed, 2_000);
+            drive(4, 8, 0x5E7A + seed, 4_000);
+            drive(8, 16, 0x5E7A + seed, 4_000);
+            drive(2, 32, 0x5E7A + seed, 4_000);
         }
     }
 }

@@ -38,5 +38,5 @@ pub use result::{CoreWindow, SimResult};
 pub use run::{
     run_benchmark, run_benchmark_recorded, run_benchmark_seeded, run_benchmark_seeded_reusing,
     run_benchmark_series, run_benchmark_series_reusing, run_benchmark_spans, run_with_engine,
-    MachineArena, SimParams,
+    MachineArena, PhaseTimes, SimParams,
 };

@@ -7,7 +7,7 @@
 
 use crate::core::CoreModel;
 use crate::result::{CoreWindow, SimResult};
-use clme_cache::hierarchy::{HitLevel, MemorySystemCaches};
+use clme_cache::hierarchy::{CacheAccessResult, HitLevel, MemorySystemCaches};
 use clme_core::engine::EncryptionEngine;
 use clme_dram::power::PowerParams;
 use clme_dram::timing::Dram;
@@ -25,6 +25,8 @@ pub struct Machine {
     engine: Box<dyn EncryptionEngine>,
     dram: Dram,
     obs: Box<dyn TraceSink>,
+    /// The outcome of the latest hierarchy access, reused by every one.
+    access: CacheAccessResult,
     l1_latency: TimeDelta,
     l2_path: TimeDelta,
     llc_path: TimeDelta,
@@ -86,6 +88,7 @@ impl Machine {
             engine,
             dram,
             obs: Box::new(NopSink),
+            access: CacheAccessResult::default(),
             l1_latency: cfg.l1d.latency,
             l2_path: cfg.l1d.latency + cfg.l2.latency,
             llc_path: cfg.l1d.latency + cfg.l2.latency + cfg.llc.latency,
@@ -169,8 +172,9 @@ impl Machine {
     /// One access through the hierarchy; returns the load-use completion
     /// time.
     fn memory_access(&mut self, core_idx: usize, block: u64, write: bool, issue: Time) -> Time {
-        let result = self.caches.access_obs(core_idx, block, write, issue, &mut *self.obs);
-        let level = result.level.expect("access always resolves");
+        self.caches
+            .access_into(core_idx, block, write, issue, &mut *self.obs, &mut self.access);
+        let level = self.access.level.expect("access always resolves");
         let completion = match level {
             HitLevel::L1 => issue + self.l1_latency,
             HitLevel::L2 => issue + self.l2_path,
@@ -207,7 +211,7 @@ impl Machine {
             self.obs.latency(Stage::Cache, path);
         }
         let traffic_time = issue + self.llc_path;
-        for wb in result.writebacks {
+        for &wb in &self.access.writebacks {
             self.engine.on_writeback_obs(
                 clme_types::BlockAddr::new(wb),
                 traffic_time,
@@ -215,7 +219,7 @@ impl Machine {
                 &mut *self.obs,
             );
         }
-        for pf in result.prefetch_fills {
+        for &pf in &self.access.prefetch_fills {
             self.engine.on_prefetch_fill_obs(
                 clme_types::BlockAddr::new(pf),
                 traffic_time,
@@ -235,17 +239,20 @@ impl Machine {
         for core in 0..self.cores.len() {
             let mut done = 0;
             while done < mem_accesses_per_core {
-                match self.workloads[core].next_op() {
-                    Op::Compute { .. } => {}
-                    Op::Load { addr, .. } => {
-                        self.caches.access(core, addr.block().raw(), false);
-                        done += 1;
-                    }
-                    Op::Store { addr } => {
-                        self.caches.access(core, addr.block().raw(), true);
-                        done += 1;
-                    }
-                }
+                let (addr, write) = match self.workloads[core].next_op() {
+                    Op::Compute { .. } => continue,
+                    Op::Load { addr, .. } => (addr, false),
+                    Op::Store { addr } => (addr, true),
+                };
+                self.caches.access_into(
+                    core,
+                    addr.block().raw(),
+                    write,
+                    Time::ZERO,
+                    &mut NopSink,
+                    &mut self.access,
+                );
+                done += 1;
             }
         }
     }
@@ -361,6 +368,33 @@ mod tests {
         let engine = build_engine(kind, &cfg, suites::address_space_blocks());
         let workloads = (0..cfg.cores).map(|c| suites::instantiate(bench, c)).collect();
         Machine::new(cfg, engine, workloads)
+    }
+
+    /// The timed warm-up and the measured window may run as two `run`
+    /// calls (how `clme perf` times them apart): the result and the
+    /// recorder's measured-window histograms and counters equal one
+    /// call's.
+    #[test]
+    fn split_run_matches_unsplit_run() {
+        use clme_obs::Recorder;
+
+        for kind in [EngineKind::CounterMode, EngineKind::CounterLight] {
+            let outputs = |split: bool| {
+                let mut m = small_machine(kind, "bfs");
+                m.set_sink(Box::new(Recorder::new()));
+                m.functional_warmup(3_000);
+                let result = if split {
+                    m.run(2_000, 0);
+                    m.run(0, 8_000)
+                } else {
+                    m.run(2_000, 8_000)
+                };
+                let rec = m.take_sink().into_any().downcast::<Recorder>().unwrap();
+                let stages: Vec<_> = Stage::ALL.iter().map(|&s| rec.stage(s).clone()).collect();
+                (format!("{result:?}"), rec.counters().clone(), stages)
+            };
+            assert_eq!(outputs(true), outputs(false), "{kind:?}");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use clme_dram::timing::Dram;
 use clme_obs::{BlameTally, EpochSeries, Recorder, SeriesRecorder, SpanTracer};
 use clme_types::config::SystemConfig;
 use clme_workloads::suites;
+use std::time::Instant;
 
 /// Window sizes for a simulation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,10 +141,34 @@ pub fn run_benchmark_seeded_reusing(
     result
 }
 
+/// Host wall time of each phase of one cell, in seconds.
+#[derive(Clone, Copy, Debug)]
+pub struct PhaseTimes {
+    /// Engine, workload and machine construction.
+    pub build_s: f64,
+    /// The functional (untimed) warm-up.
+    pub functional_warmup_s: f64,
+    /// The timed warm-up window.
+    pub warmup_window_s: f64,
+    /// The measured window: the only phase a recorder's histograms and
+    /// counters cover.
+    pub measured_s: f64,
+}
+
+impl PhaseTimes {
+    /// The whole cell.
+    pub fn total_s(&self) -> f64 {
+        self.build_s + self.functional_warmup_s + self.warmup_window_s + self.measured_s
+    }
+}
+
 /// [`run_benchmark_seeded`] with an enabled [`Recorder`] installed:
-/// returns the result plus the recorder holding per-stage latency
+/// returns the result, the recorder holding per-stage latency
 /// histograms, event counters, and the bounded event ring (at most
-/// `ring_capacity` retained events).
+/// `ring_capacity` retained events), and the host time of each phase.
+/// The timed warm-up and the measured window run as two
+/// [`Machine::run`] calls, which gives the same result as one call
+/// covering both.
 pub fn run_benchmark_recorded(
     cfg: &SystemConfig,
     kind: EngineKind,
@@ -151,21 +176,33 @@ pub fn run_benchmark_recorded(
     params: SimParams,
     seed: u64,
     ring_capacity: usize,
-) -> (SimResult, Recorder) {
+) -> (SimResult, Recorder, PhaseTimes) {
+    let started = Instant::now();
     let engine = build_engine(kind, cfg, suites::address_space_blocks());
     let workloads = (0..cfg.cores)
         .map(|c| suites::instantiate_seeded(bench, c, seed))
         .collect();
     let mut machine = Machine::new(cfg.clone(), engine, workloads);
     machine.set_sink(Box::new(Recorder::with_capacity(ring_capacity)));
+    let built = Instant::now();
     machine.functional_warmup(params.functional_warmup_accesses);
-    let result = machine.run(params.warmup_per_core, params.measure_per_core);
+    let warmed = Instant::now();
+    machine.run(params.warmup_per_core, 0);
+    let window_warmed = Instant::now();
+    let result = machine.run(0, params.measure_per_core);
+    let measured = Instant::now();
     let recorder = machine
         .take_sink()
         .into_any()
         .downcast::<Recorder>()
         .expect("the sink installed above is a Recorder");
-    (result, *recorder)
+    let times = PhaseTimes {
+        build_s: built.duration_since(started).as_secs_f64(),
+        functional_warmup_s: warmed.duration_since(built).as_secs_f64(),
+        warmup_window_s: window_warmed.duration_since(warmed).as_secs_f64(),
+        measured_s: measured.duration_since(window_warmed).as_secs_f64(),
+    };
+    (result, *recorder, times)
 }
 
 /// [`run_benchmark_seeded`] with a [`SeriesRecorder`] installed: returns

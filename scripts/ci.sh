@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: offline build, full test suite, and a golden smoke diff
-# of the 12-cell tiny run matrix. No network, no external crates.
+# Tier-1 gate: offline build, full test suite, and exact golden diffs
+# of the 12-cell tiny and the 72-cell full run matrix. No network, no
+# external crates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -235,15 +236,12 @@ echo "== perf gate (machine-normalised, 15% regression budget) =="
 # when the normalized score drops >15% below goldens/perf_baseline.json.
 cargo run --release -q --offline -p clme-bench --bin clme -- perf
 
-if [[ "${CI_FULL_GRID:-0}" == "1" ]]; then
-    echo "== golden diff (full 72-cell grid) =="
-    # The diff re-runs all 72 cells through the parallel RunMatrix
-    # workers (arena-reusing, default --threads = max(cores, 4)).
-    # Measured 2026-08: ~25 s of CPU time for the whole grid, so even a
-    # single-core runner finishes well inside a one-minute budget and a
-    # 4-core runner in under 10 s wall.
-    cargo run --release -q --offline -p clme-bench --bin clme -- \
-        diff --golden goldens/full
-fi
+echo "== golden diff (full 72-cell grid, exact) =="
+# The diff re-runs all 72 cells through the parallel RunMatrix workers
+# (arena-reusing, default --threads = max(cores, 4)) and requires every
+# snapshot to equal its golden exactly. Measured 2026-10 on a 2-vCPU
+# host: 6.3-8.6 s wall, 12-17 s CPU.
+cargo run --release -q --offline -p clme-bench --bin clme -- \
+    diff --golden goldens/full --tol 0
 
 echo "ci: all green"

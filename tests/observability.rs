@@ -29,7 +29,7 @@ fn recording_sink_leaves_snapshot_byte_identical() {
     let cfg = SystemConfig::isca_table1();
     for kind in [EngineKind::CounterMode, EngineKind::CounterLight] {
         let plain = run_benchmark_seeded(&cfg, kind, "bfs", params(), SEED);
-        let (recorded, recorder) =
+        let (recorded, recorder, _) =
             run_benchmark_recorded(&cfg, kind, "bfs", params(), SEED, 1 << 12);
         assert!(recorder.ring().len() > 0, "recorder saw no events");
         let a = StatsSnapshot::capture(&plain, "table1", SEED).to_json();
@@ -41,9 +41,9 @@ fn recording_sink_leaves_snapshot_byte_identical() {
 #[test]
 fn recorded_trace_is_deterministic() {
     let cfg = SystemConfig::isca_table1();
-    let (_, a) =
+    let (_, a, _) =
         run_benchmark_recorded(&cfg, EngineKind::CounterLight, "bfs", params(), SEED, 1 << 12);
-    let (_, b) =
+    let (_, b, _) =
         run_benchmark_recorded(&cfg, EngineKind::CounterLight, "bfs", params(), SEED, 1 << 12);
     assert_eq!(a.chrome_trace(), b.chrome_trace());
     for (kind, count) in a.counters().nonzero() {
@@ -57,7 +57,7 @@ fn recorded_trace_is_deterministic() {
 #[test]
 fn stages_cover_the_pipeline() {
     let cfg = SystemConfig::isca_table1();
-    let (_, rec) =
+    let (_, rec, _) =
         run_benchmark_recorded(&cfg, EngineKind::CounterLight, "bfs", params(), SEED, 1 << 12);
     for stage in [Stage::Engine, Stage::Dram, Stage::Cache, Stage::RobStall] {
         assert!(
@@ -72,7 +72,7 @@ fn stages_cover_the_pipeline() {
 #[test]
 fn chrome_trace_is_wellformed() {
     let cfg = SystemConfig::isca_table1();
-    let (_, rec) =
+    let (_, rec, _) =
         run_benchmark_recorded(&cfg, EngineKind::CounterLight, "bfs", params(), SEED, 1 << 12);
     let doc = parse(&rec.chrome_trace()).expect("trace must parse as JSON");
     let JsonValue::Obj(fields) = &doc else {
@@ -152,9 +152,9 @@ fn epoch_series_is_deterministic_across_run_paths() {
 #[test]
 fn diff_reproduces_the_counter_fetch_gap() {
     let cfg = SystemConfig::isca_table1();
-    let (_, mode_rec) =
+    let (_, mode_rec, _) =
         run_benchmark_recorded(&cfg, EngineKind::CounterMode, "bfs", params(), SEED, 1 << 12);
-    let (_, light_rec) =
+    let (_, light_rec, _) =
         run_benchmark_recorded(&cfg, EngineKind::CounterLight, "bfs", params(), SEED, 1 << 12);
     for kind in [
         EventKind::CounterFetchStart,
