@@ -127,3 +127,13 @@ out_case mem --smoke --backend vec --blocks 256 --ops 1000
 out_case mem --smoke --backend file --blocks 256 --ops 1000
 out_case mem --tenants 8 --blocks 2048 --ops 2000 --stats-json "$TMP/tenants.json"
 out_case mem --check-stats "$TMP/tenants.json"
+out_case mem --bench --blocks 256 --ops 512
+out_case mem --tamper mac --blocks 256 --ops 1000 --dump "$TMP/mac.clmedump"
+out_case postmortem "$TMP/mac.clmedump" --replay
+out_case mem --smoke --blocks 256 --ops 1000 --dump-on-exit --dump "$TMP/exit.clmedump"
+
+echo "#### stats artifact checks"
+echo '{"schema": 3, "stats": {}}' > "$TMP/gutted.json"
+err_case mem --check-stats "$TMP/gutted.json"
+echo 'not json' > "$TMP/garbage.json"
+err_case mem --check-stats "$TMP/garbage.json"
