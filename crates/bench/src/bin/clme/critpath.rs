@@ -4,12 +4,15 @@
 use crate::args::{
     bad_cell_label, tiny_cell_params, unknown_flag, CellSpec, Cursor, DEFAULT_MATRIX_SEED,
 };
-use crate::mem::{self, MemArgs};
+use crate::mem::{self, random_bytes, MemArgs};
 use crate::profile::ns;
-use clme_obs::{span_flow_json, Blame};
+use crate::write_artifact;
+use clme_mem::{Block, EncryptionLayer, MemoryAdt, StoreBackend};
+use clme_obs::{span_flow_json, Blame, SpanTracer};
 use clme_sim::{run_benchmark_spans, SimParams};
 use clme_types::json::JsonValue;
-use std::path::PathBuf;
+use clme_types::rng::SplitMix64;
+use std::path::{Path, PathBuf};
 
 pub const USAGE: &str = "\
 usage: clme critpath CONFIG/ENGINE/BENCH [--samples N] [--seed HEX|DEC]
@@ -104,12 +107,7 @@ pub fn parse(args: &[String]) -> Result<CritpathArgs, String> {
     })
 }
 
-pub fn critpath_json(
-    label: &str,
-    seed: u64,
-    tally: &clme_obs::BlameTally,
-    sampled: usize,
-) -> String {
+fn critpath_json(label: &str, seed: u64, tally: &clme_obs::BlameTally, sampled: usize) -> String {
     let classes = Blame::ALL
         .iter()
         .map(|&blame| {
@@ -138,30 +136,12 @@ pub fn critpath_json(
     text
 }
 
-/// The blame-breakdown table shared by `clme critpath` and `clme mem
-/// --critpath`.
-pub fn print_blame_table(tally: &clme_obs::BlameTally) {
-    println!(
-        "  {:<14} {:>10} {:>8} {:>22}",
-        "class", "requests", "share", "mean stall after data"
-    );
-    for &blame in Blame::ALL.iter() {
-        println!(
-            "  {:<14} {:>10} {:>7.1}% {:>19.2} ns",
-            blame.name(),
-            tally.count(blame),
-            tally.fraction(blame) * 100.0,
-            ns(tally.mean_stall_ps(blame)),
-        );
-    }
-}
-
 pub fn run(args: CritpathArgs) -> i32 {
     let spec = match args.target {
         Target::Cell(spec) => spec,
         // The simulator's blame command pointed at the library.
         Target::Mem { backend, pattern } => {
-            return mem::run_with_args(&MemArgs {
+            return mem::run(MemArgs {
                 backend,
                 seed: args.seed,
                 samples: args.samples,
@@ -186,30 +166,62 @@ pub fn run(args: CritpathArgs) -> i32 {
         seed,
         args.samples,
     );
+    let headline = format!("classified misses (window ipc {:.3})", result.ipc);
+    report_blame(
+        &label,
+        seed,
+        &tracer,
+        &headline,
+        args.json.as_deref(),
+        args.trace.as_deref(),
+    )
+}
+
+/// The blame report `clme critpath` and `clme mem --critpath` share: the
+/// headline, the blame table, the sample count, and the `--json` and
+/// `--trace` artifacts.
+fn report_blame(
+    label: &str,
+    seed: u64,
+    tracer: &SpanTracer,
+    headline: &str,
+    json: Option<&Path>,
+    trace: Option<&Path>,
+) -> i32 {
     let tally = tracer.tally();
     println!(
-        "critical-path blame for {label}: {} classified misses (window ipc {:.3})",
-        tally.total(),
-        result.ipc
+        "critical-path blame for {label}: {} {headline}",
+        tally.total()
     );
-    print_blame_table(tally);
+    println!(
+        "  {:<14} {:>10} {:>8} {:>22}",
+        "class", "requests", "share", "mean stall after data"
+    );
+    for &blame in Blame::ALL.iter() {
+        println!(
+            "  {:<14} {:>10} {:>7.1}% {:>19.2} ns",
+            blame.name(),
+            tally.count(blame),
+            tally.fraction(blame) * 100.0,
+            ns(tally.mean_stall_ps(blame)),
+        );
+    }
     println!(
         "\nsampled {} of {} requests (deterministic reservoir; --samples to resize)",
         tracer.sampled().len(),
         tracer.total_requests()
     );
-    if let Some(path) = &args.json {
-        let artifact = critpath_json(&label, seed, tally, tracer.sampled().len());
-        if let Err(err) = std::fs::write(path, artifact) {
-            eprintln!("cannot write {}: {err}", path.display());
+    if let Some(path) = json {
+        if !write_artifact(
+            path,
+            &critpath_json(label, seed, tally, tracer.sampled().len()),
+        ) {
             return 1;
         }
         eprintln!("wrote blame artifact to {}", path.display());
     }
-    if let Some(path) = &args.trace {
-        let trace = span_flow_json(&label, tracer.sampled());
-        if let Err(err) = std::fs::write(path, trace) {
-            eprintln!("cannot write {}: {err}", path.display());
+    if let Some(path) = trace {
+        if !write_artifact(path, &span_flow_json(label, tracer.sampled())) {
             return 1;
         }
         println!(
@@ -220,4 +232,85 @@ pub fn run(args: CritpathArgs) -> i32 {
         );
     }
     0
+}
+
+/// A skewed block address: cubing a uniform sample concentrates mass
+/// near zero — a cheap stand-in for a Zipf-like hot set.
+fn skewed_addr(rng: &mut SplitMix64, blocks: u64) -> u64 {
+    let unit = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+    (((unit * unit * unit) * blocks as f64) as u64).min(blocks - 1)
+}
+
+/// `clme mem --critpath`: reads traced through the installed span tracer,
+/// blamed with the same report as a cell, over the library's real
+/// latencies.
+pub fn trace_mem<B: StoreBackend>(
+    args: &MemArgs,
+    layer: &EncryptionLayer<B>,
+    pattern: &str,
+) -> i32 {
+    let blocks = layer.blocks();
+    let label = format!("mem/{}/{pattern}", args.backend);
+    let seed = SplitMix64::new(args.seed).derive(label.as_bytes());
+    let mut rng = SplitMix64::new(seed);
+    eprintln!(
+        "tracing {label} ({} blocks, {} reads, reservoir of {} spans)",
+        blocks, args.ops, args.samples
+    );
+
+    // Populate: a sweep writes every block once; zipf hammers a hot set
+    // until its counters saturate and the blocks go counterless; hot
+    // writes a working set small enough to live entirely in the
+    // verified-page cache, then re-reads it.
+    let hot_set = blocks.min(4 * clme_mem::PAGE_BLOCKS);
+    let populated = match pattern {
+        "zipf" => args.ops.max(64) as u64,
+        "hot" => hot_set,
+        _ => blocks,
+    };
+    let writes: Vec<(u64, Block)> = (0..populated)
+        .map(|i| {
+            let addr = match pattern {
+                "zipf" => skewed_addr(&mut rng, blocks),
+                "hot" => i % hot_set,
+                _ => i % blocks,
+            };
+            (addr, random_bytes(&mut rng))
+        })
+        .collect();
+    for batch in writes.chunks(64) {
+        if let Err(err) = layer.batch_write(batch) {
+            eprintln!("populate failed: {err}");
+            return 1;
+        }
+    }
+    let counterless = (0..blocks)
+        .filter(|&addr| layer.is_counterless(addr).unwrap_or(false))
+        .count();
+
+    let reads: Vec<u64> = (0..args.ops as u64)
+        .map(|i| match pattern {
+            "zipf" => skewed_addr(&mut rng, blocks),
+            "hot" => rng.below(hot_set),
+            _ => i % blocks,
+        })
+        .collect();
+    layer.install_tracer(SpanTracer::new(args.samples));
+    for batch in reads.chunks(64) {
+        if let Err(err) = layer.batch_read(batch) {
+            eprintln!("traced read failed: {err}");
+            return 1;
+        }
+    }
+    let tracer = layer.take_tracer().expect("tracer installed above");
+
+    let headline = format!("classified reads ({counterless} of {blocks} blocks counterless)");
+    report_blame(
+        &label,
+        seed,
+        &tracer,
+        &headline,
+        args.json.as_deref(),
+        args.trace.as_deref(),
+    )
 }

@@ -90,9 +90,10 @@
 //! `postmortem`) with a `USAGE` text, a `parse` that returns its
 //! arguments or an error message, and a `run` that returns the exit
 //! code. Every parser uses the one flag grammar in `args` (values,
-//! numbers, seeds, engine and config names, simulation windows). Exit
-//! codes: 0 success, 1 a failed run or check, 2 a bad command line —
-//! printed here, with the subcommand's usage, and nowhere else.
+//! numbers, seeds, engine and config names, simulation windows), and
+//! every output file goes through [`write_artifact`]. Exit codes: 0
+//! success, 1 a failed run or check, 2 a bad command line — printed
+//! here, with the subcommand's usage, and nowhere else.
 
 mod args;
 mod critpath;
@@ -105,6 +106,19 @@ mod series;
 mod single;
 #[cfg(test)]
 mod tests;
+
+/// Writes one output file atomically, so a reader (a Prometheus textfile
+/// collector, a CI grep) never sees it half written. On failure prints
+/// the error and returns false; the caller exits 1.
+pub fn write_artifact(path: &std::path::Path, text: &str) -> bool {
+    match clme_mem::write_atomic(path, text) {
+        Ok(()) => true,
+        Err(err) => {
+            eprintln!("cannot write {}: {err}", path.display());
+            false
+        }
+    }
+}
 
 /// Parses and runs one subcommand (or the bare single run). A parse
 /// error is the only way out with exit 2: `main` prints its message and

@@ -5,6 +5,8 @@ use crate::args::{
     config_by_name, default_threads, tiny_cell_params, unknown_flag, Cursor, CONFIG_NAMES,
     DEFAULT_MATRIX_SEED,
 };
+use crate::mem::stats::read_json;
+use crate::write_artifact;
 use clme_sim::matrix::{all_engines, RunMatrix};
 use clme_sim::{compare, SimParams, StatsSnapshot, Tolerance};
 use clme_types::json::JsonValue;
@@ -165,8 +167,7 @@ pub fn run(mut args: MatrixArgs) -> i32 {
         }
         for snap in &snapshots {
             let path = dir.join(format!("{}.json", snap.file_stem()));
-            if let Err(err) = std::fs::write(&path, snap.to_json()) {
-                eprintln!("cannot write {}: {err}", path.display());
+            if !write_artifact(&path, &snap.to_json()) {
                 return 1;
             }
         }
@@ -188,12 +189,7 @@ fn load_golden(dir: &Path, stem: &str) -> Result<StatsSnapshot, String> {
 /// caller-visible counters are compared; cache and store internals are
 /// *expected* to differ between the two configurations.
 fn run_mem_stats_diff(a: &str, b: &str) -> i32 {
-    let load = |path: &str| -> Result<JsonValue, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
-        clme_types::json::parse(&text).map_err(|err| format!("{path} is not valid JSON: {err}"))
-    };
-    let (doc_a, doc_b) = match (load(a), load(b)) {
+    let (doc_a, doc_b) = match (read_json(Path::new(a)), read_json(Path::new(b))) {
         (Ok(doc_a), Ok(doc_b)) => (doc_a, doc_b),
         (Err(err), _) | (_, Err(err)) => {
             eprintln!("{err}");

@@ -5,8 +5,8 @@ use crate::args::{
     DEFAULT_MATRIX_SEED,
 };
 use crate::profile::{ns, record_cell};
+use crate::write_artifact;
 use clme_core::engine::EngineKind;
-use clme_mem::write_atomic;
 use clme_obs::Stage;
 use clme_sim::PhaseTimes;
 use clme_types::json::JsonValue;
@@ -107,7 +107,10 @@ fn perf_stage_json(times: &PhaseTimes, rec: &clme_obs::Recorder) -> Vec<(String,
             "functional_warmup_s".into(),
             JsonValue::Num(times.functional_warmup_s),
         ),
-        ("warmup_window_s".into(), JsonValue::Num(times.warmup_window_s)),
+        (
+            "warmup_window_s".into(),
+            JsonValue::Num(times.warmup_window_s),
+        ),
         ("measured_window_s".into(), JsonValue::Num(times.measured_s)),
         ("stages".into(), JsonValue::Obj(stages)),
     ]
@@ -162,8 +165,7 @@ pub fn run(args: PerfArgs) -> i32 {
         .map(|d| d.as_secs_f64())
         .unwrap_or(0.0);
     let artifact = clme_bench::perf::perf_json(&measurement, profiled, history, unix_time);
-    if let Err(err) = write_atomic(&args.out, &artifact) {
-        eprintln!("cannot write {}: {err}", args.out.display());
+    if !write_artifact(&args.out, &artifact) {
         return 1;
     }
     eprintln!("wrote perf artifact to {}", args.out.display());
@@ -173,8 +175,7 @@ pub fn run(args: PerfArgs) -> i32 {
             let _ = std::fs::create_dir_all(parent);
         }
         let text = clme_bench::perf::baseline_json(&measurement);
-        if let Err(err) = std::fs::write(&args.baseline, text) {
-            eprintln!("cannot write {}: {err}", args.baseline.display());
+        if !write_artifact(&args.baseline, &text) {
             return 1;
         }
         println!("wrote perf baseline to {}", args.baseline.display());

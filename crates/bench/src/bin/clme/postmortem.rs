@@ -1,10 +1,9 @@
 //! `clme postmortem`: render and replay `.clmedump` bundles.
 
 use crate::args::{unknown_flag, Cursor};
-use crate::mem::{mem_flip_and_probe, mem_master_key, mem_tamper_populate};
-use clme_mem::{
-    DumpBundle, EncryptionLayer, FileBackend, LayerOptions, StoreBackend, TenantRanges, VecBackend,
-};
+use crate::mem::verify::{flip_and_probe, populate, Flip};
+use crate::mem::{self, LayerJob};
+use clme_mem::{DumpBundle, EncryptionLayer, LayerOptions, StoreBackend, TenantRanges};
 use clme_types::json::JsonValue;
 use std::path::{Path, PathBuf};
 
@@ -232,20 +231,8 @@ fn postmortem_replay(bundle: &DumpBundle) -> i32 {
         );
         return 1;
     }
-    let key = |name: &str| {
-        bundle
-            .workload
-            .get(name)
-            .and_then(JsonValue::as_f64)
-            .map(|f| f as u64)
-    };
-    let (Some(ops), Some(word_index), Some(byte), Some(mask), Some(probe)) = (
-        key("ops"),
-        key("word_index"),
-        key("byte"),
-        key("mask"),
-        key("probe_addr"),
-    ) else {
+    let ops = bundle.workload.get("ops").and_then(JsonValue::as_f64);
+    let (Some(ops), Some(flip)) = (ops, Flip::from_workload(&bundle.workload)) else {
         eprintln!("tamper bundle is missing replay keys (ops/word_index/byte/mask/probe_addr)");
         return 1;
     };
@@ -253,84 +240,64 @@ fn postmortem_replay(bundle: &DumpBundle) -> i32 {
         eprintln!("bundle records no IntegrityError to reproduce");
         return 1;
     };
-    match bundle.backend.as_str() {
-        "file" => {
-            let path =
-                std::env::temp_dir().join(format!("clme-replay-{}.store", std::process::id()));
-            let backend = match FileBackend::create_for_blocks(&path, bundle.blocks) {
-                Ok(backend) => backend,
-                Err(err) => {
-                    eprintln!("cannot create replay store at {}: {err}", path.display());
-                    return 1;
-                }
-            };
-            let code = postmortem_replay_on(
-                bundle, backend, ops, word_index, byte, mask, probe, expected,
-            );
-            let _ = std::fs::remove_file(&path);
-            code
-        }
-        _ => postmortem_replay_on(
-            bundle,
-            VecBackend::for_blocks(bundle.blocks),
-            ops,
-            word_index,
-            byte,
-            mask,
-            probe,
-            expected,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn postmortem_replay_on<B: StoreBackend>(
-    bundle: &DumpBundle,
-    backend: B,
-    ops: u64,
-    word_index: u64,
-    byte: u64,
-    mask: u64,
-    probe: u64,
-    expected: clme_mem::IntegrityError,
-) -> i32 {
-    let master = mem_master_key(bundle.seed, b"mem/master");
     let options = LayerOptions {
         counter_saturation: bundle.saturation,
         shards: bundle.shards.max(1) as usize,
         ..LayerOptions::default()
     };
-    let layer = match EncryptionLayer::with_options(backend, bundle.blocks, master, options) {
-        Ok(layer) => layer,
-        Err(err) => {
-            eprintln!("cannot rebuild the captured layer: {err}");
+    let replay = Replay {
+        seed: bundle.seed,
+        ops: ops as usize,
+        flip,
+        expected,
+    };
+    let master = mem::master_key(bundle.seed, b"mem/master");
+    mem::open_layer(
+        &bundle.backend,
+        None,
+        bundle.blocks,
+        master,
+        options,
+        replay,
+    )
+}
+
+/// A replay on the rebuilt layer: the demo write stream, then the
+/// recorded flip, then the class check.
+struct Replay {
+    seed: u64,
+    ops: usize,
+    flip: Flip,
+    expected: clme_mem::IntegrityError,
+}
+
+impl LayerJob for Replay {
+    fn run<B: StoreBackend>(self, layer: EncryptionLayer<B>) -> i32 {
+        if let Err(err) = populate(&layer, self.seed, self.ops) {
+            eprintln!("replay {err}");
             return 1;
         }
-    };
-    if let Err(err) = mem_tamper_populate(&layer, bundle.seed, ops as usize) {
-        eprintln!("replay {err}");
-        return 1;
-    }
-    match mem_flip_and_probe(&layer, word_index, byte as usize, mask as u8, probe) {
-        Ok(err) if err.class == expected.class => {
-            println!(
-                "replay: reproduced class {} at address {:#x} — matches the capture",
-                err.class.name(),
-                err.addr
-            );
-            0
-        }
-        Ok(err) => {
-            eprintln!(
-                "replay: got class {} but the capture recorded {}",
-                err.class.name(),
-                expected.class.name()
-            );
-            1
-        }
-        Err(msg) => {
-            eprintln!("replay: {msg}");
-            1
+        match flip_and_probe(&layer, self.flip) {
+            Ok((err, _)) if err.class == self.expected.class => {
+                println!(
+                    "replay: reproduced class {} at address {:#x} — matches the capture",
+                    err.class.name(),
+                    err.addr
+                );
+                0
+            }
+            Ok((err, _)) => {
+                eprintln!(
+                    "replay: got class {} but the capture recorded {}",
+                    err.class.name(),
+                    self.expected.class.name()
+                );
+                1
+            }
+            Err(msg) => {
+                eprintln!("replay: {msg}");
+                1
+            }
         }
     }
 }

@@ -6,6 +6,7 @@ use crate::args::{
     bad_cell_label, tiny_cell_params, unknown_flag, CellSpec, Cursor, CONFIG_NAMES,
     DEFAULT_MATRIX_SEED,
 };
+use crate::write_artifact;
 use clme_core::engine::EngineKind;
 use clme_obs::{Blame, EventKind, Log2Histogram, Stage};
 use clme_sim::{run_benchmark_recorded, run_benchmark_series, PhaseTimes, SimParams};
@@ -243,8 +244,7 @@ fn run_series_profile(args: &ProfileArgs) -> i32 {
         blame.fraction(Blame::Mac) * 100.0,
     );
     if let Some(path) = &args.json {
-        if let Err(err) = std::fs::write(path, series.to_json(&label)) {
-            eprintln!("cannot write {}: {err}", path.display());
+        if !write_artifact(path, &series.to_json(&label)) {
             return 1;
         }
         eprintln!("wrote epoch series to {}", path.display());
@@ -334,8 +334,7 @@ pub fn run(args: ProfileArgs) -> i32 {
     );
     if let Some(path) = &args.json {
         let artifact = profile_json(&label, wall, &result, &recorder);
-        if let Err(err) = std::fs::write(path, artifact) {
-            eprintln!("cannot write {}: {err}", path.display());
+        if !write_artifact(path, &artifact) {
             return 1;
         }
         eprintln!("wrote profile artifact to {}", path.display());
@@ -357,8 +356,7 @@ pub fn run_trace(args: ProfileArgs) -> i32 {
         );
     }
     let trace = recorder.chrome_trace();
-    if let Err(err) = std::fs::write(&args.out, trace) {
-        eprintln!("cannot write {}: {err}", args.out.display());
+    if !write_artifact(&args.out, &trace) {
         return 1;
     }
     println!(

@@ -2,6 +2,7 @@
 
 use crate::args::{config_by_name, default_threads, unknown_flag, Cursor, DEFAULT_MATRIX_SEED};
 use crate::matrix::grid_axes;
+use crate::write_artifact;
 use clme_obs::EpochSeries;
 use clme_sim::matrix::all_engines;
 use clme_sim::run_benchmark_series;
@@ -235,8 +236,7 @@ pub fn run(args: SeriesArgs) -> i32 {
         ]);
         let mut text = doc.to_pretty();
         text.push('\n');
-        if let Err(err) = std::fs::write(path, text) {
-            eprintln!("cannot write {}: {err}", path.display());
+        if !write_artifact(path, &text) {
             return 1;
         }
         eprintln!("wrote aligned series to {}", path.display());

@@ -1,10 +1,17 @@
 //! Parser tests for every `clme` subcommand: defaults, the shared flag
 //! grammar, and the errors `main` turns into a usage message and exit 2.
+//! Then the pieces of `clme mem` its jobs share: the demo write stream,
+//! the uniform bench source, the `--check-stats` key table, and the
+//! `--serve` loop.
 
 use crate::args::{tiny_cell_params, DEFAULT_MATRIX_SEED};
 use crate::{critpath, matrix, mem, perf, postmortem, profile, series, single};
 use clme_core::engine::EngineKind;
-use clme_mem::PAGE_BLOCKS;
+use clme_mem::{Block, EncryptionLayer, MemoryAdt, VecBackend, PAGE_BLOCKS};
+use clme_types::json::JsonValue;
+use clme_types::rng::SplitMix64;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 
 fn argv(line: &str) -> Vec<String> {
@@ -362,5 +369,316 @@ fn labels_and_files_are_required_and_validated() {
     assert_eq!(
         parses("series", "--tiny"),
         Err("clme series needs --matrix (single-cell series: clme profile --series)".into())
+    );
+}
+
+fn vec_layer(blocks: u64) -> EncryptionLayer<VecBackend> {
+    EncryptionLayer::new(VecBackend::for_blocks(blocks), blocks, [7; 32]).unwrap()
+}
+
+/// Whether this build records telemetry: `clme-mem/telemetry-off`
+/// compiles it out, and with it every artifact key and metric family.
+fn telemetry_on() -> bool {
+    let layer = vec_layer(64);
+    layer.batch_write(&[(0, [0; 64])]).unwrap();
+    layer.metrics_snapshot().blocks_written > 0
+}
+
+#[test]
+fn tamper_victims_are_the_addresses_populate_writes() {
+    for (blocks, ops, seed) in [
+        (256, 1000, DEFAULT_MATRIX_SEED),
+        (4096, 20_000, 1),
+        (1024, 10, 2),
+    ] {
+        let layer = vec_layer(blocks);
+        let model = mem::verify::populate(&layer, seed, ops).unwrap();
+        let written: Vec<u64> = model.keys().copied().collect();
+        assert_eq!(mem::verify::demo_addrs(seed, blocks, ops), written);
+        assert_eq!(
+            layer.batch_read(&written).unwrap(),
+            model.into_values().collect::<Vec<_>>()
+        );
+    }
+}
+
+/// Reference for the uniform bench stream, written out loop by loop:
+/// per rep, `ops` (address, block) writes, then `ops` read addresses, in
+/// batches of 64, from one `mem/bench` stream. Each batch is its
+/// addresses and, for a write, its blocks.
+fn reference_uniform_reps(
+    seed: u64,
+    blocks: u64,
+    ops: usize,
+    reps: usize,
+) -> Vec<(Vec<u64>, Vec<Block>)> {
+    let pattern_block = |rng: &mut SplitMix64| {
+        let mut block = [0u8; clme_mem::BLOCK_BYTES];
+        for chunk in block.chunks_mut(8) {
+            chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        block
+    };
+    let mut rng = SplitMix64::new(SplitMix64::new(seed).derive(b"mem/bench"));
+    let mut batches = Vec::new();
+    for _ in 0..=reps {
+        let mut written = 0usize;
+        while written < ops {
+            let mut batch: Vec<(u64, Block)> = Vec::new();
+            for _ in 0..64.min(ops - written) {
+                batch.push((rng.below(blocks), pattern_block(&mut rng)));
+            }
+            written += batch.len();
+            batches.push(batch.into_iter().unzip());
+        }
+        let mut read = 0usize;
+        while read < ops {
+            let batch: Vec<u64> = (0..64.min(ops - read)).map(|_| rng.below(blocks)).collect();
+            read += batch.len();
+            batches.push((batch, Vec::new()));
+        }
+    }
+    batches
+}
+
+#[test]
+fn uniform_bench_source_replays_the_single_stream_sequence() {
+    let (seed, blocks, ops, reps) = (9, 512, 200, 2);
+    let line = format!("--bench --seed {seed} --ops {ops} --reps {reps}");
+    let args = mem::parse(&argv(&line)).unwrap();
+    let mut source = mem::bench::BatchSource::new(&args, blocks);
+    let mut batch = mem::bench::Batch::default();
+    let mut got: Vec<(Vec<u64>, Vec<Block>)> = Vec::new();
+    for _ in 0..=reps {
+        let mut issued = 0;
+        while source.fill(issued, &mut batch) {
+            assert_eq!(batch.tenant, None);
+            issued += batch.addrs.len();
+            let (addrs, data): (Vec<u64>, Vec<Block>) = batch.writes.iter().copied().unzip();
+            if batch.write {
+                assert_eq!(addrs, batch.addrs);
+            } else {
+                assert!(addrs.is_empty());
+            }
+            got.push((batch.addrs.clone(), data));
+        }
+        assert_eq!(issued, 2 * ops);
+    }
+    assert_eq!(got, reference_uniform_reps(seed, blocks, ops, reps));
+}
+
+/// The value at a dotted path; array elements go by index.
+fn value_at<'a>(doc: &'a mut JsonValue, path: &str) -> &'a mut JsonValue {
+    let mut at = doc;
+    for key in path.split('.') {
+        at = match at {
+            JsonValue::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            JsonValue::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+            other => panic!("{path}: {key} is inside {other:?}"),
+        };
+    }
+    at
+}
+
+fn doc_value(doc: &JsonValue, path: &str) -> JsonValue {
+    value_at(&mut doc.clone(), path).clone()
+}
+
+fn replace_key(doc: &mut JsonValue, path: &str, value: JsonValue) {
+    *value_at(doc, path) = value;
+}
+
+/// Removes the value at a dotted path.
+fn remove_key(doc: &mut JsonValue, path: &str) {
+    let (parent, last) = path.rsplit_once('.').unwrap_or(("", path));
+    let at = if parent.is_empty() {
+        doc
+    } else {
+        value_at(doc, parent)
+    };
+    match at {
+        JsonValue::Obj(fields) => fields.retain(|(k, _)| k != last),
+        JsonValue::Arr(items) => drop(items.remove(last.parse::<usize>().unwrap())),
+        other => panic!("{path}: {last} is inside {other:?}"),
+    }
+}
+
+#[test]
+fn check_stats_names_every_required_key_an_artifact_lacks() {
+    let path = std::env::temp_dir().join(format!("clme-check-stats-{}.json", std::process::id()));
+    let line = format!(
+        "--tenants 4 --blocks 1024 --ops 512 --stats-json {}",
+        path.display()
+    );
+    assert_eq!(mem::run(mem::parse(&argv(&line)).unwrap()), 0);
+    let doc = mem::stats::read_json(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    if !telemetry_on() {
+        return;
+    }
+    assert_eq!(mem::stats::stats_missing(&doc), Vec::<String>::new());
+
+    // Every key path the check requires, with the line it lists when the
+    // key is missing (`[*]` at element 0).
+    let required = [
+        ("stats.lock_wait", "stats.lock_wait (non-empty array)"),
+        ("stats.lock_wait.0.p99_ns", "stats.lock_wait[0].p99_ns"),
+        ("stats.rekey.pages_total", "stats.rekey.pages_total"),
+        ("stats.rekey.pages_done", "stats.rekey.pages_done"),
+        ("stats.rekey.key_dwell_ms", "stats.rekey.key_dwell_ms"),
+        (
+            "stats.store.page_cache_hit_rate",
+            "stats.store.page_cache_hit_rate",
+        ),
+        ("stats.verify_cache.hits", "stats.verify_cache.hits"),
+        (
+            "stats.verify_cache.partial_hits",
+            "stats.verify_cache.partial_hits",
+        ),
+        ("stats.verify_cache.misses", "stats.verify_cache.misses"),
+        ("stats.verify_cache.hit_rate", "stats.verify_cache.hit_rate"),
+        ("stats.verify_cache.bypasses", "stats.verify_cache.bypasses"),
+        (
+            "stats.verify_cache.resident_pages",
+            "stats.verify_cache.resident_pages",
+        ),
+        ("stats.fanin.read.p99_blocks", "stats.fanin.read.p99_blocks"),
+        (
+            "stats.fanin.write.p99_blocks",
+            "stats.fanin.write.p99_blocks",
+        ),
+        (
+            "stats.ops.read.latency.p99_ns",
+            "stats.ops.read.latency.p99_ns",
+        ),
+        (
+            "stats.ops.write.latency.p99_ns",
+            "stats.ops.write.latency.p99_ns",
+        ),
+        ("tenants.count", "tenants.count"),
+        ("tenants.top_k", "tenants.top_k"),
+        ("tenants.folded_ops", "tenants.folded_ops"),
+        ("tenants.skew", "tenants.skew"),
+        ("tenants.digest", "tenants.digest"),
+        ("tenants.rows", "tenants.rows (non-empty array)"),
+        ("tenants.rows.0.read.p99_ns", "tenants.rows[0].read.p99_ns"),
+        (
+            "tenants.rows.0.write.p99_ns",
+            "tenants.rows[0].write.p99_ns",
+        ),
+        ("tenants.rows.0.cache.hits", "tenants.rows[0].cache.hits"),
+        (
+            "tenants.rows.0.tail.dominant",
+            "tenants.rows[0].tail.dominant",
+        ),
+        (
+            "tenants.rows.0.ciphertext_writes",
+            "tenants.rows[0].ciphertext_writes",
+        ),
+        ("tenants.rows.0.slo", "tenants.rows[0].slo (array)"),
+        ("tenants.rows.0.slo.0.burn", "tenants.rows[0].slo[0].burn"),
+        (
+            "tenants.rows.0.slo.0.window_burns",
+            "tenants.rows[0].slo[0].window_burns (array)",
+        ),
+    ];
+    assert_eq!(required.len(), mem::stats::REQUIRED_KEYS.len());
+    for (path, listed) in required {
+        let mut broken = doc.clone();
+        remove_key(&mut broken, path);
+        let missing = mem::stats::stats_missing(&broken);
+        assert!(missing.contains(&listed.to_string()), "{path}: {missing:?}");
+        // A value of the wrong kind is as bad as none, except where any
+        // value will do.
+        let row_fields = ["read.", "write.", "cache.", "tail.", "ciphertext_writes"];
+        let any_value = row_fields
+            .iter()
+            .any(|f| path.starts_with(&format!("tenants.rows.0.{f}")));
+        if !any_value {
+            let wrong = match doc_value(&doc, path) {
+                JsonValue::Num(_) => JsonValue::Str("0".into()),
+                JsonValue::Arr(_) if listed.ends_with("(non-empty array)") => {
+                    JsonValue::Arr(vec![])
+                }
+                _ => JsonValue::Num(0.0),
+            };
+            let mut broken = doc.clone();
+            replace_key(&mut broken, path, wrong);
+            let missing = mem::stats::stats_missing(&broken);
+            assert!(missing.contains(&listed.to_string()), "{path}: {missing:?}");
+        }
+    }
+
+    let mut old_schema = doc.clone();
+    remove_key(&mut old_schema, "schema");
+    assert_eq!(mem::stats::stats_missing(&old_schema), ["schema 3"]);
+    let mut no_rollup = doc.clone();
+    let JsonValue::Obj(fields) = &mut no_rollup else {
+        panic!("an artifact is an object")
+    };
+    let tenants = &mut fields.iter_mut().find(|(k, _)| k == "tenants").unwrap().1;
+    let Some(JsonValue::Arr(rows)) = tenants.get("rows").cloned() else {
+        panic!("tenant rows")
+    };
+    let kept: Vec<JsonValue> = rows
+        .into_iter()
+        .filter(|row| row.get("tenant").and_then(JsonValue::as_str) != Some("__other__"))
+        .collect();
+    let JsonValue::Obj(tenant_fields) = tenants else {
+        panic!("tenants is an object")
+    };
+    tenant_fields
+        .iter_mut()
+        .find(|(k, _)| k == "rows")
+        .unwrap()
+        .1 = JsonValue::Arr(kept);
+    assert_eq!(
+        mem::stats::stats_missing(&no_rollup),
+        ["tenants.rows[*] __other__ rollup row"]
+    );
+}
+
+#[test]
+fn serve_answers_past_an_idle_client_and_stops_after_its_quota() {
+    let layer = std::sync::Arc::new(vec_layer(256));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    // Detached, so a server stuck on a client fails the test instead of
+    // hanging it.
+    let server = std::thread::spawn({
+        let layer = layer.clone();
+        move || mem::serve::serve(listener, &layer, 3)
+    });
+    let get = |request: &[u8]| {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let patience = mem::serve::SERVE_TIMEOUT * 5;
+        stream.set_read_timeout(Some(patience)).unwrap();
+        stream.write_all(request).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
+    };
+    // Connected first and silent: the server must give up on it after
+    // its read timeout instead of stalling every client behind it.
+    let _idle = TcpStream::connect(addr).unwrap();
+    let health = get(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n");
+    assert!(health.starts_with("HTTP/1.1 200 OK\r\n"), "{health}");
+    assert!(health.ends_with("\r\n\r\nok\n"), "{health}");
+    let metrics = get(b"GET /metrics HTTP/1.1\r\n\r\n");
+    assert!(metrics.starts_with("HTTP/1.1 200 OK\r\n"), "{metrics}");
+    if telemetry_on() {
+        assert!(metrics.contains("# TYPE clme_mem_op_latency_ps histogram"));
+    }
+    // A request line that never ends is cut at the cap, not buffered.
+    let endless = vec![b'A'; mem::serve::SERVE_REQUEST_CAP as usize];
+    let refused = get(&endless);
+    assert!(
+        refused.starts_with("HTTP/1.1 400 Bad Request\r\n"),
+        "{refused}"
+    );
+    assert_eq!(server.join().unwrap(), 0);
+    assert!(
+        TcpStream::connect(addr).is_err(),
+        "the listener closes with the loop"
     );
 }

@@ -7,6 +7,8 @@ cd "$(dirname "$0")/.."
 
 echo "== build (release) =="
 cargo build --release --offline
+# Every step below runs the clme binary this build produced.
+CLME=target/release/clme
 
 echo "== figure and micro benches (build only) =="
 cargo build --release --offline -p clme-bench --benches
@@ -21,17 +23,15 @@ echo "== tests (telemetry-off build) =="
 cargo test -q --offline -p clme-mem --features telemetry-off --target-dir target/telemetry-off
 
 echo "== golden smoke diff (tiny matrix) =="
-cargo run --release -q --offline -p clme-bench --bin clme -- \
-    diff --tiny --golden goldens/tiny
+"$CLME" diff --tiny --golden goldens/tiny
 
 echo "== CLI surface transcript =="
 # Usage text, exit codes and argument errors of every clme entry point,
 # plus the stdout of a few deterministic runs, against the pinned copy.
-scripts/cli_transcript.sh target/release/clme | diff goldens/cli/transcript.txt -
+scripts/cli_transcript.sh "$CLME" | diff goldens/cli/transcript.txt -
 
 echo "== profile smoke (one tiny cell) =="
-cargo run --release -q --offline -p clme-bench --bin clme -- \
-    profile --engine counter-light --bench bfs --json BENCH_profile.json
+"$CLME" profile --engine counter-light --bench bfs --json BENCH_profile.json
 grep -o '"cells_per_sec": [0-9.]*' BENCH_profile.json
 
 echo "== mem smoke (encrypted-memory library: write/read/tamper/rekey) =="
@@ -44,14 +44,11 @@ echo "== mem smoke (encrypted-memory library: write/read/tamper/rekey) =="
 # caller-visible traffic (read-result parity: the cache must never
 # change what a read returns, only how fast it returns it).
 for BACKEND in vec file; do
-    cargo run --release -q --offline -p clme-bench --bin clme -- \
-        mem --smoke --backend "$BACKEND" --blocks 256 --ops 1000 \
+    "$CLME" mem --smoke --backend "$BACKEND" --blocks 256 --ops 1000 \
         --cache --stats-json "/tmp/clme_smoke_${BACKEND}_cache.json"
-    cargo run --release -q --offline -p clme-bench --bin clme -- \
-        mem --smoke --backend "$BACKEND" --blocks 256 --ops 1000 \
+    "$CLME" mem --smoke --backend "$BACKEND" --blocks 256 --ops 1000 \
         --no-cache --stats-json "/tmp/clme_smoke_${BACKEND}_nocache.json"
-    cargo run --release -q --offline -p clme-bench --bin clme -- \
-        diff --mem-stats "/tmp/clme_smoke_${BACKEND}_cache.json" \
+    "$CLME" diff --mem-stats "/tmp/clme_smoke_${BACKEND}_cache.json" \
         "/tmp/clme_smoke_${BACKEND}_nocache.json"
 done
 
@@ -64,8 +61,7 @@ echo "== post-mortem smoke (tamper -> .clmedump -> postmortem -> replay) =="
 for BACKEND in vec file; do
     DUMP="/tmp/clme_pm_${BACKEND}.clmedump"
     rm -f "$DUMP"
-    cargo run --release -q --offline -p clme-bench --bin clme -- \
-        mem --tamper mac --backend "$BACKEND" --blocks 256 --ops 1000 \
+    "$CLME" mem --tamper mac --backend "$BACKEND" --blocks 256 --ops 1000 \
         --dump "$DUMP"
     if [[ ! -s "$DUMP" ]]; then
         echo "post-mortem smoke: no dump bundle at $DUMP"
@@ -74,15 +70,13 @@ for BACKEND in vec file; do
     grep -q '"trigger": "integrity-error"' "$DUMP"
     # Replay exit code, asserted both ways. A faithful bundle must
     # replay to exit 0 (set -e would abort otherwise)...
-    cargo run --release -q --offline -p clme-bench --bin clme -- \
-        postmortem "$DUMP" --replay > /dev/null
+    "$CLME" postmortem "$DUMP" --replay > /dev/null
     # ...and a bundle whose recorded TamperClass cannot be reproduced
     # must exit nonzero, or CI would never notice a broken replayer.
     BAD="/tmp/clme_pm_${BACKEND}_bad.clmedump"
     grep -q '"class_code": [1-9]' "$DUMP"   # precondition for the swap below
     sed 's/"class_code": [0-9]*/"class_code": 0/' "$DUMP" > "$BAD"
-    if cargo run --release -q --offline -p clme-bench --bin clme -- \
-        postmortem "$BAD" --replay > /dev/null 2>&1; then
+    if "$CLME" postmortem "$BAD" --replay > /dev/null 2>&1; then
         echo "post-mortem smoke ($BACKEND): class mismatch must exit nonzero"
         exit 1
     fi
@@ -100,11 +94,9 @@ TENANT_DIGEST=""
 for BACKEND in vec file; do
     for CACHE in cache no-cache; do
         OUT="/tmp/clme_tenants_${BACKEND}_${CACHE}.json"
-        cargo run --release -q --offline -p clme-bench --bin clme -- \
-            mem --tenants 64 --skew 1.2 --backend "$BACKEND" "--$CACHE" \
+        "$CLME" mem --tenants 64 --skew 1.2 --backend "$BACKEND" "--$CACHE" \
             --blocks 8192 --ops 4000 --stats-json "$OUT"
-        cargo run --release -q --offline -p clme-bench --bin clme -- \
-            mem --check-stats "$OUT"
+        "$CLME" mem --check-stats "$OUT"
         DIGEST=$(grep -o '"digest": "[^"]*"' "$OUT")
         if [[ -z "$DIGEST" ]]; then
             echo "tenant smoke: no stream digest in $OUT"
@@ -125,10 +117,8 @@ echo "== mem telemetry smoke + overhead gate =="
 # always-on metrics, write the stats artifact, and verify the key
 # signals (per-shard lock waits, rekey progress, page-cache hit rate,
 # op latency percentiles) survive the JSON round trip.
-cargo run --release -q --offline -p clme-bench --bin clme -- \
-    mem --bench --blocks 2048 --ops 8000 --stats-json BENCH_mem.json
-cargo run --release -q --offline -p clme-bench --bin clme -- \
-    mem --check-stats BENCH_mem.json
+"$CLME" mem --bench --blocks 2048 --ops 8000 --stats-json BENCH_mem.json
+"$CLME" mem --check-stats BENCH_mem.json
 
 # Non-gating latency trend: compare this run's read/write p99 against
 # the previous history entry. The history array is the only place the
@@ -163,11 +153,9 @@ for METRIC in read_blocks_per_sec write_blocks_per_sec; do
             }
         }'
 done
-cargo run --release -q --offline -p clme-bench --bin clme -- \
-    mem --bench --backend file --blocks 2048 --ops 8000 \
+"$CLME" mem --bench --backend file --blocks 2048 --ops 8000 \
     --stats-json /tmp/clme_mem_file_stats.json
-cargo run --release -q --offline -p clme-bench --bin clme -- \
-    mem --check-stats /tmp/clme_mem_file_stats.json
+"$CLME" mem --check-stats /tmp/clme_mem_file_stats.json
 
 # Overhead gate: the same bench with telemetry compiled out must not be
 # meaningfully faster than the always-on default. This container has a
@@ -199,9 +187,9 @@ telemetry_gate() {
     for i in $(seq "$PAIRS"); do
         if (( i % 2 )); then
             off=$(mem_gate_sum target/telemetry-off/release/clme "$@")
-            on=$(mem_gate_sum target/release/clme "$@")
+            on=$(mem_gate_sum "$CLME" "$@")
         else
-            on=$(mem_gate_sum target/release/clme "$@")
+            on=$(mem_gate_sum "$CLME" "$@")
             off=$(mem_gate_sum target/telemetry-off/release/clme "$@")
         fi
         if [[ -z "$off" || -z "$on" ]]; then
@@ -234,14 +222,13 @@ telemetry_gate "tenant " --tenants 32 --skew 1.2
 echo "== perf gate (machine-normalised, 15% regression budget) =="
 # Appends this run's cells/sec to the BENCH_perf.json history and fails
 # when the normalized score drops >15% below goldens/perf_baseline.json.
-cargo run --release -q --offline -p clme-bench --bin clme -- perf
+"$CLME" perf
 
 echo "== golden diff (full 72-cell grid, exact) =="
 # The diff re-runs all 72 cells through the parallel RunMatrix workers
 # (arena-reusing, default --threads = max(cores, 4)) and requires every
 # snapshot to equal its golden exactly. Measured 2026-10 on a 2-vCPU
 # host: 6.3-8.6 s wall, 12-17 s CPU.
-cargo run --release -q --offline -p clme-bench --bin clme -- \
-    diff --golden goldens/full --tol 0
+"$CLME" diff --golden goldens/full --tol 0
 
 echo "ci: all green"
