@@ -21,6 +21,9 @@
 //! clme diff --tiny --golden goldens/tiny    # re-run, diff vs goldens
 //! ```
 //!
+//! Figures: `clme figures` prints Table I and every simulator figure of
+//! the paper's evaluation; CI diffs it against `goldens/figures.txt`.
+//!
 //! Profiling: one cell with the observability recorder installed —
 //! per-stage latency histograms, event counters, and throughput:
 //!
@@ -86,8 +89,8 @@
 //!
 //! Layout: this file only dispatches. Each subcommand lives in its own
 //! module (`single` for the bare run, `matrix` for matrix/diff,
-//! `profile` for profile/trace, `perf`, `critpath`, `series`, `mem`,
-//! `postmortem`) with a `USAGE` text, a `parse` that returns its
+//! `figures`, `profile` for profile/trace, `perf`, `critpath`, `series`,
+//! `mem`, `postmortem`) with a `USAGE` text, a `parse` that returns its
 //! arguments or an error message, and a `run` that returns the exit
 //! code. Every parser uses the one flag grammar in `args` (values,
 //! numbers, seeds, engine and config names, simulation windows), and
@@ -97,6 +100,7 @@
 
 mod args;
 mod critpath;
+mod figures;
 mod matrix;
 mod mem;
 mod perf;
@@ -134,6 +138,7 @@ fn main() {
         ),
         Some("profile") => (profile::USAGE, profile::parse(rest).map(profile::run)),
         Some("perf") => (perf::USAGE, perf::parse(rest).map(perf::run)),
+        Some("figures") => (figures::USAGE, figures::parse(rest).map(figures::run)),
         Some("trace") => (profile::USAGE, profile::parse(rest).map(profile::run_trace)),
         Some("critpath") => (critpath::USAGE, critpath::parse(rest).map(critpath::run)),
         Some("series") => (series::USAGE, series::parse(rest).map(series::run)),

@@ -5,7 +5,7 @@ use crate::matrix::grid_axes;
 use crate::write_artifact;
 use clme_obs::EpochSeries;
 use clme_sim::matrix::all_engines;
-use clme_sim::run_benchmark_series;
+use clme_sim::{par_map, run_benchmark_series};
 use clme_types::json::JsonValue;
 use clme_types::rng::SplitMix64;
 use clme_types::SystemConfig;
@@ -104,36 +104,14 @@ pub fn run(args: SeriesArgs) -> i32 {
         args.seed
     );
 
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<EpochSeries>>> = Mutex::new(vec![None; jobs.len()]);
-    let threads = args.threads.max(1).min(jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(g, e)) = jobs.get(index) else {
-                    break;
-                };
-                let (config_name, cfg, bench) = &groups[g];
-                // The phase-alignment contract: the seed ignores the
-                // engine, so the four cells of a group replay identical
-                // workload streams and their cycle-indexed epochs line up.
-                let seed =
-                    SplitMix64::new(args.seed).derive(format!("{config_name}/{bench}").as_bytes());
-                let (_, series, _) =
-                    run_benchmark_series(cfg, engines[e], bench, params, seed, args.epoch_cycles);
-                slots.lock().expect("series worker panicked")[index] = Some(series);
-            });
-        }
+    let all_series = par_map(&jobs, args.threads, |&(g, e), _: &mut ()| {
+        let (config_name, cfg, bench) = &groups[g];
+        // The phase-alignment contract: the seed ignores the engine, so
+        // the four cells of a group replay identical workload streams and
+        // their cycle-indexed epochs line up.
+        let seed = SplitMix64::new(args.seed).derive(format!("{config_name}/{bench}").as_bytes());
+        run_benchmark_series(cfg, engines[e], bench, params, seed, args.epoch_cycles).1
     });
-    let all_series: Vec<EpochSeries> = slots
-        .into_inner()
-        .expect("series worker panicked")
-        .into_iter()
-        .map(|slot| slot.expect("every job ran"))
-        .collect();
 
     let mut json_groups: Vec<(String, JsonValue)> = Vec::new();
     for (g, (config_name, _, bench)) in groups.iter().enumerate() {

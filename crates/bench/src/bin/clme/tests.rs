@@ -1,15 +1,18 @@
 //! Parser tests for every `clme` subcommand: defaults, the shared flag
 //! grammar, and the errors `main` turns into a usage message and exit 2.
-//! Then the pieces of `clme mem` its jobs share: the demo write stream,
-//! the uniform bench source, the `--check-stats` key table, and the
-//! `--serve` loop.
+//! Then the `clme figures` cell list and text, and the pieces of
+//! `clme mem` its jobs share: the demo write stream, the uniform bench
+//! source, the `--check-stats` key table, and the `--serve` loop.
 
 use crate::args::{tiny_cell_params, DEFAULT_MATRIX_SEED};
-use crate::{critpath, matrix, mem, perf, postmortem, profile, series, single};
+use crate::{critpath, figures, matrix, mem, perf, postmortem, profile, series, single};
 use clme_core::engine::EngineKind;
 use clme_mem::{Block, EncryptionLayer, MemoryAdt, VecBackend, PAGE_BLOCKS};
+use clme_sim::SimParams;
 use clme_types::json::JsonValue;
 use clme_types::rng::SplitMix64;
+use clme_types::{SystemConfig, TimeDelta};
+use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -31,12 +34,13 @@ fn parses(sub: &str, line: &str) -> Result<(), String> {
         "series" => series::parse(&args).map(drop),
         "mem" => mem::parse(&args).map(drop),
         "postmortem" => postmortem::parse(&args).map(drop),
+        "figures" => figures::parse(&args),
         other => panic!("no parser named {other}"),
     }
 }
 
 /// The smallest argument list each parser accepts.
-const SUBCOMMANDS: [(&str, &str); 10] = [
+const SUBCOMMANDS: [(&str, &str); 11] = [
     ("", ""),
     ("matrix", ""),
     ("diff", "--golden goldens/tiny"),
@@ -47,6 +51,7 @@ const SUBCOMMANDS: [(&str, &str); 10] = [
     ("series", "--matrix"),
     ("mem", ""),
     ("postmortem", "bundle.clmedump"),
+    ("figures", ""),
 ];
 
 #[test]
@@ -370,6 +375,57 @@ fn labels_and_files_are_required_and_validated() {
         parses("series", "--tiny"),
         Err("clme series needs --matrix (single-cell series: clme profile --series)".into())
     );
+}
+
+#[test]
+fn figure_cells_are_the_200_distinct_cells_of_the_figures() {
+    let cells = figures::figure_cells();
+    assert_eq!(cells.len(), 200);
+    let keys: HashSet<figures::FigureCell> = cells.iter().copied().collect();
+    assert_eq!(keys.len(), cells.len(), "a cell is listed twice");
+    let labels: HashSet<String> = cells.iter().map(figures::FigureCell::label).collect();
+    assert_eq!(labels.len(), cells.len(), "two cells share a label");
+}
+
+/// A sweep point equal to Table I's own value shares its base
+/// configuration's cells, so the base must be exactly what that sweep
+/// point builds.
+#[test]
+fn swept_table1_values_are_their_base_configurations() {
+    let table1 = SystemConfig::isca_table1();
+    let low_bw = SystemConfig::low_bandwidth().with_threshold(0.60);
+    assert_eq!(figures::config("table1"), table1);
+    assert_eq!(figures::config("low-bw"), low_bw);
+    assert_eq!(
+        (table1.memo_entries, table1.counter_cache_bytes),
+        (128, 64 << 10)
+    );
+    assert_eq!(low_bw.epoch_length, TimeDelta::from_us(100));
+    // Every label names a distinct configuration.
+    let labels: HashSet<&str> = figures::figure_cells().iter().map(|cell| cell.0).collect();
+    let configs: Vec<SystemConfig> = labels.into_iter().map(figures::config).collect();
+    for (i, a) in configs.iter().enumerate() {
+        assert!(!configs[i + 1..].contains(a), "{a:?} is listed twice");
+    }
+}
+
+#[test]
+fn figure_text_is_the_same_on_one_worker_and_on_four() {
+    let one = figures::figure_text(SimParams::quick(), 1);
+    let four = figures::figure_text(SimParams::quick(), 4);
+    assert!(one.starts_with("=== Table I: System Configuration ===\n"));
+    assert!(one.contains("\n=== Extended graphBIG kernels"));
+    assert_eq!(one, four);
+}
+
+#[test]
+#[should_panic(expected = "figure cell low-bw/counter-mode/bfs is not in figure_cells()")]
+fn a_cell_outside_the_list_panics_with_its_label() {
+    let mode = figures::Variant::Stock(EngineKind::CounterMode);
+    let cell = figures::FigureCell("low-bw", mode, "bfs");
+    assert!(!figures::figure_cells().contains(&cell));
+    let results = figures::FigureResults::simulate(&[], SimParams::quick(), 1);
+    results.get("low-bw", mode, "bfs");
 }
 
 fn vec_layer(blocks: u64) -> EncryptionLayer<VecBackend> {

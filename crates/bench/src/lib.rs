@@ -1,17 +1,14 @@
-//! Experiment-harness helpers shared by the figure benches.
+//! Experiment-harness helpers shared by the `clme` subcommands.
 //!
-//! Each bench target in `benches/` regenerates one table or figure from
-//! the paper's evaluation (see DESIGN.md §3 for the index). This library
-//! holds the shared machinery: suite runners with per-baseline caching,
-//! geometric means, and fixed-width table printing that mirrors the
-//! paper's rows.
+//! `clme figures` regenerates every simulator table and figure of the
+//! paper's evaluation (see DESIGN.md §3 for the index). This library
+//! holds what its commands share: the window sizes the environment
+//! selects, geometric and arithmetic means, and the `clme perf`
+//! machinery.
 
 pub mod perf;
 
-use clme_core::engine::EngineKind;
-use clme_sim::{run_benchmark, SimParams, SimResult};
-use clme_types::SystemConfig;
-use std::collections::HashMap;
+use clme_sim::SimParams;
 
 /// Geometric mean of strictly positive values.
 ///
@@ -40,75 +37,18 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Prints a fixed-width table: one row per benchmark, one column per
-/// series, plus a geometric-mean row.
-pub fn print_table(title: &str, columns: &[&str], rows: &[(String, Vec<f64>)]) {
-    println!("\n=== {title} ===");
-    print!("{:<16}", "benchmark");
-    for col in columns {
-        print!("{col:>16}");
-    }
-    println!();
-    let mut sums = vec![Vec::new(); columns.len()];
-    for (name, values) in rows {
-        print!("{name:<16}");
-        for (i, v) in values.iter().enumerate() {
-            print!("{v:>16.4}");
-            sums[i].push(*v);
-        }
-        println!();
-    }
-    print!("{:<16}", "mean");
-    for col in &sums {
-        if !col.is_empty() && col.iter().all(|&v| v > 0.0) {
-            print!("{:>16.4}", geomean(col));
-        } else if !col.is_empty() {
-            print!("{:>16.4}", mean(col));
-        }
-    }
-    println!();
-}
-
-/// Runs one benchmark under several engines with a shared config,
-/// memoising results so the unencrypted baseline is simulated once.
-pub struct SuiteRunner {
-    cfg: SystemConfig,
-    params: SimParams,
-    cache: HashMap<(String, String), SimResult>,
-}
-
-impl SuiteRunner {
-    /// Creates a runner over `cfg` with the given window sizes.
-    pub fn new(cfg: SystemConfig, params: SimParams) -> SuiteRunner {
-        SuiteRunner {
-            cfg,
-            params,
-            cache: HashMap::new(),
-        }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
-    }
-
-    /// Runs (or recalls) `bench` under `kind`.
-    pub fn run(&mut self, kind: EngineKind, bench: &str) -> SimResult {
-        let key = (kind.to_string(), bench.to_string());
-        if let Some(hit) = self.cache.get(&key) {
-            return hit.clone();
-        }
-        let result = run_benchmark(&self.cfg, kind, bench, self.params);
-        self.cache.insert(key, result.clone());
-        result
-    }
-}
-
-/// Harness window sizes: the default finishes the full figure suite in
-/// minutes while preserving every reported trend; set `CLME_FULL=1` for
-/// the long evaluation windows.
+/// Harness window sizes: the default finishes every figure in minutes
+/// while preserving every reported trend; set `CLME_FULL=1` for the long
+/// evaluation windows.
 pub fn params_from_env() -> SimParams {
-    if std::env::var("CLME_FULL").is_ok() {
+    params_for(std::env::var("CLME_FULL").ok().as_deref())
+}
+
+/// The windows a `CLME_FULL` value selects: exactly `1` selects
+/// [`SimParams::evaluation`]; any other value, or none, the figure
+/// windows.
+fn params_for(clme_full: Option<&str>) -> SimParams {
+    if clme_full == Some("1") {
         SimParams::evaluation()
     } else {
         SimParams {
@@ -141,17 +81,16 @@ mod tests {
     }
 
     #[test]
-    fn suite_runner_caches() {
-        let mut runner = SuiteRunner::new(
-            SystemConfig::isca_table1(),
-            SimParams {
-                functional_warmup_accesses: 0,
-                warmup_per_core: 100,
-                measure_per_core: 2_000,
-            },
-        );
-        let a = runner.run(EngineKind::None, "gcc");
-        let b = runner.run(EngineKind::None, "gcc");
-        assert_eq!(a.elapsed, b.elapsed);
+    fn only_clme_full_1_selects_the_evaluation_windows() {
+        assert_eq!(params_for(Some("1")), SimParams::evaluation());
+        let figure_windows = params_for(None);
+        assert_ne!(figure_windows, SimParams::evaluation());
+        for value in ["0", "", "true", "yes", " 1", "01", "1 "] {
+            assert_eq!(
+                params_for(Some(value)),
+                figure_windows,
+                "CLME_FULL={value:?}"
+            );
+        }
     }
 }

@@ -32,11 +32,10 @@ pub mod result;
 pub mod run;
 
 pub use machine::Machine;
-pub use matrix::{glob_match, MatrixCell, RunMatrix};
+pub use matrix::{glob_match, par_map, MatrixCell, RunMatrix};
 pub use report::{compare, StatsSnapshot, Tolerance};
 pub use result::{CoreWindow, SimResult};
 pub use run::{
-    run_benchmark, run_benchmark_recorded, run_benchmark_seeded, run_benchmark_seeded_reusing,
-    run_benchmark_series, run_benchmark_series_reusing, run_benchmark_spans, run_with_engine,
-    MachineArena, PhaseTimes, SimParams,
+    run_benchmark, run_benchmark_recorded, run_benchmark_seeded, run_benchmark_series,
+    run_benchmark_spans, simulate, stock_engine, MachineArena, PhaseTimes, SimParams,
 };

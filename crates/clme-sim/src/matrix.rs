@@ -11,30 +11,92 @@
 //! enumeration order — byte-identical no matter how many threads ran it.
 
 use crate::report::StatsSnapshot;
-use crate::run::{run_benchmark_series, run_benchmark_series_reusing, MachineArena, SimParams};
+use crate::run::{simulate, stock_engine, MachineArena, SimParams};
 use clme_core::engine::EngineKind;
-use clme_obs::DEFAULT_EPOCH_CYCLES;
+use clme_obs::{SeriesRecorder, DEFAULT_EPOCH_CYCLES};
 use clme_types::rng::SplitMix64;
 use clme_types::SystemConfig;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 /// Matches `pattern` against `text` with shell-style wildcards: `*`
 /// matches any run of characters (including none) and `?` any single
 /// character; everything else matches literally.
+///
+/// Iterative star backtracking: on a mismatch only the latest `*` is
+/// retried, one text byte further on, so the cost is
+/// O(pattern × text) however many stars the pattern holds.
 pub fn glob_match(pattern: &str, text: &str) -> bool {
-    fn rec(p: &[u8], t: &[u8]) -> bool {
-        match p.split_first() {
-            None => t.is_empty(),
-            Some((b'*', rest)) => {
-                (0..=t.len()).any(|skip| rec(rest, &t[skip..]))
+    let (p, t) = (pattern.as_bytes(), text.as_bytes());
+    let (mut pi, mut ti) = (0, 0);
+    // The latest `*` and the text position its match currently ends at.
+    let mut star: Option<(usize, usize)> = None;
+    while ti < t.len() {
+        match p.get(pi) {
+            Some(b'*') => {
+                star = Some((pi, ti));
+                pi += 1;
             }
-            Some((b'?', rest)) => !t.is_empty() && rec(rest, &t[1..]),
-            Some((&c, rest)) => t.first() == Some(&c) && rec(rest, &t[1..]),
+            Some(&c) if c == b'?' || c == t[ti] => {
+                pi += 1;
+                ti += 1;
+            }
+            _ => match star {
+                Some((star_pi, star_ti)) => {
+                    star = Some((star_pi, star_ti + 1));
+                    pi = star_pi + 1;
+                    ti = star_ti + 1;
+                }
+                None => return false,
+            },
         }
     }
-    rec(pattern.as_bytes(), text.as_bytes())
+    p[pi..].iter().all(|&c| c == b'*')
+}
+
+/// Maps `job` over `items` on `threads` worker threads (clamped to
+/// 1..=`items.len()`) and returns the results in `items` order: the one
+/// parallel fan-out of the simulator's grids.
+///
+/// Items are handed to workers through an atomic cursor and results are
+/// written back by index, so the output never depends on the thread
+/// count or on scheduling as long as `job` is a pure function of its
+/// item. Each worker owns one `W::default()` that it passes to every
+/// job it draws, for scratch state such as machine arenas.
+pub fn par_map<T, R, W, F>(items: &[T], threads: usize, job: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    W: Default,
+    F: Fn(&T, &mut W) -> R + Sync,
+{
+    let threads = threads.max(1).min(items.len().max(1));
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                let mut scratch = W::default();
+                loop {
+                    // Relaxed: the cursor only hands out indices; results
+                    // are published through the mutex.
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(index) else {
+                        break;
+                    };
+                    let result = job(item, &mut scratch);
+                    slots.lock().expect("a worker panicked")[index] = Some(result);
+                }
+            });
+        }
+    });
+    slots
+        .into_inner()
+        .expect("a worker panicked")
+        .into_iter()
+        .map(|slot| slot.expect("every item ran"))
+        .collect()
 }
 
 /// One cell of the evaluation grid.
@@ -161,43 +223,22 @@ impl RunMatrix {
     /// Runs every cell on `threads` worker threads (clamped to ≥ 1) and
     /// returns the snapshots in [`cells`](Self::cells) order.
     ///
-    /// Cells are handed to workers through an atomic cursor, so any
-    /// number of threads produces the same snapshots — each cell is a
-    /// fully independent simulation seeded only by [`cell_seed`]
-    /// (Self::cell_seed), and results are written back by cell index.
-    /// Each worker keeps one [`MachineArena`] per configuration and
-    /// reuses its cache/DRAM allocations across the cells it draws;
+    /// The cells go through [`par_map`], so any number of threads
+    /// produces the same snapshots: each cell is a fully independent
+    /// simulation seeded only by [`cell_seed`](Self::cell_seed). Each
+    /// worker keeps one [`MachineArena`] per configuration and reuses its
+    /// cache/DRAM allocations across the cells it draws;
     /// [`Machine::from_parts`](crate::machine::Machine::from_parts)
     /// resets the parts, so reuse is byte-invisible in the snapshots.
     pub fn run(&self, threads: usize) -> Vec<StatsSnapshot> {
-        let cells = self.cells();
-        let threads = threads.max(1).min(cells.len().max(1));
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<StatsSnapshot>>> = Mutex::new(vec![None; cells.len()]);
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut arenas: HashMap<String, MachineArena> = HashMap::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(cell) = cells.get(index) else {
-                            break;
-                        };
-                        let arena = arenas.entry(cell.config_name.clone()).or_default();
-                        let snapshot = self.run_cell_reusing(cell, arena);
-                        slots.lock().expect("matrix worker panicked")[index] = Some(snapshot);
-                    }
-                });
-            }
-        });
-
-        slots
-            .into_inner()
-            .expect("matrix worker panicked")
-            .into_iter()
-            .map(|slot| slot.expect("every cell ran"))
-            .collect()
+        par_map(
+            &self.cells(),
+            threads,
+            |cell, arenas: &mut HashMap<String, MachineArena>| {
+                let arena = arenas.entry(cell.config_name.clone()).or_default();
+                self.run_cell_reusing(cell, arena)
+            },
+        )
     }
 
     /// Runs a single cell synchronously with freshly-allocated machine
@@ -206,31 +247,19 @@ impl RunMatrix {
     /// carries the `series.*` epoch summary; sinks never perturb timing,
     /// so the remaining metrics equal an unobserved run's.
     pub fn run_cell(&self, cell: &MatrixCell) -> StatsSnapshot {
-        let seed = self.cell_seed(cell);
-        let (result, series, blame) = run_benchmark_series(
-            &cell.config,
-            cell.engine,
-            &cell.bench,
-            self.params,
-            seed,
-            DEFAULT_EPOCH_CYCLES,
-        );
-        StatsSnapshot::capture_with_series(&result, &cell.config_name, seed, &series, &blame)
+        self.run_cell_reusing(cell, &mut MachineArena::default())
     }
 
     /// Runs a single cell reusing `arena`'s machine allocations. The
     /// arena must only ever see cells of one configuration.
     pub fn run_cell_reusing(&self, cell: &MatrixCell, arena: &mut MachineArena) -> StatsSnapshot {
         let seed = self.cell_seed(cell);
-        let (result, series, blame) = run_benchmark_series_reusing(
-            &cell.config,
-            cell.engine,
-            &cell.bench,
-            self.params,
-            seed,
-            DEFAULT_EPOCH_CYCLES,
-            arena,
-        );
+        let (cfg, engine) = (&cell.config, stock_engine(cell.engine));
+        let sink = SeriesRecorder::new(DEFAULT_EPOCH_CYCLES, cfg.core_period());
+        let (result, recorder, _) =
+            simulate(cfg, engine, &cell.bench, self.params, seed, sink, arena);
+        let blame = recorder.blame_tally().clone();
+        let series = recorder.into_series();
         StatsSnapshot::capture_with_series(&result, &cell.config_name, seed, &series, &blame)
     }
 }
@@ -326,6 +355,97 @@ mod tests {
         assert!(!glob_match("", "x"));
     }
 
+    /// The recursive matcher `glob_match` replaced: exponential in the
+    /// number of stars, kept as the reference semantics.
+    fn recursive_glob_match(p: &[u8], t: &[u8]) -> bool {
+        match p.split_first() {
+            None => t.is_empty(),
+            Some((b'*', rest)) => (0..=t.len()).any(|skip| recursive_glob_match(rest, &t[skip..])),
+            Some((b'?', rest)) => !t.is_empty() && recursive_glob_match(rest, &t[1..]),
+            Some((&c, rest)) => t.first() == Some(&c) && recursive_glob_match(rest, &t[1..]),
+        }
+    }
+
+    #[test]
+    fn glob_matcher_agrees_with_the_recursive_reference() {
+        let patterns = [
+            "",
+            "*",
+            "**",
+            "?",
+            "??",
+            "*?",
+            "?*",
+            "*/*",
+            "*/*/*",
+            "a*",
+            "*a",
+            "*a*",
+            "a*b",
+            "a*b*c",
+            "*ab*",
+            "a?c",
+            "a**c",
+            "?*?",
+            "*?*?*",
+            "table1/*/bfs",
+            "table?/*",
+            "*/counter-*/*",
+            "*counter*",
+            "*-light/*s",
+            "low-bw/*/m?f",
+            "*bfs",
+            "*bfs*x",
+            "aa*aa",
+            "*aaa*b",
+            "a*a*a*a*b",
+        ];
+        let texts = [
+            "",
+            "a",
+            "b",
+            "ab",
+            "abc",
+            "aab",
+            "acb",
+            "aaab",
+            "aaaaaaab",
+            "aaaaaaaa",
+            "a/b",
+            "a/b/c",
+            "aa/aa",
+            "table1/counter-light/bfs",
+            "table1/counter-mode/bfs",
+            "low-bw/no-encryption/mcf",
+            "low-bw/counter-light/streamcluster",
+            "table12",
+        ];
+        for pattern in patterns {
+            for text in texts {
+                assert_eq!(
+                    glob_match(pattern, text),
+                    recursive_glob_match(pattern.as_bytes(), text.as_bytes()),
+                    "{pattern:?} vs {text:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn many_stars_match_promptly() {
+        // The recursive matcher took tens of seconds on this pattern.
+        let started = std::time::Instant::now();
+        assert!(!glob_match(
+            "*?*?*?*?*?*?*?*?*?*?*?*z",
+            "low-bw/counter-light/streamcluster"
+        ));
+        assert!(glob_match(
+            "*?*?*?*?*?*?*?*?*?*?*?*r",
+            "low-bw/counter-light/streamcluster"
+        ));
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    }
+
     #[test]
     fn filter_restricts_cells_without_moving_seeds() {
         let full = tiny();
@@ -347,7 +467,7 @@ mod tests {
     fn arena_reuse_is_byte_invisible() {
         let m = tiny();
         let cells = m.cells();
-        let mut arena = MachineArena::new();
+        let mut arena = MachineArena::default();
         let first_fresh = m.run_cell(&cells[0]);
         let first_reused = m.run_cell_reusing(&cells[0], &mut arena);
         assert_eq!(first_fresh.to_json(), first_reused.to_json());

@@ -1,4 +1,4 @@
-//! High-level run helpers used by the examples and the figure harness.
+//! High-level run helpers used by the examples and the `clme` CLI.
 
 use crate::machine::Machine;
 use crate::result::SimResult;
@@ -6,7 +6,7 @@ use clme_cache::hierarchy::MemorySystemCaches;
 use clme_core::build_engine;
 use clme_core::engine::{EncryptionEngine, EngineKind};
 use clme_dram::timing::Dram;
-use clme_obs::{BlameTally, EpochSeries, Recorder, SeriesRecorder, SpanTracer};
+use clme_obs::{BlameTally, EpochSeries, NopSink, Recorder, SeriesRecorder, SpanTracer, TraceSink};
 use clme_types::config::SystemConfig;
 use clme_workloads::suites;
 use std::time::Instant;
@@ -36,7 +36,7 @@ impl SimParams {
         }
     }
 
-    /// The windows the figure harness uses (scaled from the paper's 20 ms
+    /// The windows `CLME_FULL=1` selects (scaled from the paper's 20 ms
     /// detailed window to keep the full sweep tractable; the relative
     /// results are stable beyond this size).
     pub fn evaluation() -> SimParams {
@@ -48,97 +48,17 @@ impl SimParams {
     }
 }
 
-/// Runs `bench` under the stock engine `kind` with the default workload
-/// seed ([`suites::DEFAULT_SEED`]).
-pub fn run_benchmark(
-    cfg: &SystemConfig,
-    kind: EngineKind,
-    bench: &str,
-    params: SimParams,
-) -> SimResult {
-    run_benchmark_seeded(cfg, kind, bench, params, suites::DEFAULT_SEED)
-}
-
-/// Runs `bench` under the stock engine `kind` with every workload stream
-/// derived from `seed` — the entry point the run-matrix driver uses so
-/// each cell is reproducible from (config, engine, bench, seed) alone.
-pub fn run_benchmark_seeded(
-    cfg: &SystemConfig,
-    kind: EngineKind,
-    bench: &str,
-    params: SimParams,
-    seed: u64,
-) -> SimResult {
-    let engine = build_engine(kind, cfg, suites::address_space_blocks());
-    run_with_engine_seeded(cfg, engine, bench, params, seed)
-}
-
-/// Runs `bench` under a custom engine (ablations).
-pub fn run_with_engine(
-    cfg: &SystemConfig,
-    engine: Box<dyn EncryptionEngine>,
-    bench: &str,
-    params: SimParams,
-) -> SimResult {
-    run_with_engine_seeded(cfg, engine, bench, params, suites::DEFAULT_SEED)
-}
-
-/// Runs `bench` under a custom engine with an explicit workload seed.
-pub fn run_with_engine_seeded(
-    cfg: &SystemConfig,
-    engine: Box<dyn EncryptionEngine>,
-    bench: &str,
-    params: SimParams,
-    seed: u64,
-) -> SimResult {
-    let workloads = (0..cfg.cores)
-        .map(|c| suites::instantiate_seeded(bench, c, seed))
-        .collect();
-    let mut machine = Machine::new(cfg.clone(), engine, workloads);
-    machine.functional_warmup(params.functional_warmup_accesses);
-    machine.run(params.warmup_per_core, params.measure_per_core)
-}
-
 /// A reusable allocation of the machine's heavyweight state (cache
 /// arrays and DRAM bank/row bookkeeping). A worker thread that runs many
 /// cells of the *same configuration* back-to-back keeps one arena and
 /// avoids re-allocating the multi-megabyte cache tag arrays per cell;
 /// [`Machine::from_parts`] resets the parts so results stay
 /// byte-identical to fresh construction.
+/// `MachineArena::default()` is empty: its first run allocates fresh
+/// parts.
 #[derive(Default)]
 pub struct MachineArena {
     parts: Option<(MemorySystemCaches, Dram)>,
-}
-
-impl MachineArena {
-    /// Creates an empty arena (the first run allocates fresh parts).
-    pub fn new() -> MachineArena {
-        MachineArena { parts: None }
-    }
-}
-
-/// [`run_benchmark_seeded`] reusing (and refilling) `arena`'s machine
-/// parts. The arena must only ever be used with one configuration.
-pub fn run_benchmark_seeded_reusing(
-    cfg: &SystemConfig,
-    kind: EngineKind,
-    bench: &str,
-    params: SimParams,
-    seed: u64,
-    arena: &mut MachineArena,
-) -> SimResult {
-    let engine = build_engine(kind, cfg, suites::address_space_blocks());
-    let workloads = (0..cfg.cores)
-        .map(|c| suites::instantiate_seeded(bench, c, seed))
-        .collect();
-    let mut machine = match arena.parts.take() {
-        Some((caches, dram)) => Machine::from_parts(cfg.clone(), engine, workloads, caches, dram),
-        None => Machine::new(cfg.clone(), engine, workloads),
-    };
-    machine.functional_warmup(params.functional_warmup_accesses);
-    let result = machine.run(params.warmup_per_core, params.measure_per_core);
-    arena.parts = Some(machine.into_parts());
-    result
 }
 
 /// Host wall time of each phase of one cell, in seconds.
@@ -162,13 +82,103 @@ impl PhaseTimes {
     }
 }
 
+/// Simulates `bench` under the engine `engine` builds for `cfg`, with
+/// every workload stream derived from `seed` and `sink` observing: the
+/// one place a machine is built and run. Every other helper here is a
+/// shorthand for a call to it.
+///
+/// Reuses (and refills) `arena`'s machine parts; the arena must only
+/// ever be used with one configuration. The timed warm-up and the
+/// measured window run as two [`Machine::run`] calls, which gives the
+/// same result as one call covering both. Returns the result, the sink
+/// and the host time of each phase.
+pub fn simulate<S: TraceSink>(
+    cfg: &SystemConfig,
+    engine: impl FnOnce(&SystemConfig) -> Box<dyn EncryptionEngine>,
+    bench: &str,
+    params: SimParams,
+    seed: u64,
+    sink: S,
+    arena: &mut MachineArena,
+) -> (SimResult, S, PhaseTimes) {
+    let started = Instant::now();
+    let engine = engine(cfg);
+    let workloads = (0..cfg.cores)
+        .map(|c| suites::instantiate_seeded(bench, c, seed))
+        .collect();
+    let mut machine = match arena.parts.take() {
+        Some((caches, dram)) => Machine::from_parts(cfg.clone(), engine, workloads, caches, dram),
+        None => Machine::new(cfg.clone(), engine, workloads),
+    };
+    machine.set_sink(Box::new(sink));
+    let built = Instant::now();
+    machine.functional_warmup(params.functional_warmup_accesses);
+    let warmed = Instant::now();
+    machine.run(params.warmup_per_core, 0);
+    let window_warmed = Instant::now();
+    let result = machine.run(0, params.measure_per_core);
+    let measured = Instant::now();
+    let sink = machine
+        .take_sink()
+        .into_any()
+        .downcast::<S>()
+        .expect("the sink installed above");
+    arena.parts = Some(machine.into_parts());
+    let times = PhaseTimes {
+        build_s: built.duration_since(started).as_secs_f64(),
+        functional_warmup_s: warmed.duration_since(built).as_secs_f64(),
+        warmup_window_s: window_warmed.duration_since(warmed).as_secs_f64(),
+        measured_s: measured.duration_since(window_warmed).as_secs_f64(),
+    };
+    (result, *sink, times)
+}
+
+/// The engine builder [`simulate`] takes for the stock engine `kind`.
+pub fn stock_engine(kind: EngineKind) -> impl FnOnce(&SystemConfig) -> Box<dyn EncryptionEngine> {
+    move |cfg| build_engine(kind, cfg, suites::address_space_blocks())
+}
+
+/// [`simulate`] with the stock engine `kind` on fresh machine parts.
+fn simulate_stock<S: TraceSink>(
+    cfg: &SystemConfig,
+    kind: EngineKind,
+    bench: &str,
+    params: SimParams,
+    seed: u64,
+    sink: S,
+) -> (SimResult, S, PhaseTimes) {
+    let arena = &mut MachineArena::default();
+    simulate(cfg, stock_engine(kind), bench, params, seed, sink, arena)
+}
+
+/// Runs `bench` under the stock engine `kind` with the default workload
+/// seed ([`suites::DEFAULT_SEED`]).
+pub fn run_benchmark(
+    cfg: &SystemConfig,
+    kind: EngineKind,
+    bench: &str,
+    params: SimParams,
+) -> SimResult {
+    run_benchmark_seeded(cfg, kind, bench, params, suites::DEFAULT_SEED)
+}
+
+/// Runs `bench` under the stock engine `kind` with every workload stream
+/// derived from `seed`, so a run is reproducible from (config, engine,
+/// bench, seed) alone.
+pub fn run_benchmark_seeded(
+    cfg: &SystemConfig,
+    kind: EngineKind,
+    bench: &str,
+    params: SimParams,
+    seed: u64,
+) -> SimResult {
+    simulate_stock(cfg, kind, bench, params, seed, NopSink).0
+}
+
 /// [`run_benchmark_seeded`] with an enabled [`Recorder`] installed:
 /// returns the result, the recorder holding per-stage latency
 /// histograms, event counters, and the bounded event ring (at most
 /// `ring_capacity` retained events), and the host time of each phase.
-/// The timed warm-up and the measured window run as two
-/// [`Machine::run`] calls, which gives the same result as one call
-/// covering both.
 pub fn run_benchmark_recorded(
     cfg: &SystemConfig,
     kind: EngineKind,
@@ -177,32 +187,8 @@ pub fn run_benchmark_recorded(
     seed: u64,
     ring_capacity: usize,
 ) -> (SimResult, Recorder, PhaseTimes) {
-    let started = Instant::now();
-    let engine = build_engine(kind, cfg, suites::address_space_blocks());
-    let workloads = (0..cfg.cores)
-        .map(|c| suites::instantiate_seeded(bench, c, seed))
-        .collect();
-    let mut machine = Machine::new(cfg.clone(), engine, workloads);
-    machine.set_sink(Box::new(Recorder::with_capacity(ring_capacity)));
-    let built = Instant::now();
-    machine.functional_warmup(params.functional_warmup_accesses);
-    let warmed = Instant::now();
-    machine.run(params.warmup_per_core, 0);
-    let window_warmed = Instant::now();
-    let result = machine.run(0, params.measure_per_core);
-    let measured = Instant::now();
-    let recorder = machine
-        .take_sink()
-        .into_any()
-        .downcast::<Recorder>()
-        .expect("the sink installed above is a Recorder");
-    let times = PhaseTimes {
-        build_s: built.duration_since(started).as_secs_f64(),
-        functional_warmup_s: warmed.duration_since(built).as_secs_f64(),
-        warmup_window_s: window_warmed.duration_since(warmed).as_secs_f64(),
-        measured_s: measured.duration_since(window_warmed).as_secs_f64(),
-    };
-    (result, *recorder, times)
+    let sink = Recorder::with_capacity(ring_capacity);
+    simulate_stock(cfg, kind, bench, params, seed, sink)
 }
 
 /// [`run_benchmark_seeded`] with a [`SeriesRecorder`] installed: returns
@@ -218,41 +204,8 @@ pub fn run_benchmark_series(
     seed: u64,
     epoch_cycles: u64,
 ) -> (SimResult, EpochSeries, BlameTally) {
-    let mut arena = MachineArena::new();
-    run_benchmark_series_reusing(cfg, kind, bench, params, seed, epoch_cycles, &mut arena)
-}
-
-/// [`run_benchmark_series`] reusing (and refilling) `arena`'s machine
-/// parts. The arena must only ever be used with one configuration.
-pub fn run_benchmark_series_reusing(
-    cfg: &SystemConfig,
-    kind: EngineKind,
-    bench: &str,
-    params: SimParams,
-    seed: u64,
-    epoch_cycles: u64,
-    arena: &mut MachineArena,
-) -> (SimResult, EpochSeries, BlameTally) {
-    let engine = build_engine(kind, cfg, suites::address_space_blocks());
-    let workloads = (0..cfg.cores)
-        .map(|c| suites::instantiate_seeded(bench, c, seed))
-        .collect();
-    let mut machine = match arena.parts.take() {
-        Some((caches, dram)) => Machine::from_parts(cfg.clone(), engine, workloads, caches, dram),
-        None => Machine::new(cfg.clone(), engine, workloads),
-    };
-    machine.set_sink(Box::new(SeriesRecorder::new(
-        epoch_cycles,
-        cfg.core_period(),
-    )));
-    machine.functional_warmup(params.functional_warmup_accesses);
-    let result = machine.run(params.warmup_per_core, params.measure_per_core);
-    let recorder = machine
-        .take_sink()
-        .into_any()
-        .downcast::<SeriesRecorder>()
-        .expect("the sink installed above is a SeriesRecorder");
-    arena.parts = Some(machine.into_parts());
+    let sink = SeriesRecorder::new(epoch_cycles, cfg.core_period());
+    let (result, recorder, _) = simulate_stock(cfg, kind, bench, params, seed, sink);
     let blame = recorder.blame_tally().clone();
     (result, recorder.into_series(), blame)
 }
@@ -270,20 +223,15 @@ pub fn run_benchmark_spans(
     seed: u64,
     span_samples: usize,
 ) -> (SimResult, SpanTracer) {
-    let engine = build_engine(kind, cfg, suites::address_space_blocks());
-    let workloads = (0..cfg.cores)
-        .map(|c| suites::instantiate_seeded(bench, c, seed))
-        .collect();
-    let mut machine = Machine::new(cfg.clone(), engine, workloads);
-    machine.set_sink(Box::new(SpanTracer::new(span_samples)));
-    machine.functional_warmup(params.functional_warmup_accesses);
-    let result = machine.run(params.warmup_per_core, params.measure_per_core);
-    let tracer = machine
-        .take_sink()
-        .into_any()
-        .downcast::<SpanTracer>()
-        .expect("the sink installed above is a SpanTracer");
-    (result, *tracer)
+    let (result, tracer, _) = simulate_stock(
+        cfg,
+        kind,
+        bench,
+        params,
+        seed,
+        SpanTracer::new(span_samples),
+    );
+    (result, tracer)
 }
 
 #[cfg(test)]

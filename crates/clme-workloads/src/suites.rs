@@ -41,7 +41,7 @@ pub const IRREGULAR: &[&str] = &[
 pub const REGULAR: &[&str] = &["lbm", "gcc", "deepsjeng", "leela", "xz", "imagick"];
 
 /// Extra graphBIG kernels beyond the paper's figure set (usable with
-/// [`instantiate`] and the `sensitivity` bench target).
+/// [`instantiate`] and the sensitivity tables of `clme figures`).
 pub const EXTENDED_GRAPH: &[&str] = &["pagerank", "kcore"];
 
 fn graph_kernel(name: &'static str) -> GraphKernel {

@@ -10,7 +10,7 @@ cargo build --release --offline
 # Every step below runs the clme binary this build produced.
 CLME=target/release/clme
 
-echo "== figure and micro benches (build only) =="
+echo "== micro, reliability and security benches (build only) =="
 cargo build --release --offline -p clme-bench --benches
 
 echo "== tests =="
@@ -223,6 +223,11 @@ echo "== perf gate (machine-normalised, 15% regression budget) =="
 # Appends this run's cells/sec to the BENCH_perf.json history and fails
 # when the normalized score drops >15% below goldens/perf_baseline.json.
 "$CLME" perf
+
+echo "== paper figures (Table I + every simulator figure, exact) =="
+# One run simulates the 200 distinct figure cells once each, in
+# parallel, and must print goldens/figures.txt byte for byte.
+"$CLME" figures | diff goldens/figures.txt -
 
 echo "== golden diff (full 72-cell grid, exact) =="
 # The diff re-runs all 72 cells through the parallel RunMatrix workers

@@ -44,7 +44,7 @@ out_case() {
 
 echo "#### help"
 err_case --help
-for SUB in matrix diff profile perf trace critpath series mem postmortem; do
+for SUB in matrix diff profile perf trace critpath series mem postmortem figures; do
     err_case "$SUB" --help
 done
 
@@ -79,6 +79,7 @@ err_case mem --blocks abc
 err_case postmortem --bogus
 err_case postmortem --tail
 err_case postmortem --tail abc
+err_case figures --bogus
 
 echo "#### other argument errors"
 err_case --engine bogus

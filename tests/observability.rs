@@ -3,10 +3,10 @@
 //! deterministic, and the Chrome export must be well-formed.
 
 use clme::core::engine::EngineKind;
-use clme::obs::{EventKind, Stage, DEFAULT_EPOCH_CYCLES};
+use clme::obs::{BlameTally, EpochSeries, EventKind, SeriesRecorder, Stage, DEFAULT_EPOCH_CYCLES};
 use clme::sim::{
-    run_benchmark_recorded, run_benchmark_seeded, run_benchmark_series,
-    run_benchmark_series_reusing, MachineArena, RunMatrix, SimParams, StatsSnapshot,
+    run_benchmark_recorded, run_benchmark_seeded, run_benchmark_series, simulate, stock_engine,
+    MachineArena, RunMatrix, SimParams, SimResult, StatsSnapshot,
 };
 use clme::types::json::{parse, JsonValue};
 use clme::types::SystemConfig;
@@ -109,26 +109,18 @@ fn epoch_series_is_deterministic_across_run_paths() {
     let (res_b, series_b, blame_b) =
         run_benchmark_series(&cfg, kind, "bfs", params(), SEED, DEFAULT_EPOCH_CYCLES);
     let mut arena = MachineArena::default();
-    let (res_c, series_c, blame_c) = run_benchmark_series_reusing(
-        &cfg,
-        kind,
-        "bfs",
-        params(),
-        SEED,
-        DEFAULT_EPOCH_CYCLES,
-        &mut arena,
-    );
+    // The arena-reusing path the matrix workers take.
+    let mut series_reusing = || -> (SimResult, EpochSeries, BlameTally) {
+        let engine = stock_engine(kind);
+        let sink = SeriesRecorder::new(DEFAULT_EPOCH_CYCLES, cfg.core_period());
+        let (result, recorder, _) = simulate(&cfg, engine, "bfs", params(), SEED, sink, &mut arena);
+        let blame = recorder.blame_tally().clone();
+        (result, recorder.into_series(), blame)
+    };
+    let (res_c, series_c, blame_c) = series_reusing();
     // Reuse the warm arena once more: recycled buffers must not leak
     // state into the next cell's series.
-    let (_, series_d, blame_d) = run_benchmark_series_reusing(
-        &cfg,
-        kind,
-        "bfs",
-        params(),
-        SEED,
-        DEFAULT_EPOCH_CYCLES,
-        &mut arena,
-    );
+    let (_, series_d, blame_d) = series_reusing();
     let json_a = series_a.to_json("table1/counter-light/bfs");
     assert_eq!(json_a, series_b.to_json("table1/counter-light/bfs"));
     assert_eq!(json_a, series_c.to_json("table1/counter-light/bfs"));
