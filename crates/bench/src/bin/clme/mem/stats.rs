@@ -133,6 +133,10 @@ fn print_stats(snap: &clme_mem::MemMetricsSnapshot) {
         cache.foreign_purges,
     );
     println!(
+        "telemetry: tree  nodes_trusted={} nodes_verified={}",
+        snap.tree.nodes_trusted, snap.tree.nodes_verified,
+    );
+    println!(
         "telemetry: batch fan-in  read p50={} p99={} max={} blocks/page, \
          write p50={} p99={} max={} blocks/page",
         snap.fanin_read.percentile_ps(0.5) / 1000,
@@ -380,7 +384,7 @@ pub enum Want {
 /// The `tenants` keys apply when the artifact has a `tenants` object
 /// (a `--tenants` run): per-tenant rows, SLO burn, tail attribution and
 /// the stream digest.
-pub const REQUIRED_KEYS: [(&str, Want); 30] = [
+pub const REQUIRED_KEYS: [(&str, Want); 32] = [
     ("stats.lock_wait", Want::NonEmpty),
     ("stats.lock_wait[*].p99_ns", Want::Num),
     ("stats.rekey.pages_total", Want::Num),
@@ -393,6 +397,8 @@ pub const REQUIRED_KEYS: [(&str, Want); 30] = [
     ("stats.verify_cache.hit_rate", Want::Num),
     ("stats.verify_cache.bypasses", Want::Num),
     ("stats.verify_cache.resident_pages", Want::Num),
+    ("stats.tree.nodes_trusted", Want::Num),
+    ("stats.tree.nodes_verified", Want::Num),
     ("stats.fanin.read.p99_blocks", Want::Num),
     ("stats.fanin.write.p99_blocks", Want::Num),
     ("stats.ops.read.latency.p99_ns", Want::Num),

@@ -598,6 +598,8 @@ fn check_stats_names_every_required_key_an_artifact_lacks() {
             "stats.verify_cache.resident_pages",
             "stats.verify_cache.resident_pages",
         ),
+        ("stats.tree.nodes_trusted", "stats.tree.nodes_trusted"),
+        ("stats.tree.nodes_verified", "stats.tree.nodes_verified"),
         ("stats.fanin.read.p99_blocks", "stats.fanin.read.p99_blocks"),
         (
             "stats.fanin.write.p99_blocks",

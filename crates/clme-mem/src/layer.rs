@@ -14,11 +14,22 @@
 //!
 //! # Verification chain
 //!
-//! Every read walks root → tree path → counter word → data word:
+//! Every read verifies root → tree path → counter word → data word:
 //! each hop's MAC is checked before its contents are trusted, the
 //! decoded metadata word must match the verified counter exactly, and
 //! the block MAC is checked last. The first mismatch aborts with an
 //! [`IntegrityError`] naming the stage.
+//!
+//! Like the paper's on-chip metadata cache, the layer keeps the tree
+//! nodes it has verified and trusts them from then on: a read walk, a
+//! write batch and [`counter_of`] start below the deepest trusted node
+//! on the page's path, and a group commit replaces each node it
+//! rewrites with its new value. Whole levels are trusted from the top
+//! down while each fits `TRUSTED_LEVEL_NODES` (4,096) nodes. Trust
+//! lives beside the verified-page cache and ends with it: a foreign
+//! write, an integrity error and a rekey drop both, and a failed commit
+//! drops trust. Without the cache (`cache_pages = 0`, or a backend with
+//! no write generation) every walk starts at the root.
 //!
 //! # Locking
 //!
@@ -40,6 +51,7 @@
 //! the visit's one sampling decision.
 //!
 //! [`rekey`]: EncryptionLayer::rekey
+//! [`counter_of`]: EncryptionLayer::counter_of
 
 use crate::adt::{Block, MemoryAdt, BLOCK_BYTES};
 use crate::cache::ClockCache;
@@ -48,7 +60,7 @@ use crate::error::{IntegrityError, MemError, TamperClass};
 use crate::flight::FLIGHT_CAPACITY;
 use crate::geometry::{Geometry, Region, NODE_ARITY, PAGE_BLOCKS};
 use crate::metrics::{CacheCause, MemMetrics, MemMetricsSnapshot, MemOp};
-use crate::observe::{ns_between, CacheServe, Observer, PageTally, ReadMarks, Visit};
+use crate::observe::{ns_between, CacheServe, Observer, PageTally, ReadMarks, TreeHops, Visit};
 use crate::store::{StoreBackend, StoredWord, WORD_BYTES};
 use crate::tenant::{TailCause, TenantTelemetry};
 use clme_counters::split::CounterBlock;
@@ -84,7 +96,8 @@ pub struct LayerOptions {
     pub flight_capacity: usize,
     /// Pages the verified-page read cache retains (plaintext plus the
     /// verified counter image, one CLOCK slab per shard). `0` disables
-    /// the cache: every read then re-verifies the full chain. The cache
+    /// the cache and, with it, the trusted tree nodes: every read then
+    /// re-verifies the full chain from the root. The cache
     /// also stays off when the backend keeps no
     /// [`write_generation`](StoreBackend::write_generation) — without
     /// it the layer cannot detect foreign writes underneath it.
@@ -113,18 +126,68 @@ pub struct RekeyReport {
     pub counterless_blocks: u64,
 }
 
-/// A tree node verified earlier in the same write batch: its counters
-/// as stored before the batch, and the reserved bytes it is resealed
-/// with.
+/// A tree level of at most this many node words is trusted whole once
+/// its nodes are verified. Levels shrink eightfold going up, so the
+/// trusted levels are the top ones and hold under 8/7 of this many
+/// nodes: a tree of up to 8 x 4,096 = 32,768 pages is trusted in full,
+/// and a larger one walks only the levels below.
+const TRUSTED_LEVEL_NODES: u64 = 4096;
+
+/// A verified tree node: its counters and the reserved bytes it is
+/// resealed with.
+#[derive(Clone, Copy)]
 struct TreeNode {
     counters: [u64; NODE_ARITY as usize],
     reserved: [u8; 8],
 }
 
-/// The tree nodes a write batch has verified, keyed by
-/// `(level, group)`: each distinct node is read and MAC-checked once
+/// The tree nodes on a write batch's paths, keyed by `(level, group)`:
+/// each distinct node is taken from trust or read and MAC-checked once
 /// per batch, then rewritten once by the group commit.
 type VerifiedNodes = BTreeMap<(usize, u64), TreeNode>;
+
+/// The tree nodes the layer trusts: every node of levels `from..`, once
+/// verified. A slot is trusted while its stamp equals `generation`, so
+/// a purge is one increment, and a walk that began before a purge
+/// cannot trust what it verified.
+struct TrustedNodes {
+    from: usize,
+    generation: u64,
+    /// Per trusted level (index `level - from`), by group.
+    slots: Vec<Vec<(u64, TreeNode)>>,
+}
+
+impl TrustedNodes {
+    fn new(geo: &Geometry) -> TrustedNodes {
+        // The top level is one node, so some level always fits.
+        let from = (0..geo.levels())
+            .find(|&level| geo.node_count(level) <= TRUSTED_LEVEL_NODES)
+            .expect("the top level fits");
+        let empty = TreeNode {
+            counters: [0; NODE_ARITY as usize],
+            reserved: [0; 8],
+        };
+        TrustedNodes {
+            from,
+            generation: 1,
+            slots: (from..geo.levels())
+                .map(|level| vec![(0, empty); geo.node_count(level) as usize])
+                .collect(),
+        }
+    }
+
+    fn get(&self, level: usize, group: u64) -> Option<&TreeNode> {
+        let (stamp, node) = self.slots.get(level.checked_sub(self.from)?)?.get(group as usize)?;
+        (*stamp == self.generation).then_some(node)
+    }
+
+    /// Trusts `node` unless a purge ran since `generation` was read.
+    fn insert(&mut self, generation: u64, level: usize, group: u64, node: &TreeNode) {
+        if generation == self.generation && level >= self.from {
+            self.slots[level - self.from][group as usize] = (generation, *node);
+        }
+    }
+}
 
 /// One resident page of the verified-page read cache: plaintext blocks
 /// decrypted-and-verified earlier, plus the page's verified counter
@@ -161,6 +224,8 @@ pub struct EncryptionLayer<B: StoreBackend> {
     /// The verified-page read cache; `None` when disabled by options or
     /// because the backend keeps no write generation.
     cache: Option<ClockCache<PageCacheEntry>>,
+    /// The trusted tree nodes; present exactly when `cache` is.
+    trust: Option<RwLock<TrustedNodes>>,
     /// Store writes this layer issued, bumped *before* the backend sees
     /// each write so `write_generation - self_writes` can only
     /// under-count foreign writes — never purge on the layer's own
@@ -403,6 +468,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         let obs = Observer::new(options.shards, geo.pages(), options.flight_capacity);
         let cache = (options.cache_pages > 0 && backend.write_generation().is_some())
             .then(|| ClockCache::new(options.shards, options.cache_pages));
+        let trust = cache.is_some().then(|| RwLock::new(TrustedNodes::new(&geo)));
         let foreign_base = backend.write_generation().unwrap_or(0);
         Ok(EncryptionLayer {
             backend,
@@ -412,6 +478,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             tree: RwLock::new(root),
             saturation: options.counter_saturation,
             cache,
+            trust,
             self_writes: AtomicU64::new(0),
             foreign_seen: AtomicU64::new(foreign_base),
             key_epoch: AtomicU64::new(0),
@@ -451,9 +518,10 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         self.check_addr(addr)?;
         let page = self.geo.page_of(addr);
         let _shard = self.shard(page).read().unwrap_or_else(PoisonError::into_inner);
+        self.foreign_writes_check();
         let keys = self.keys();
         let root = self.tree.read().unwrap_or_else(PoisonError::into_inner);
-        let cb = self.verify_page(&keys, page, *root, addr, None)?;
+        let cb = self.verify_page(&keys, page, *root, addr, &mut TreeHops::default())?;
         Ok(cb.counter(self.geo.slot_of(addr)))
     }
 
@@ -558,10 +626,30 @@ impl<B: StoreBackend> EncryptionLayer<B> {
     }
 
     /// Empties the verified-page cache, attributing the drop to `cause`
-    /// in both the counters and the flight ring.
+    /// in both the counters and the flight ring, and drops all trust in
+    /// tree nodes.
     fn purge_cache(&self, cause: CacheCause) {
         if let Some(cache) = &self.cache {
             self.obs.cache_purge(cause, cache.clear());
+            self.purge_trust();
+        }
+    }
+
+    /// Drops all trust in tree nodes: the next walks start at the root.
+    fn purge_trust(&self) {
+        if let Some(trust) = &self.trust {
+            trust.write().unwrap_or_else(PoisonError::into_inner).generation += 1;
+        }
+    }
+
+    /// Trusts `nodes`, all verified or committed since `generation` was
+    /// read; none of them if a purge ran in between.
+    fn trust_nodes(&self, generation: u64, nodes: &VerifiedNodes) {
+        if let Some(trust) = &self.trust {
+            let mut trust = trust.write().unwrap_or_else(PoisonError::into_inner);
+            for (&(level, group), node) in nodes {
+                trust.insert(generation, level, group, node);
+            }
         }
     }
 
@@ -577,15 +665,18 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         self.backend.write_word(index, word)
     }
 
-    /// Purges the cache when the backend has seen writes this layer did
-    /// not issue — a tamper harness or bus adversary mutating words
-    /// beneath the layer. Cached plaintext must never mask a
-    /// store-level flip, so any growth of the foreign estimate drops
-    /// everything and re-verifies from the store. Reading the
-    /// generation *before* the self-write count keeps the estimate a
-    /// lower bound under concurrency; once traffic quiesces it is
-    /// exact.
-    fn foreign_writes_check(&self, cache: &ClockCache<PageCacheEntry>) {
+    /// Purges the cache and trust when the backend has seen writes this
+    /// layer did not issue — a tamper harness or bus adversary mutating
+    /// words beneath the layer. Cached plaintext or a trusted node must
+    /// never mask a store-level flip, so any growth of the foreign
+    /// estimate drops everything and re-verifies from the store. Reading
+    /// the generation *before* the self-write count keeps the estimate a
+    /// lower bound under concurrency; once traffic quiesces it is exact.
+    /// A no-op without the cache, which is also when no trust exists.
+    fn foreign_writes_check(&self) {
+        if self.cache.is_none() {
+            return;
+        }
         let Some(generation) = self.backend.write_generation() else {
             return;
         };
@@ -597,7 +688,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         if est > self.foreign_seen.load(Ordering::SeqCst)
             && self.foreign_seen.fetch_max(est, Ordering::SeqCst) < est
         {
-            self.obs.cache_purge(CacheCause::Foreign, cache.clear());
+            self.purge_cache(CacheCause::Foreign);
         }
     }
 
@@ -828,48 +919,85 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         Ok(())
     }
 
-    /// Verifies a page's tree path (top-down from the root) and its
-    /// counter word, returning the trusted counter block. A write batch
-    /// passes its `verified` map: nodes already in it are trusted
-    /// without another read, and newly verified ones join it. Reads
-    /// pass `None`.
+    /// Verifies a page's tree path and its counter word, returning the
+    /// trusted counter block.
     fn verify_page(
         &self,
         keys: &KeyMaterial,
         page: u64,
         root: u64,
         err_addr: u64,
-        mut verified: Option<&mut VerifiedNodes>,
+        hops: &mut TreeHops,
     ) -> Result<CounterBlock, MemError> {
         let mkey = keys.counterless_mac_key();
+        let leaf_count = self.verify_path(mkey, page, root, err_addr, None, hops)?;
+        self.verify_counter_word(mkey, page, leaf_count, err_addr)
+    }
+
+    /// Verifies a page's tree path top-down from the root and returns
+    /// the page's leaf count. A hop whose node is trusted, or already in
+    /// a write batch's `batch` map, takes the node's counters without a
+    /// store read; the others read the node word and check its MAC, and
+    /// `hops` counts both kinds. Without a `batch` (a read or
+    /// [`counter_of`](EncryptionLayer::counter_of)) the nodes verified
+    /// here become trusted; a write batch gets every path node in
+    /// `batch` and trusts them after its commit.
+    fn verify_path(
+        &self,
+        mkey: &[u8; 32],
+        page: u64,
+        root: u64,
+        err_addr: u64,
+        mut batch: Option<&mut VerifiedNodes>,
+        hops: &mut TreeHops,
+    ) -> Result<u64, MemError> {
+        let trust = self
+            .trust
+            .as_ref()
+            .map(|t| t.read().unwrap_or_else(PoisonError::into_inner));
+        let generation = trust.as_ref().map_or(0, |t| t.generation);
+        let mut fresh = VerifiedNodes::new();
         let mut parent = root;
         for (level, group, slot) in self.geo.path(page).into_iter().rev() {
-            if let Some(node) = verified.as_deref().and_then(|m| m.get(&(level, group))) {
+            if let Some(node) = batch.as_deref().and_then(|m| m.get(&(level, group))) {
                 parent = node.counters[slot];
                 continue;
             }
-            let word = self.backend.read_word(self.geo.node_word(level, group))?;
-            let counters_bytes: [u8; 64] = word[..64].try_into().expect("64-byte counters");
-            let reserved: [u8; 8] = word[72..80].try_into().expect("8-byte reserved");
-            let stored = u64::from_le_bytes(word[64..72].try_into().expect("8-byte mac"));
-            if node_mac(mkey, level as u8, group, &counters_bytes, parent, &reserved) != stored {
-                return Err(IntegrityError {
-                    addr: err_addr,
-                    class: TamperClass::TreeNode { level: level as u8 },
+            let node = match trust.as_ref().and_then(|t| t.get(level, group)) {
+                Some(node) => {
+                    hops.trusted += 1;
+                    *node
                 }
-                .into());
-            }
-            let mut counters = [0u64; NODE_ARITY as usize];
-            for (j, counter) in counters.iter_mut().enumerate() {
-                *counter =
-                    u64::from_le_bytes(word[8 * j..8 * j + 8].try_into().expect("8-byte counter"));
-            }
-            parent = counters[slot];
-            if let Some(map) = verified.as_deref_mut() {
-                map.insert((level, group), TreeNode { counters, reserved });
+                None => {
+                    hops.verified += 1;
+                    let node = self.read_node(mkey, level, group, parent, err_addr)?;
+                    if batch.is_none() {
+                        fresh.insert((level, group), node);
+                    }
+                    node
+                }
+            };
+            parent = node.counters[slot];
+            if let Some(map) = batch.as_deref_mut() {
+                map.insert((level, group), node);
             }
         }
-        let leaf_count = parent;
+        drop(trust);
+        if !fresh.is_empty() {
+            self.trust_nodes(generation, &fresh);
+        }
+        Ok(parent)
+    }
+
+    /// Reads a page's counter word and checks its MAC, which binds the
+    /// page's verified leaf count.
+    fn verify_counter_word(
+        &self,
+        mkey: &[u8; 32],
+        page: u64,
+        leaf_count: u64,
+        err_addr: u64,
+    ) -> Result<CounterBlock, MemError> {
         let word = self.backend.read_word(self.geo.counter_word(page))?;
         let image: [u8; 64] = word[..64].try_into().expect("64-byte image");
         let reserved: [u8; 8] = word[72..80].try_into().expect("8-byte reserved");
@@ -882,6 +1010,35 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             .into());
         }
         Ok(CounterBlock::from_bytes(&image))
+    }
+
+    /// Reads one tree-node word and checks its MAC against the parent's
+    /// counter for it.
+    fn read_node(
+        &self,
+        mkey: &[u8; 32],
+        level: usize,
+        group: u64,
+        parent: u64,
+        err_addr: u64,
+    ) -> Result<TreeNode, MemError> {
+        let word = self.backend.read_word(self.geo.node_word(level, group))?;
+        let counters_bytes: [u8; 64] = word[..64].try_into().expect("64-byte counters");
+        let reserved: [u8; 8] = word[72..80].try_into().expect("8-byte reserved");
+        let stored = u64::from_le_bytes(word[64..72].try_into().expect("8-byte mac"));
+        if node_mac(mkey, level as u8, group, &counters_bytes, parent, &reserved) != stored {
+            return Err(IntegrityError {
+                addr: err_addr,
+                class: TamperClass::TreeNode { level: level as u8 },
+            }
+            .into());
+        }
+        let mut counters = [0u64; NODE_ARITY as usize];
+        for (j, counter) in counters.iter_mut().enumerate() {
+            *counter =
+                u64::from_le_bytes(word[8 * j..8 * j + 8].try_into().expect("8-byte counter"));
+        }
+        Ok(TreeNode { counters, reserved })
     }
 
     /// A write batch's group commit: adds each page's committed block
@@ -1044,7 +1201,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         let epoch = self.key_epoch.load(Ordering::SeqCst);
         let mut cached: Option<(CounterBlock, Vec<Option<Block>>)> = None;
         if let Some(cache) = &self.cache {
-            self.foreign_writes_check(cache);
+            self.foreign_writes_check();
             let found = cache.with(page, |e| {
                 if e.epoch != epoch {
                     return None;
@@ -1106,7 +1263,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 let meta0 = visit.now();
                 let cb = {
                     let root = self.tree.read().unwrap_or_else(PoisonError::into_inner);
-                    self.verify_page(keys, page, *root, addrs[idxs[0]], None)?
+                    self.verify_page(keys, page, *root, addrs[idxs[0]], &mut visit.hops)?
                 };
                 let meta1 = visit.now();
                 visit.tree_walked = true;
@@ -1244,11 +1401,17 @@ impl<B: StoreBackend> EncryptionLayer<B> {
     /// One group commit per batch. The batch takes the write lock of
     /// every shard it touches in ascending order (the order `rekey`
     /// uses), then the tree root, and holds them all until its commit.
-    /// Under them it verifies each distinct tree node once, encrypts
-    /// page by page (page rolls included), and lets [`commit_batch`]
-    /// rewrite each touched node and counter word once. A mid-batch
-    /// failure still commits exactly the blocks before it, so the store
-    /// ends as if every block had committed on its own.
+    /// Under them it runs the reads' foreign-write check, verifies each
+    /// distinct tree node once (trusted nodes need no store read),
+    /// encrypts page by page (page rolls included), and lets
+    /// [`commit_batch`] rewrite each touched node and counter word once.
+    /// A page whose verified-page cache entry is of the current key
+    /// epoch lends the batch its counter block, so the counter word is
+    /// neither read nor re-checked. A mid-batch failure still commits
+    /// exactly the blocks before it, so the store ends as if every block
+    /// had committed on its own. A successful commit trusts every node
+    /// on the batch's paths with its new value; a failed one drops all
+    /// trust, since the store may hold only part of the commit.
     ///
     /// [`commit_batch`]: EncryptionLayer::commit_batch
     fn batch_write_inner(&self, writes: &[(u64, Block)]) -> Result<(), MemError> {
@@ -1286,6 +1449,12 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         visit.add(TailCause::Lock, wait0, held);
         let keys = self.keys();
         let mut root = self.tree.write().unwrap_or_else(PoisonError::into_inner);
+        self.foreign_writes_check();
+        let epoch = self.key_epoch.load(Ordering::SeqCst);
+        let generation = self
+            .trust
+            .as_ref()
+            .map_or(0, |t| t.read().unwrap_or_else(PoisonError::into_inner).generation);
 
         // Verify every page's metadata first. A failure stops the walk;
         // the pages before it are still written and committed.
@@ -1294,7 +1463,19 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         let mut cbs: Vec<CounterBlock> = Vec::with_capacity(by_page.len());
         let mut failure = None;
         for (&page, idxs) in &by_page {
-            match self.verify_page(&keys, page, *root, writes[idxs[0]].0, Some(&mut nodes)) {
+            let cached = self.cache.as_ref().and_then(|cache| {
+                cache
+                    .with(page, |e| (e.epoch == epoch).then(|| e.cb.clone()))
+                    .flatten()
+            });
+            let addr = writes[idxs[0]].0;
+            let mkey = keys.counterless_mac_key();
+            let verified = self
+                .verify_path(mkey, page, *root, addr, Some(&mut nodes), &mut visit.hops)
+                .and_then(|leaf| {
+                    cached.map_or_else(|| self.verify_counter_word(mkey, page, leaf, addr), Ok)
+                });
+            match verified {
                 Ok(cb) => {
                     cbs.push(cb);
                     visit.pages.push(PageTally {
@@ -1325,6 +1506,10 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         let c0 = visit.now();
         visit.data_ns = ns_between(t1, c0);
         let committed = self.commit_batch(&keys, &mut root, &mut nodes, &cbs, &visit.pages);
+        match committed {
+            Ok(()) => self.trust_nodes(generation, &nodes),
+            Err(_) => self.purge_trust(),
+        }
         let c1 = visit.now();
         visit.add(TailCause::Commit, c0, c1);
         if visit.sampled {

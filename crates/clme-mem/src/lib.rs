@@ -21,10 +21,11 @@
 //! Blocks encrypt under AES-CTR one-time pads keyed by (address,
 //! counter) with a Carter–Wegman MAC; a block whose counter passes the
 //! saturation point permanently switches to AES-XTS with a SHA-3 MAC —
-//! the paper's counterless fallback. Every read verifies the whole
-//! chain (tree path → counter block → metadata word → block MAC) and
-//! returns a typed [`IntegrityError`] naming the failure class on any
-//! mismatch. [`EncryptionLayer::rekey`] re-encrypts every live block
+//! the paper's counterless fallback. Every read verifies the chain
+//! (tree path → counter block → metadata word → block MAC), trusting
+//! the tree nodes it verified before as the paper's on-chip metadata
+//! cache does, and returns a typed [`IntegrityError`] naming the
+//! failure class on any mismatch. [`EncryptionLayer::rekey`] re-encrypts every live block
 //! and reseals all metadata under a fresh master key while the layer
 //! stays online.
 //!
@@ -64,7 +65,7 @@ pub use geometry::{Geometry, Region, NODE_ARITY, PAGE_BLOCKS};
 pub use layer::{EncryptionLayer, LayerOptions, RekeyReport, DEFAULT_CACHE_PAGES};
 pub use metrics::{
     CacheCause, CacheStats, MemMetrics, MemMetricsSnapshot, MemOp, MemStage, OpStats, RekeyStats,
-    StoreMetrics, StoreStats, CACHE_CAUSES, MEM_OPS, MEM_STAGES,
+    StoreMetrics, StoreStats, TreeStats, CACHE_CAUSES, MEM_OPS, MEM_STAGES,
 };
 pub use observe::{READ_SAMPLE_EVERY, WRITE_SAMPLE_EVERY};
 pub use store::{FileBackend, StoreBackend, StoredWord, VecBackend, WORD_BYTES};

@@ -153,16 +153,16 @@ pub struct StoreStats {
     pub words_read: u64,
     /// Stored words written.
     pub words_written: u64,
-    /// File-backend page-cache hits.
+    /// File-backend page-cache hits, counted on reads: a write updates a
+    /// resident page but is neither a hit nor a miss.
     pub page_cache_hits: u64,
-    /// File-backend page-cache misses (each one is a file read).
+    /// File-backend page-cache read misses (each one is a file read).
     pub page_cache_misses: u64,
     /// Cache fills that displaced a different live page (both causes).
     pub page_cache_evictions: u64,
-    /// Evictions caused by a read-miss fill.
+    /// Evictions caused by a read-miss fill (the only fills there are:
+    /// the file backend does not allocate on writes).
     pub page_cache_read_fill_evictions: u64,
-    /// Evictions caused by a write-allocate fill.
-    pub page_cache_write_fill_evictions: u64,
     /// Positioned file reads issued.
     pub file_reads: u64,
     /// Positioned file writes issued.
@@ -196,11 +196,28 @@ impl StoreStats {
             page_cache_read_fill_evictions: self
                 .page_cache_read_fill_evictions
                 .saturating_sub(base.page_cache_read_fill_evictions),
-            page_cache_write_fill_evictions: self
-                .page_cache_write_fill_evictions
-                .saturating_sub(base.page_cache_write_fill_evictions),
             file_reads: self.file_reads.saturating_sub(base.file_reads),
             file_writes: self.file_writes.saturating_sub(base.file_writes),
+        }
+    }
+}
+
+/// Integrity-tree walk counters out of [`MemMetrics`]: where the hops of
+/// the read and write-batch tree walks were answered.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TreeStats {
+    /// Hops answered by a node the layer already trusted (no store read,
+    /// no MAC).
+    pub nodes_trusted: u64,
+    /// Hops that read a node word from the store and checked its MAC.
+    pub nodes_verified: u64,
+}
+
+impl TreeStats {
+    fn delta_since(&self, base: &TreeStats) -> TreeStats {
+        TreeStats {
+            nodes_trusted: self.nodes_trusted.saturating_sub(base.nodes_trusted),
+            nodes_verified: self.nodes_verified.saturating_sub(base.nodes_verified),
         }
     }
 }
@@ -351,6 +368,8 @@ pub struct MemMetricsSnapshot {
     pub rekey: RekeyStats,
     /// Verified-page cache counters.
     pub cache: CacheStats,
+    /// Integrity-tree walk counters.
+    pub tree: TreeStats,
     /// Blocks-per-page-visit distribution of batch reads. Recorded as
     /// raw block counts scaled by 1000, so the histogram's "ns" fields
     /// read directly as block counts.
@@ -452,6 +471,7 @@ impl MemMetricsSnapshot {
             observed_writes_max_page: self.observed_writes_max_page,
             rekey: self.rekey.clone(),
             cache: self.cache.delta_since(&base.cache),
+            tree: self.tree.delta_since(&base.tree),
             fanin_read: self.fanin_read.delta_since(&base.fanin_read),
             fanin_write: self.fanin_write.delta_since(&base.fanin_write),
             store: self.store.delta_since(&base.store),
@@ -588,6 +608,13 @@ impl MemMetricsSnapshot {
                 ]),
             ),
             (
+                "tree".into(),
+                JsonValue::Obj(vec![
+                    ("nodes_trusted".into(), JsonValue::Num(self.tree.nodes_trusted as f64)),
+                    ("nodes_verified".into(), JsonValue::Num(self.tree.nodes_verified as f64)),
+                ]),
+            ),
+            (
                 "fanin".into(),
                 JsonValue::Obj(vec![
                     ("read".into(), fanin_json(&self.fanin_read)),
@@ -614,10 +641,6 @@ impl MemMetricsSnapshot {
                     (
                         "page_cache_read_fill_evictions".into(),
                         JsonValue::Num(self.store.page_cache_read_fill_evictions as f64),
-                    ),
-                    (
-                        "page_cache_write_fill_evictions".into(),
-                        JsonValue::Num(self.store.page_cache_write_fill_evictions as f64),
                     ),
                     (
                         "page_cache_hit_rate".into(),
@@ -672,6 +695,8 @@ pub struct MemMetrics {
     cache_invalidations: [Arc<Counter>; CACHE_CAUSES],
     cache_foreign_purges: Arc<Counter>,
     cache_resident: Arc<Gauge>,
+    tree_nodes_trusted: Arc<Counter>,
+    tree_nodes_verified: Arc<Counter>,
     fanin_read: Arc<ShardedHistogram>,
     fanin_write: Arc<ShardedHistogram>,
     rekey_sweeps: Arc<Counter>,
@@ -811,6 +836,14 @@ impl MemMetrics {
             cache_resident: gauge(
                 "clme_mem_cache_resident_pages",
                 "pages resident in the verified-page cache",
+            ),
+            tree_nodes_trusted: counter(
+                "clme_mem_tree_nodes_trusted_total",
+                "tree walk hops answered by an already trusted node",
+            ),
+            tree_nodes_verified: counter(
+                "clme_mem_tree_nodes_verified_total",
+                "tree walk hops that read and MAC-checked a node word",
             ),
             fanin_read: registry
                 .histogram(
@@ -999,6 +1032,18 @@ impl MemMetrics {
         self.cache_resident.set(pages);
     }
 
+    /// Tree walks answered `trusted` hops from trusted nodes and read
+    /// and verified `verified` node words.
+    #[inline]
+    pub fn tree_hops(&self, trusted: u64, verified: u64) {
+        if trusted > 0 {
+            self.tree_nodes_trusted.add(trusted);
+        }
+        if verified > 0 {
+            self.tree_nodes_verified.add(verified);
+        }
+    }
+
     /// One batch-read page visit touched `blocks` blocks.
     #[inline]
     pub fn fanin_read(&self, blocks: u64) {
@@ -1106,6 +1151,10 @@ impl MemMetrics {
                 foreign_purges: self.cache_foreign_purges.get(),
                 resident_pages: self.cache_resident.get(),
             },
+            tree: TreeStats {
+                nodes_trusted: self.tree_nodes_trusted.get(),
+                nodes_verified: self.tree_nodes_verified.get(),
+            },
             fanin_read: self.fanin_read.merge(),
             fanin_write: self.fanin_write.merge(),
             store: store.map(|s| s.snapshot()).unwrap_or_default(),
@@ -1144,7 +1193,6 @@ mod store_counters {
         page_cache_misses: Arc<Counter>,
         page_cache_evictions: Arc<Counter>,
         page_cache_read_fill_evictions: Arc<Counter>,
-        page_cache_write_fill_evictions: Arc<Counter>,
         file_reads: Arc<Counter>,
         file_writes: Arc<Counter>,
     }
@@ -1169,13 +1217,6 @@ mod store_counters {
                         "clme_store_page_cache_fill_evictions_total",
                         "cache-fill evictions, by the filling side",
                         &[("fill", "read")],
-                    )
-                    .expect(ok),
-                page_cache_write_fill_evictions: registry
-                    .counter(
-                        "clme_store_page_cache_fill_evictions_total",
-                        "cache-fill evictions, by the filling side",
-                        &[("fill", "write")],
                     )
                     .expect(ok),
                 file_reads: counter("clme_store_file_reads_total", "positioned file reads"),
@@ -1208,16 +1249,11 @@ mod store_counters {
             self.page_cache_misses.inc();
         }
 
-        /// A cache fill displaced a live page; `write_fill` says whether the
-        /// filling side was a write-allocate (vs a read-miss fill).
+        /// A read-miss fill displaced a live page.
         #[inline]
-        pub fn cache_evicted(&self, write_fill: bool) {
+        pub fn cache_evicted(&self) {
             self.page_cache_evictions.inc();
-            if write_fill {
-                self.page_cache_write_fill_evictions.inc();
-            } else {
-                self.page_cache_read_fill_evictions.inc();
-            }
+            self.page_cache_read_fill_evictions.inc();
         }
 
         /// One positioned file read.
@@ -1246,7 +1282,6 @@ mod store_counters {
                 page_cache_misses: self.page_cache_misses.get(),
                 page_cache_evictions: self.page_cache_evictions.get(),
                 page_cache_read_fill_evictions: self.page_cache_read_fill_evictions.get(),
-                page_cache_write_fill_evictions: self.page_cache_write_fill_evictions.get(),
                 file_reads: self.file_reads.get(),
                 file_writes: self.file_writes.get(),
             }
@@ -1288,7 +1323,7 @@ mod store_counters {
         pub fn cache_miss(&self) {}
         /// No-op.
         #[inline(always)]
-        pub fn cache_evicted(&self, _write_fill: bool) {}
+        pub fn cache_evicted(&self) {}
         /// No-op.
         #[inline(always)]
         pub fn file_read(&self) {}
@@ -1451,7 +1486,7 @@ mod tests {
         let s = StoreMetrics::new();
         s.cache_hit();
         s.cache_miss();
-        s.cache_evicted(false);
+        s.cache_evicted();
         m.note_write_batch(3);
         let text = clme_obs::prom::render(&m.prom_samples(Some(&s)));
         assert!(text.contains("clme_mem_blocks_written_total 3\n"), "{text}");

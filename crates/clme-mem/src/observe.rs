@@ -13,12 +13,12 @@
 //!
 //! Exhaustive and sampled parts of a visit:
 //!
-//! * every visit feeds the counters, the cache and ciphertext
-//!   observation tables, the read tree walk (per miss), the write tree
-//!   walk and commit (per batch), the page-roll MAC verify and the
-//!   write-side flight events, and every successful batch call its
-//!   batch latency and, for reads, each block's share of it as the read
-//!   op latency;
+//! * every visit feeds the counters (the tree-walk hop counts among
+//!   them), the cache and ciphertext observation tables, the read tree
+//!   walk (per miss), the write tree walk and commit (per batch), the
+//!   page-roll MAC verify and the write-side flight events, and every
+//!   successful batch call its batch latency and, for reads, each
+//!   block's share of it as the read op latency;
 //! * a sampled visit — every [`WRITE_SAMPLE_EVERY`]-th write batch and
 //!   every [`READ_SAMPLE_EVERY`]-th read page visit on a thread — also
 //!   takes per-block clock marks and records lock wait and hold, the
@@ -62,6 +62,15 @@ pub(crate) enum CacheServe {
     Bypass,
 }
 
+/// Where a visit's tree-walk hops were answered.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct TreeHops {
+    /// Hops answered by an already trusted node.
+    pub trusted: u64,
+    /// Hops that read a node word and checked its MAC.
+    pub verified: u64,
+}
+
 /// One page's share of a write batch.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PageTally {
@@ -103,6 +112,8 @@ pub(crate) struct Visit {
     pub total_ns: u64,
     /// Whether the visit walked the tree (reads: misses only).
     pub tree_walked: bool,
+    /// The tree walk's hops.
+    pub hops: TreeHops,
     /// Reads: blocks served from the cache.
     pub hits: u64,
     /// Reads: blocks fetched from the store.
@@ -340,6 +351,7 @@ mod sink {
             let shared = |op: MemOp, stage: MemStage, cause: TailCause, n: u64| {
                 m.stage_duration_n(op, stage, per(seg(cause), n), n)
             };
+            m.tree_hops(v.hops.trusted, v.hops.verified);
             if v.op == MemOp::Read {
                 let served = match v.serve {
                     CacheServe::Hit => {

@@ -178,10 +178,15 @@ const FILE_CACHE_SHARDS: usize = 8;
 const FILE_STRIPES: usize = 16;
 
 /// An mmap-style paged file store: words live in a flat file, accessed
-/// through positioned I/O with a write-through, write-allocate page
-/// cache evicted by the crate-wide sharded CLOCK policy
-/// ([`ClockCache`]) — the same machinery behind the encryption layer's
-/// verified-page cache.
+/// through positioned I/O with a page cache evicted by the crate-wide
+/// sharded CLOCK policy ([`ClockCache`]) — the same machinery behind
+/// the encryption layer's verified-page cache.
+///
+/// The cache is write-through without write-allocate: every write goes
+/// to the file, and updates the cached page only when it is already
+/// resident. Only read misses fill the cache, so an 80-byte write never
+/// pays for reading the 5 KB page around it. The page-cache hit and
+/// miss counters therefore count reads, and every miss is one file read.
 ///
 /// Dropping the backend does **not** delete the file; reopen it with
 /// [`FileBackend::open`] (and re-attach the layer with its saved root)
@@ -262,21 +267,6 @@ impl FileBackend {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Reads the whole page from the file and installs it, counting the
-    /// fill eviction (if any) against the `write_fill` side. Returns the
-    /// fresh page bytes' word at `within`. Caller holds the page stripe.
-    fn fill_page(&self, page: u64, within: usize, write_fill: bool) -> Result<StoredWord, MemError> {
-        let mut bytes = vec![0u8; self.page_len(page)];
-        self.metrics.file_read();
-        self.read_at(&mut bytes, page * FILE_PAGE_WORDS * WORD_BYTES as u64)?;
-        let mut word = [0u8; WORD_BYTES];
-        word.copy_from_slice(&bytes[within..within + WORD_BYTES]);
-        if self.cache.insert(page, bytes).is_some() {
-            self.metrics.cache_evicted(write_fill);
-        }
-        Ok(word)
-    }
-
     fn read_at(&self, buf: &mut [u8], offset: u64) -> Result<(), MemError> {
         #[cfg(unix)]
         {
@@ -332,8 +322,17 @@ impl StoreBackend for FileBackend {
             self.metrics.cache_hit();
             return Ok(word);
         }
+        // Miss: read the whole page from the file and install it.
         self.metrics.cache_miss();
-        self.fill_page(page, within, false)
+        let mut bytes = vec![0u8; self.page_len(page)];
+        self.metrics.file_read();
+        self.read_at(&mut bytes, page * FILE_PAGE_WORDS * WORD_BYTES as u64)?;
+        let mut word = [0u8; WORD_BYTES];
+        word.copy_from_slice(&bytes[within..within + WORD_BYTES]);
+        if self.cache.insert(page, bytes).is_some() {
+            self.metrics.cache_evicted();
+        }
+        Ok(word)
     }
 
     fn write_word(&self, index: u64, word: &StoredWord) -> Result<(), MemError> {
@@ -347,20 +346,11 @@ impl StoreBackend for FileBackend {
         let _stripe = self.stripe(page);
         self.metrics.file_write();
         self.write_at(word, index * WORD_BYTES as u64)?;
-        let resident = self
-            .cache
-            .with_mut(page, |bytes| {
-                bytes[within..within + WORD_BYTES].copy_from_slice(word)
-            })
-            .is_some();
-        if resident {
-            self.metrics.cache_hit();
-        } else {
-            // Write-allocate: the page we just touched is hot, so pull
-            // it in (the file already holds the new word).
-            self.metrics.cache_miss();
-            self.fill_page(page, within, true)?;
-        }
+        // No write-allocate: a resident page takes the new word, an
+        // absent one stays absent.
+        self.cache.with_mut(page, |bytes| {
+            bytes[within..within + WORD_BYTES].copy_from_slice(word)
+        });
         Ok(())
     }
 
@@ -449,26 +439,38 @@ mod tests {
         let per_shard = (FILE_CACHE_PAGES / FILE_CACHE_SHARDS) as u64;
         let stride = FILE_CACHE_SHARDS as u64;
         let store = FileBackend::create(&path, FILE_PAGE_WORDS * 73).unwrap();
+        let stats = || store.store_metrics().unwrap().snapshot();
         store.read_word(0).unwrap(); // cold miss + fill, no eviction
         store.read_word(1).unwrap(); // hit (same page)
-        store.write_word(7, &[0x11u8; WORD_BYTES]).unwrap(); // write hit, write-through
+        let word = [0x11u8; WORD_BYTES];
+        store.write_word(7, &word).unwrap(); // resident: write-through
+        assert_eq!(store.read_word(7).unwrap(), word, "hit sees the write");
         for i in 1..=per_shard {
             // Pages 8, 16, ..., 64: all shard 0. The last fill evicts.
             store.read_word(i * stride * FILE_PAGE_WORDS).unwrap();
         }
-        // Page 72, shard 0, not resident: write-allocate evicts again.
-        store
-            .write_word(9 * stride * FILE_PAGE_WORDS, &[0x22u8; WORD_BYTES])
-            .unwrap();
-        let stats = store.store_metrics().unwrap().snapshot();
+        // Page 72, shard 0, not resident: the write goes to the file
+        // only — no file read, nothing installed, nothing evicted.
+        let before = stats();
+        let far = 9 * stride * FILE_PAGE_WORDS;
+        let word = [0x22u8; WORD_BYTES];
+        store.write_word(far, &word).unwrap();
+        let after = stats();
+        assert_eq!(after.file_reads, before.file_reads, "a write miss reads nothing");
+        assert_eq!(after.file_writes, before.file_writes + 1);
+        assert_eq!(after.page_cache_misses, before.page_cache_misses);
+        assert_eq!(after.page_cache_evictions, before.page_cache_evictions);
+        // The later read misses and fills (evicting again), and sees the
+        // word the write put in the file.
+        assert_eq!(store.read_word(far).unwrap(), word);
+        let stats = stats();
         assert_eq!(stats.page_cache_hits, 2);
         assert_eq!(stats.page_cache_misses, 10);
         assert_eq!(stats.page_cache_evictions, 2);
-        assert_eq!(stats.page_cache_read_fill_evictions, 1);
-        assert_eq!(stats.page_cache_write_fill_evictions, 1);
-        assert_eq!(stats.file_reads, 10);
+        assert_eq!(stats.page_cache_read_fill_evictions, 2);
+        assert_eq!(stats.file_reads, 10, "every miss is one file read");
         assert_eq!(stats.file_writes, 2);
-        assert_eq!(stats.words_read, 10);
+        assert_eq!(stats.words_read, 12);
         assert_eq!(stats.words_written, 2);
         assert!((stats.page_cache_hit_rate() - 2.0 / 12.0).abs() < 1e-9);
         std::fs::remove_file(&path).unwrap();

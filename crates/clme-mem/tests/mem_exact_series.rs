@@ -6,7 +6,7 @@
 //! cache on (a 4-page cache, so it evicts) and off — and includes a
 //! forced page roll, a rekey sweep and a store-level tamper. What the
 //! golden pins is a pure function of the stream: every counter, the
-//! cache, observation, rekey-progress and store counters, the sample
+//! cache, observation, rekey-progress, store and tree-walk counters, the sample
 //! counts of the histograms recorded on every visit or batch, the
 //! per-tenant columns, and the flight events that are not sampled.
 //! Nanosecond values, wall-clock fields and sampled probes are left out.
@@ -223,9 +223,15 @@ fn series<B: StoreBackend>(mut layer: EncryptionLayer<B>) -> JsonValue {
                 ("page_cache_misses", num(s.page_cache_misses)),
                 ("page_cache_evictions", num(s.page_cache_evictions)),
                 ("page_cache_read_fill_evictions", num(s.page_cache_read_fill_evictions)),
-                ("page_cache_write_fill_evictions", num(s.page_cache_write_fill_evictions)),
                 ("file_reads", num(s.file_reads)),
                 ("file_writes", num(s.file_writes)),
+            ]),
+        ),
+        (
+            "tree",
+            obj(vec![
+                ("nodes_trusted", num(snap.tree.nodes_trusted)),
+                ("nodes_verified", num(snap.tree.nodes_verified)),
             ]),
         ),
         (

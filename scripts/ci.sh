@@ -42,15 +42,24 @@ echo "== mem smoke (encrypted-memory library: write/read/tamper/rekey) =="
 # Each backend runs twice — verified-page cache on (default) and off —
 # and `clme diff --mem-stats` checks the two runs served identical
 # caller-visible traffic (read-result parity: the cache must never
-# change what a read returns, only how fast it returns it).
+# change what a read returns, only how fast it returns it). The file
+# runs keep their stores, and the two must be byte-identical: the cache
+# and the trusted tree nodes it enables change which words a run reads,
+# never what it writes.
 for BACKEND in vec file; do
-    "$CLME" mem --smoke --backend "$BACKEND" --blocks 256 --ops 1000 \
-        --cache --stats-json "/tmp/clme_smoke_${BACKEND}_cache.json"
-    "$CLME" mem --smoke --backend "$BACKEND" --blocks 256 --ops 1000 \
-        --no-cache --stats-json "/tmp/clme_smoke_${BACKEND}_nocache.json"
+    for CACHE in cache no-cache; do
+        KEEP=()
+        if [[ "$BACKEND" == file ]]; then
+            KEEP=(--path "/tmp/clme_smoke_file_${CACHE}.clme")
+        fi
+        "$CLME" mem --smoke --backend "$BACKEND" --blocks 256 --ops 1000 \
+            "--$CACHE" "${KEEP[@]}" --stats-json "/tmp/clme_smoke_${BACKEND}_${CACHE}.json"
+    done
     "$CLME" diff --mem-stats "/tmp/clme_smoke_${BACKEND}_cache.json" \
-        "/tmp/clme_smoke_${BACKEND}_nocache.json"
+        "/tmp/clme_smoke_${BACKEND}_no-cache.json"
 done
+cmp /tmp/clme_smoke_file_cache.clme /tmp/clme_smoke_file_no-cache.clme
+echo "mem smoke: file stores byte-identical with the cache on and off"
 
 echo "== post-mortem smoke (tamper -> .clmedump -> postmortem -> replay) =="
 # The flight-recorder black box end-to-end on both backends: a forced

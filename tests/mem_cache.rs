@@ -9,7 +9,7 @@
 
 use clme::mem::{
     Block, CacheCause, EncryptionLayer, FileBackend, LayerOptions, MemoryAdt, StoreBackend,
-    VecBackend,
+    VecBackend, PAGE_BLOCKS,
 };
 use clme::types::rng::SplitMix64;
 use std::collections::BTreeMap;
@@ -267,4 +267,105 @@ fn rekey_and_tamper_leave_no_stale_entries() {
     word[5] ^= 0x20;
     layer.backend().write_word(word_index, &word).expect("restore");
     assert_eq!(layer.batch_read(&addrs).expect("recovered sweep"), before);
+}
+
+/// Drives seeded random write and read batches, with one rekey halfway,
+/// through `trusted` (the default layer: verified-page cache and trusted
+/// tree nodes) and `full` (`cache_pages = 0`: every walk starts at the
+/// root). A hot block takes a third of the writes, so it saturates into
+/// counterless mode and rolls its page. Reads, `counter_of` values and
+/// roots must agree after every op, and the stores byte for byte at the
+/// end.
+fn drive_trust_twins<A: StoreBackend, B: StoreBackend>(
+    trusted: &EncryptionLayer<A>,
+    full: &EncryptionLayer<B>,
+    seed: &[u8],
+) {
+    const HOT: u64 = 2 * PAGE_BLOCKS + 9;
+    let blocks = trusted.geometry().data_blocks();
+    let mut rng = SplitMix64::new(SplitMix64::new(SEED).derive(seed));
+    let ops = 160;
+    for op in 0..ops {
+        if op == ops / 2 {
+            trusted.rekey([0x3B; 32]).expect("trusted rekey");
+            full.rekey([0x3B; 32]).expect("full rekey");
+        }
+        let len = 1 + rng.below(48) as usize;
+        if rng.below(2) == 0 {
+            let batch: Vec<(u64, Block)> = (0..len)
+                .map(|_| {
+                    let addr = if rng.below(3) == 0 { HOT } else { rng.below(blocks) };
+                    (addr, random_block(&mut rng))
+                })
+                .collect();
+            trusted.batch_write(&batch).expect("trusted write");
+            full.batch_write(&batch).expect("full write");
+        } else {
+            let addrs: Vec<u64> = (0..len).map(|_| rng.below(blocks)).collect();
+            assert_eq!(
+                trusted.batch_read(&addrs).expect("trusted read"),
+                full.batch_read(&addrs).expect("full read"),
+                "op {op}: reads diverged"
+            );
+        }
+        for addr in [HOT, rng.below(blocks)] {
+            assert_eq!(
+                trusted.counter_of(addr).expect("trusted counter"),
+                full.counter_of(addr).expect("full counter"),
+                "op {op}: counter of {addr} diverged"
+            );
+        }
+        assert_eq!(trusted.root(), full.root(), "op {op}: roots diverged");
+    }
+    // The stream reached both modes and rolled the hot page: a
+    // co-resident that was never written carries the rolled major.
+    assert!(trusted.is_counterless(HOT).expect("hot counter"));
+    assert!(trusted.counter_of(HOT - HOT % PAGE_BLOCKS).expect("co-resident") >= 128);
+    let words = trusted.geometry().total_words();
+    for w in 0..words {
+        assert_eq!(
+            trusted.backend().read_word(w).expect("trusted word"),
+            full.backend().read_word(w).expect("full word"),
+            "stored word {w} differs"
+        );
+    }
+}
+
+/// A layer over `backend` with the default options but a saturation
+/// the stream crosses: `cache_pages = 0` turns the cache, and with it
+/// the trusted nodes, off.
+fn trust_layer<B: StoreBackend>(backend: B, cache_pages: usize) -> EncryptionLayer<B> {
+    let blocks = TRUST_PAGES * PAGE_BLOCKS;
+    let options = LayerOptions {
+        counter_saturation: 40,
+        cache_pages,
+        ..LayerOptions::default()
+    };
+    EncryptionLayer::with_options(backend, blocks, MASTER, options).expect("geometry fits")
+}
+
+/// 20 pages: a two-level tree that the default layer trusts whole.
+const TRUST_PAGES: u64 = 20;
+
+#[test]
+fn trusted_nodes_on_and_off_behave_the_same() {
+    let blocks = TRUST_PAGES * PAGE_BLOCKS;
+    let on = LayerOptions::default().cache_pages;
+    drive_trust_twins(
+        &trust_layer(VecBackend::for_blocks(blocks), on),
+        &trust_layer(VecBackend::for_blocks(blocks), 0),
+        b"trust/vec",
+    );
+    let dir = std::env::temp_dir();
+    let paths = ["on", "off"]
+        .map(|tag| dir.join(format!("clme-mem-trust-{tag}-{}.store", std::process::id())));
+    let file = |path: &PathBuf| FileBackend::create_for_blocks(path, blocks).expect("store");
+    drive_trust_twins(
+        &trust_layer(file(&paths[0]), on),
+        &trust_layer(file(&paths[1]), 0),
+        b"trust/file",
+    );
+    for path in paths {
+        let _ = std::fs::remove_file(path);
+    }
 }

@@ -16,8 +16,8 @@
 //! every stored word of a large region.
 
 use clme::mem::{
-    EncryptionLayer, LayerOptions, MemoryAdt, Region, StoreBackend, TamperClass, VecBackend,
-    WORD_BYTES,
+    EncryptionLayer, FileBackend, LayerOptions, MemoryAdt, Region, StoreBackend, TamperClass,
+    VecBackend, PAGE_BLOCKS, WORD_BYTES,
 };
 use clme::types::rng::SplitMix64;
 
@@ -311,4 +311,72 @@ fn counter_word_rollback_is_rejected() {
         err.integrity().expect("typed").class,
         TamperClass::CounterBlock
     );
+}
+
+/// Flips one byte of each tree node on a victim page's path, and
+/// separately of its counter word, each time right after reads and a
+/// write batch have warmed the verified-page cache and the trusted tree
+/// nodes. The next `batch_write` to the page must fail with the class
+/// naming the stage, and leave the flipped word in the store: a warm
+/// batch may skip re-reading what it trusts, but must never reseal a
+/// flip beneath it.
+fn assert_warm_batch_catches<B: StoreBackend>(layer: &EncryptionLayer<B>, label: &str) {
+    let geo = layer.geometry().clone();
+    let victim = 37 * PAGE_BLOCKS + 5;
+    let page = geo.page_of(victim);
+    let mut targets = vec![(geo.counter_word(page), 5, TamperClass::CounterBlock)];
+    for (level, group, slot) in geo.path(page) {
+        // The low byte of the page's own counter in the node.
+        let class = TamperClass::TreeNode { level: level as u8 };
+        targets.push((geo.node_word(level, group), 8 * slot, class));
+    }
+    assert!(targets.len() >= 4, "{label}: the path must span several levels");
+    for (round, (word_index, byte, class)) in targets.into_iter().enumerate() {
+        let round = round as u8;
+        // Warm: a read walks the path (trusting it), a write batch runs
+        // on the trusted path, and a read refills the page's cache
+        // entry so a batch could borrow its counter block.
+        layer.batch_read(&[victim, victim + 1, 3]).expect("warm read");
+        layer.batch_write(&[(victim, [round; 64])]).expect("warm write");
+        assert_eq!(layer.batch_read(&[victim]).expect("refill"), vec![[round; 64]]);
+
+        let original = layer.backend().read_word(word_index).expect("in bounds");
+        let mut flipped = original;
+        flipped[byte] ^= 0x01;
+        layer.backend().write_word(word_index, &flipped).expect("in bounds");
+        let err = layer
+            .batch_write(&[(victim, [0xEE; 64])])
+            .expect_err(&format!("{label}: warm batch hid a flip of word {word_index}"));
+        assert_eq!(
+            err.integrity().map(|e| e.class),
+            Some(class),
+            "{label}: flip of word {word_index} byte {byte}: {err}"
+        );
+        assert_eq!(
+            layer.backend().read_word(word_index).expect("in bounds"),
+            flipped,
+            "{label}: the batch resealed the flipped word {word_index}"
+        );
+        layer.backend().write_word(word_index, &original).expect("in bounds");
+        assert_eq!(layer.read_block(victim).expect("restored"), [round; 64], "{label}");
+    }
+}
+
+#[test]
+fn warm_write_batch_does_not_hide_tampering() {
+    // 72 pages: a three-level tree under the default options, so the
+    // verified-page cache and the trusted nodes are both on.
+    let blocks = 72 * PAGE_BLOCKS;
+    let vec = EncryptionLayer::new(VecBackend::for_blocks(blocks), blocks, MASTER).expect("vec");
+    assert_warm_batch_catches(&vec, "vec");
+    let path = std::env::temp_dir().join(format!("clme-tamper-warm-{}.store", std::process::id()));
+    let file = EncryptionLayer::new(
+        FileBackend::create_for_blocks(&path, blocks).expect("store file"),
+        blocks,
+        MASTER,
+    )
+    .expect("file");
+    assert_warm_batch_catches(&file, "file");
+    drop(file);
+    let _ = std::fs::remove_file(&path);
 }
