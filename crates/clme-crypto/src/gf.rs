@@ -140,8 +140,10 @@ impl Gf128 {
         v
     }
 
-    /// Full field multiplication (bit-serial; plenty fast for MAC
-    /// computation over 8 lanes per block).
+    /// Full field multiplication, bit-serial: 128 shift-and-reduce steps.
+    /// This is the reference. The counter-mode MAC multiplies on the
+    /// CPU's carry-less multiplier where CPUID reports PCLMULQDQ, and
+    /// falls back to this function elsewhere.
     #[allow(clippy::should_implement_trait)]
     pub fn mul(self, other: Gf128) -> Gf128 {
         let mut acc: u128 = 0;

@@ -28,6 +28,12 @@
 //! * [`keys`] — key material derivation: the single global counter-mode
 //!   key and per-VM counterless keys (Section IV-D).
 //!
+//! AES encryption and the counter-mode MAC's GF(2¹²⁸) dot product run on
+//! the CPU's AES-NI and PCLMULQDQ units where CPUID reports them, chosen
+//! once when a cipher or MAC is built. The portable code stays the
+//! reference and the only path elsewhere; both produce identical bytes.
+//! All of the crate's `unsafe` code is in one private module, `hw`.
+//!
 //! # Examples
 //!
 //! ```
@@ -41,6 +47,7 @@
 pub mod aes;
 pub mod combine;
 pub mod gf;
+mod hw;
 pub mod keys;
 pub mod mac;
 pub mod otp;

@@ -12,6 +12,7 @@
 //!   the EncryptionMetadata.
 
 use crate::gf::Gf128;
+use crate::hw;
 use crate::sha3::sha3_tag64;
 
 /// Computes the counterless (SHA-3) 64-bit MAC over a block's ciphertext.
@@ -53,6 +54,9 @@ pub const DATA_LANES: usize = 8;
 #[derive(Clone)]
 pub struct CounterModeMac {
     lane_keys: [Gf128; DATA_LANES + 1],
+    /// Whether the dot product runs on PCLMULQDQ: CPUID reported it when
+    /// this MAC was built.
+    clmul: bool,
 }
 
 impl std::fmt::Debug for CounterModeMac {
@@ -72,7 +76,25 @@ impl CounterModeMac {
             );
             *key = Gf128::from_bytes(digest[..16].try_into().expect("32-byte digest"));
         }
-        CounterModeMac { lane_keys }
+        CounterModeMac {
+            lane_keys,
+            clmul: hw::clmul_detected(),
+        }
+    }
+
+    /// Whether the dot product runs on the CPU's carry-less multiplier
+    /// (PCLMULQDQ) rather than the bit-serial [`Gf128::mul`].
+    pub fn uses_hardware(&self) -> bool {
+        self.clmul
+    }
+
+    /// The same MAC pinned to the bit-serial [`Gf128::mul`]: the
+    /// reference the hardware path is tested against.
+    pub fn to_portable(&self) -> CounterModeMac {
+        CounterModeMac {
+            clmul: false,
+            ..self.clone()
+        }
     }
 
     /// Computes the 64-bit tag for a block.
@@ -83,7 +105,24 @@ impl CounterModeMac {
     /// * `plaintext` — the block's 64 plaintext bytes, split into 8 lanes.
     /// * `enc_meta` — the EncryptionMetadata word (the counter value under
     ///   counter mode, per Section IV-C).
+    ///
+    /// On PCLMULQDQ each lane costs two carry-less multiplies and the
+    /// nine products are reduced once; the tag is the same either way.
     pub fn tag(&self, otp_trunc: u64, plaintext: &[u8; 64], enc_meta: u32) -> u64 {
+        let dot = if self.clmul {
+            let keys = self.lane_keys.map(|k| k.0);
+            // SAFETY: `clmul` is true only when `hw::clmul_detected()`
+            // (CPUID) reported PCLMULQDQ when this MAC was built.
+            Gf128(unsafe { hw::clmul_dot(plaintext, enc_meta, &keys) })
+        } else {
+            self.dot_portable(plaintext, enc_meta)
+        };
+        let folded = (dot.0 as u64) ^ ((dot.0 >> 64) as u64);
+        otp_trunc ^ folded
+    }
+
+    /// `Σᵢ Dᵢ·Kᵢ ⊕ EncMeta·K₈` with the bit-serial field multiply.
+    fn dot_portable(&self, plaintext: &[u8; 64], enc_meta: u32) -> Gf128 {
         let mut dot = Gf128::ZERO;
         for lane in 0..DATA_LANES {
             let value = u64::from_le_bytes(
@@ -93,9 +132,7 @@ impl CounterModeMac {
             );
             dot = dot.add(Gf128(value as u128).mul(self.lane_keys[lane]));
         }
-        dot = dot.add(Gf128(enc_meta as u128).mul(self.lane_keys[DATA_LANES]));
-        let folded = (dot.0 as u64) ^ ((dot.0 >> 64) as u64);
-        otp_trunc ^ folded
+        dot.add(Gf128(enc_meta as u128).mul(self.lane_keys[DATA_LANES]))
     }
 }
 
