@@ -93,47 +93,76 @@ pub const SHA3_256_RATE: usize = 136;
 /// assert_eq!(digest[0], 0xA7); // FIPS 202 empty-message vector
 /// ```
 pub fn sha3_256(data: &[u8]) -> [u8; 32] {
-    let mut state = [0u64; 25];
-    let mut offset = 0;
-    // Absorb full rate-sized chunks.
-    while data.len() - offset >= SHA3_256_RATE {
-        absorb(&mut state, &data[offset..offset + SHA3_256_RATE]);
-        keccak_f1600(&mut state);
-        offset += SHA3_256_RATE;
-    }
-    // Final (padded) chunk: SHA-3 domain bits 0b01 then pad10*1.
-    let mut last = [0u8; SHA3_256_RATE];
-    let tail = &data[offset..];
-    last[..tail.len()].copy_from_slice(tail);
-    last[tail.len()] ^= 0x06;
-    last[SHA3_256_RATE - 1] ^= 0x80;
-    absorb(&mut state, &last);
-    keccak_f1600(&mut state);
-    // Squeeze 32 bytes (fits in one rate block).
-    let mut out = [0u8; 32];
-    for (i, chunk) in out.chunks_mut(8).enumerate() {
-        chunk.copy_from_slice(&state[i].to_le_bytes());
-    }
-    out
+    let mut sponge = Sponge::new();
+    sponge.absorb(data);
+    sponge.finish()
 }
 
 /// Computes a 64-bit MAC tag as the first 8 bytes of
 /// `SHA3-256(domain || parts...)`; the shared keyed-hash helper behind the
-/// counterless MAC.
+/// counterless MAC and `clme-mem`'s metadata MACs. The parts are absorbed
+/// in place through the sponge's rate-sized stack buffer, so a tag costs
+/// no heap allocation.
 pub fn sha3_tag64(domain: &[u8], parts: &[&[u8]]) -> u64 {
-    let mut buf = Vec::with_capacity(domain.len() + parts.iter().map(|p| p.len()).sum::<usize>());
-    buf.extend_from_slice(domain);
+    let mut sponge = Sponge::new();
+    sponge.absorb(domain);
     for part in parts {
-        buf.extend_from_slice(part);
+        sponge.absorb(part);
     }
-    let digest = sha3_256(&buf);
+    let digest = sponge.finish();
     u64::from_le_bytes(digest[..8].try_into().expect("digest has 32 bytes"))
 }
 
-fn absorb(state: &mut [u64; 25], chunk: &[u8]) {
-    debug_assert_eq!(chunk.len(), SHA3_256_RATE);
-    for (lane, bytes) in chunk.chunks_exact(8).enumerate() {
-        state[lane] ^= u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+/// A SHA3-256 sponge that absorbs its message in pieces: bytes collect
+/// in a rate-sized block, and every full block is XORed into the state
+/// and permuted.
+struct Sponge {
+    state: [u64; 25],
+    block: [u8; SHA3_256_RATE],
+    filled: usize,
+}
+
+impl Sponge {
+    fn new() -> Sponge {
+        Sponge {
+            state: [0; 25],
+            block: [0; SHA3_256_RATE],
+            filled: 0,
+        }
+    }
+
+    fn absorb(&mut self, mut data: &[u8]) {
+        while !data.is_empty() {
+            let take = data.len().min(SHA3_256_RATE - self.filled);
+            self.block[self.filled..self.filled + take].copy_from_slice(&data[..take]);
+            self.filled += take;
+            data = &data[take..];
+            if self.filled == SHA3_256_RATE {
+                self.permute_block();
+            }
+        }
+    }
+
+    fn permute_block(&mut self) {
+        for (lane, bytes) in self.state.iter_mut().zip(self.block.chunks_exact(8)) {
+            *lane ^= u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+        }
+        keccak_f1600(&mut self.state);
+        self.block = [0; SHA3_256_RATE];
+        self.filled = 0;
+    }
+
+    /// Pads the final block (SHA-3 domain bits 0b01, then pad10*1),
+    /// permutes, and squeezes 32 bytes (they fit in one rate block).
+    fn finish(mut self) -> [u8; 32] {
+        self.block[self.filled] ^= 0x06;
+        self.block[SHA3_256_RATE - 1] ^= 0x80;
+        self.permute_block();
+        let mut out = [0u8; 32];
+        for (chunk, lane) in out.chunks_mut(8).zip(&self.state) {
+            chunk.copy_from_slice(&lane.to_le_bytes());
+        }
+        out
     }
 }
 

@@ -251,6 +251,12 @@ pub struct EncryptionLayer<B: StoreBackend> {
 const NODE_MAC_DOMAIN: &[u8] = b"clme-mem:node-mac:v1";
 const CB_MAC_DOMAIN: &[u8] = b"clme-mem:cb-mac:v1";
 
+// The metadata MACs hash 141 (`node_mac`) and 138 (`cb_mac`) bytes:
+// domain, key, position, the 64-byte image, parent or leaf count, and
+// the reserved lane. Both exceed SHA3-256's 136-byte rate, so each costs
+// two Keccak permutations. Trimming the input under the rate would halve
+// that, but it changes every stored MAC, i.e. the store format.
+
 fn node_mac(
     key: &[u8; 32],
     level: u8,
