@@ -80,8 +80,10 @@ impl<V> ClockShard<V> {
 
 /// A sharded CLOCK cache from `u64` keys to values of type `V`.
 ///
-/// Lookups borrow the cached value under the shard lock (no cloning of
-/// multi-KB entries), insertions report whom they evicted, and
+/// Lookups borrow the cached value under the shard lock, so a caller
+/// copies out only what it needs — the encryption layer's read hits
+/// copy just the requested blocks, never a whole multi-KB entry.
+/// Insertions report whom they evicted, and
 /// [`clear`](ClockCache::clear) empties every shard — the hammer the
 /// encryption layer swings on rekey and tamper.
 pub struct ClockCache<V> {

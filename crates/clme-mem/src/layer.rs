@@ -18,7 +18,11 @@
 //! each hop's MAC is checked before its contents are trusted, the
 //! decoded metadata word must match the verified counter exactly, and
 //! the block MAC is checked last. The first mismatch aborts with an
-//! [`IntegrityError`] naming the stage.
+//! [`IntegrityError`] naming the stage. A block the verified-page cache
+//! holds was verified when it entered the cache, so it skips the chain
+//! and the crypto: the lookup copies it from the entry straight into
+//! the caller's buffer, and a page visit fetches the keys only when
+//! some block still needs the store.
 //!
 //! Like the paper's on-chip metadata cache, the layer keeps the tree
 //! nodes it has verified and trusts them from then on: a read walk, a
@@ -1146,16 +1150,25 @@ impl<B: StoreBackend> MemoryAdt for EncryptionLayer<B> {
 }
 
 impl<B: StoreBackend> EncryptionLayer<B> {
+    /// A batch's indices ordered into page runs: pages ascending, batch
+    /// order kept within a page, for `page` mapping an index to its
+    /// page. The sort key `(page, index)` is unique, so the unstable
+    /// sort yields the stable order without a merge buffer.
+    fn page_order(n: usize, page: impl Fn(usize) -> u64) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by_key(|&i| (page(i), i));
+        order
+    }
+
     fn batch_read_inner(&self, addrs: &[u64]) -> Result<Vec<Block>, MemError> {
         for &addr in addrs {
             self.check_addr(addr)?;
         }
         let mut out = vec![[0u8; BLOCK_BYTES]; addrs.len()];
-        let mut by_page: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (i, &addr) in addrs.iter().enumerate() {
-            by_page.entry(self.geo.page_of(addr)).or_default().push(i);
-        }
-        for (page, idxs) in by_page {
+        let page_of = |i: usize| self.geo.page_of(addrs[i]);
+        let order = Self::page_order(addrs.len(), page_of);
+        for idxs in order.chunk_by(|&a, &b| page_of(a) == page_of(b)) {
+            let page = page_of(idxs[0]);
             let shard = self.shard_index(page);
             // One record per page visit. Its sampling decision covers
             // every distribution probe on the visit: with the
@@ -1170,8 +1183,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 visit.locks.push((shard, ns_between(wait0, held)));
                 visit.add(TailCause::Lock, wait0, held);
             }
-            let keys = self.keys();
-            let result = self.read_page_group(&keys, page, addrs, &idxs, &mut out, &mut visit);
+            let result = self.read_page_group(page, addrs, idxs, &mut out, &mut visit);
             if visit.sampled {
                 let end = Some(Instant::now());
                 visit.hold_ns = ns_between(held, end);
@@ -1184,14 +1196,14 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         Ok(out)
     }
 
-    /// Serves one page visit of a batch read: consult the verified-page
-    /// cache first, then verify-and-fetch whatever is missing with the
-    /// page's pads generated in one batched pass. Caller holds the
-    /// page's shard read lock; `visit` records what happened, including
-    /// on an error.
+    /// Serves one page visit of a batch read: the verified-page cache
+    /// copies every block it holds straight into `out`, and a full hit
+    /// ends there — no allocation, no counter-block clone, no key fetch.
+    /// Whatever is missing is verified and fetched with the page's pads
+    /// generated in one batched pass. Caller holds the page's shard read
+    /// lock; `visit` records what happened, including on an error.
     fn read_page_group(
         &self,
-        keys: &KeyMaterial,
         page: u64,
         addrs: &[u64],
         idxs: &[usize],
@@ -1205,22 +1217,46 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         let trace_now = || tracing.then(Instant::now);
         let issue = trace_now();
         let epoch = self.key_epoch.load(Ordering::SeqCst);
-        let mut cached: Option<(CounterBlock, Vec<Option<Block>>)> = None;
+        let hit_addrs = |missing: u64| -> Vec<u64> {
+            idxs.iter()
+                .map(|&i| addrs[i])
+                .filter(|&addr| missing >> self.geo.slot_of(addr) & 1 == 0)
+                .collect()
+        };
+        // A partial hit: the bitmap of the requested slots the entry
+        // lacks, and the entry's verified counter block.
+        let mut partial: Option<(u64, CounterBlock)> = None;
         if let Some(cache) = &self.cache {
             self.foreign_writes_check();
+            // `None` for a stale key epoch, `Some(None)` once every
+            // requested block is in `out`.
             let found = cache.with(page, |e| {
                 if e.epoch != epoch {
                     return None;
                 }
-                let mut got = Vec::with_capacity(idxs.len());
+                let mut missing = 0u64;
                 for &i in idxs {
                     let slot = self.geo.slot_of(addrs[i]);
-                    got.push((e.present >> slot & 1 == 1).then(|| e.blocks[slot]));
+                    if e.present >> slot & 1 == 1 {
+                        out[i] = e.blocks[slot];
+                        visit.hits += 1;
+                    } else {
+                        missing |= 1 << slot;
+                    }
                 }
-                Some((e.cb.clone(), got))
+                Some((missing != 0).then(|| (missing, e.cb.clone())))
             });
             match found {
-                Some(Some(hit)) => cached = Some(hit),
+                // Full hit: the blocks are already in `out` — no store
+                // traffic, no tree walk, no MACs.
+                Some(Some(None)) => {
+                    visit.serve = CacheServe::Hit;
+                    if let (Some(t0), Some(t1)) = (issue, trace_now()) {
+                        self.obs.spans.hits(t0, t1, &hit_addrs(0));
+                    }
+                    return Ok(());
+                }
+                Some(Some(hit)) => partial = hit,
                 // Stale key epoch: the rekey purge already ran, so this
                 // is defense in depth; drop it and fall through to a
                 // miss.
@@ -1230,37 +1266,20 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 None => {}
             }
         }
-
-        let hits = cached
-            .as_ref()
-            .map_or(0, |(_, got)| got.iter().flatten().count());
-        visit.hits = hits as u64;
-
-        // Full hit: a pure copy — no store traffic, no tree walk, no
-        // MACs.
-        if hits == idxs.len() {
-            if let Some((_, got)) = &cached {
-                for (&i, block) in idxs.iter().zip(got.iter()) {
-                    out[i] = (*block).expect("full hit");
-                }
-                visit.serve = CacheServe::Hit;
-                if let (Some(t0), Some(t1)) = (issue, trace_now()) {
-                    let hit_addrs: Vec<u64> = idxs.iter().map(|&i| addrs[i]).collect();
-                    self.obs.spans.hits(t0, t1, &hit_addrs);
-                }
-                return Ok(());
-            }
-        }
+        let served = trace_now();
 
         // Partial hit: the cached counter block is already verified, so
         // the tree walk is skipped and only the absent blocks pay for
-        // store I/O and a MAC. Miss: the full verification chain.
-        let was_partial = cached.is_some();
+        // store I/O and a MAC. Miss: the full verification chain. Keys
+        // are fetched here, still under the shard lock, because only
+        // these paths run crypto.
+        let keys = self.keys();
+        let was_partial = partial.is_some();
         let mut meta = None;
-        let (cb, got) = match cached {
-            Some((cb, got)) => {
+        let (missing, cb) = match partial {
+            Some(hit) => {
                 visit.serve = CacheServe::Partial;
-                (cb, got)
+                hit
             }
             None => {
                 if self.cache.is_some() {
@@ -1269,27 +1288,16 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 let meta0 = visit.now();
                 let cb = {
                     let root = self.tree.read().unwrap_or_else(PoisonError::into_inner);
-                    self.verify_page(keys, page, *root, addrs[idxs[0]], &mut visit.hops)?
+                    self.verify_page(&keys, page, *root, addrs[idxs[0]], &mut visit.hops)?
                 };
                 let meta1 = visit.now();
                 visit.tree_walked = true;
                 visit.add(TailCause::TreeWalk, meta0, meta1);
                 meta = meta0.zip(meta1);
-                (cb, vec![None; idxs.len()])
+                (u64::MAX, cb)
             }
         };
-
-        // Serve the cached blocks before paying for any store I/O.
-        let mut hit_addrs: Vec<u64> = Vec::new();
-        for (k, &i) in idxs.iter().enumerate() {
-            if let Some(block) = got[k] {
-                out[i] = block;
-                if tracing {
-                    hit_addrs.push(addrs[i]);
-                }
-            }
-        }
-        let served = trace_now();
+        let absent = |i: usize| missing >> self.geo.slot_of(addrs[i]) & 1 == 1;
 
         // Per-block clock marks only on sampled visits or under a
         // tracer.
@@ -1299,13 +1307,11 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         // every absent counter-mode block's pad up front (the paper's
         // pads-before-data overlap, amortized page-wide).
         let mut pad_reqs: Vec<(u64, u64)> = Vec::new();
-        for (k, &i) in idxs.iter().enumerate() {
-            if got[k].is_none() {
-                let addr = addrs[i];
-                let counter = cb.counter(self.geo.slot_of(addr));
-                if counter <= self.saturation {
-                    pad_reqs.push((addr, counter));
-                }
+        for &i in idxs.iter().filter(|&&i| absent(i)) {
+            let addr = addrs[i];
+            let counter = cb.counter(self.geo.slot_of(addr));
+            if counter <= self.saturation {
+                pad_reqs.push((addr, counter));
             }
         }
         let p0 = now();
@@ -1314,16 +1320,11 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         visit.add(TailCause::Pad, p0, pad_iv.map(|iv| iv.1));
 
         let mut traced: Vec<(u64, ReadMarks)> = Vec::new();
-        let mut fresh: Vec<(usize, Block)> = Vec::new();
         let mut next_pad = 0usize;
         let fetched = (|| -> Result<(), MemError> {
-            for (k, &i) in idxs.iter().enumerate() {
-                if got[k].is_some() {
-                    continue;
-                }
+            for &i in idxs.iter().filter(|&&i| absent(i)) {
                 let addr = addrs[i];
-                let slot = self.geo.slot_of(addr);
-                let counter = cb.counter(slot);
+                let counter = cb.counter(self.geo.slot_of(addr));
                 let pad = (counter <= self.saturation).then(|| {
                     next_pad += 1;
                     &pads[next_pad - 1]
@@ -1344,7 +1345,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                     }
                 });
                 let sat = self.saturation;
-                let block = decrypt_verify(keys, addr, &word, counter, sat, pad, marks.as_mut())?;
+                let block = decrypt_verify(&keys, addr, &word, counter, sat, pad, marks.as_mut())?;
                 if let Some(mut m) = marks {
                     m.ready = Instant::now();
                     visit.add_marks(&m);
@@ -1353,15 +1354,15 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                     }
                 }
                 out[i] = block;
-                fresh.push((slot, block));
                 visit.fetched += 1;
             }
             Ok(())
         })();
         fetched?;
         if let (Some(issue), Some(served)) = (issue, served) {
-            if !hit_addrs.is_empty() {
-                self.obs.spans.hits(issue, served, &hit_addrs);
+            let hits = hit_addrs(missing);
+            if !hits.is_empty() {
+                self.obs.spans.hits(issue, served, &hits);
             }
             if !traced.is_empty() {
                 // A partial hit has no verify interval: its first
@@ -1372,13 +1373,15 @@ impl<B: StoreBackend> EncryptionLayer<B> {
 
         // Install (or extend) the verified image while still under the
         // shard read lock: no write can have intervened, so the entry
-        // matches the store exactly.
+        // matches the store exactly. The fetched blocks are in `out`.
         if let Some(cache) = &self.cache {
+            let fresh = idxs.iter().filter(|&&i| absent(i));
             if was_partial {
                 cache.with_mut(page, |e| {
                     if e.epoch == epoch {
-                        for &(slot, block) in &fresh {
-                            e.blocks[slot] = block;
+                        for &i in fresh {
+                            let slot = self.geo.slot_of(addrs[i]);
+                            e.blocks[slot] = out[i];
                             e.present |= 1 << slot;
                         }
                     }
@@ -1387,8 +1390,9 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 let mut blocks =
                     vec![[0u8; BLOCK_BYTES]; PAGE_BLOCKS as usize].into_boxed_slice();
                 let mut present = 0u64;
-                for &(slot, block) in &fresh {
-                    blocks[slot] = block;
+                for &i in fresh {
+                    let slot = self.geo.slot_of(addrs[i]);
+                    blocks[slot] = out[i];
                     present |= 1 << slot;
                 }
                 let entry = PageCacheEntry {
@@ -1424,14 +1428,16 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         for &(addr, _) in writes {
             self.check_addr(addr)?;
         }
-        let mut by_page: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (i, &(addr, _)) in writes.iter().enumerate() {
-            by_page.entry(self.geo.page_of(addr)).or_default().push(i);
-        }
-        let Some(&first_page) = by_page.keys().next() else {
+        let page_of = |i: usize| self.geo.page_of(writes[i].0);
+        let order = Self::page_order(writes.len(), page_of);
+        let runs: Vec<(u64, &[usize])> = order
+            .chunk_by(|&a, &b| page_of(a) == page_of(b))
+            .map(|idxs| (page_of(idxs[0]), idxs))
+            .collect();
+        let Some(&(first_page, _)) = runs.first() else {
             return Ok(());
         };
-        let shard_ids: BTreeSet<usize> = by_page.keys().map(|&p| self.shard_index(p)).collect();
+        let shard_ids: BTreeSet<usize> = runs.iter().map(|&(p, _)| self.shard_index(p)).collect();
         // One record per batch, charged to its first page (a composed
         // tenant batch stays inside one tenant's pages). Its sampling
         // decision covers lock waits and holds, fan-in, write latency,
@@ -1466,9 +1472,9 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         // the pages before it are still written and committed.
         let t0 = visit.now();
         let mut nodes = VerifiedNodes::new();
-        let mut cbs: Vec<CounterBlock> = Vec::with_capacity(by_page.len());
+        let mut cbs: Vec<CounterBlock> = Vec::with_capacity(runs.len());
         let mut failure = None;
-        for (&page, idxs) in &by_page {
+        for &(page, idxs) in &runs {
             let cached = self.cache.as_ref().and_then(|cache| {
                 cache
                     .with(page, |e| (e.epoch == epoch).then(|| e.cb.clone()))
@@ -1502,7 +1508,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
 
         // An encryption failure comes before any later page's verify
         // failure in batch order, so it replaces it.
-        for (j, (cb, idxs)) in cbs.iter_mut().zip(by_page.values()).enumerate() {
+        for (j, (cb, &(_, idxs))) in cbs.iter_mut().zip(&runs).enumerate() {
             if let Err(e) = self.write_page_group(&keys, cb, j, writes, idxs, &mut visit) {
                 failure = Some(e);
                 break;
@@ -1968,6 +1974,27 @@ mod tests {
             4,
             "hit latencies stay exhaustive"
         );
+
+        // One batch over a fully cached page (0) and a partly cached one
+        // (1, holding only block 64), pages interleaved: block 65's data
+        // word is the batch's only store read, and only page 1 counts a
+        // partial hit.
+        mem.batch_write(&[(64, pattern(3)), (65, pattern(4))]).unwrap();
+        assert_eq!(mem.read_block(64).unwrap(), pattern(3));
+        let before = mem.metrics_snapshot();
+        assert_eq!(
+            mem.batch_read(&[65, 0, 64, 1]).unwrap(),
+            vec![pattern(4), pattern(1), pattern(3), pattern(2)]
+        );
+        let snap = mem.metrics_snapshot();
+        assert_eq!(
+            snap.store.words_read - before.store.words_read,
+            1,
+            "only the absent block reaches the store"
+        );
+        assert_eq!(snap.cache.hits - before.cache.hits, 1);
+        assert_eq!(snap.cache.partial_hits - before.cache.partial_hits, 1);
+        assert_eq!(snap.cache.misses, before.cache.misses);
     }
 
     #[test]

@@ -16,6 +16,12 @@ cargo build --release --offline -p clme-bench --benches
 echo "== tests =="
 cargo test -q --offline
 
+echo "== benchmark tests (perfbench) =="
+# perfbench is a cargo workspace of its own that builds against the
+# crates by path: this is the step that compiles it against their
+# public APIs.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== tests (telemetry-off build) =="
 # The clme-mem observer's telemetry-off twin and the tests gated on that
 # feature only compile in this build; its own target dir keeps the

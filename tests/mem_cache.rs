@@ -12,7 +12,7 @@ use clme::mem::{
     VecBackend, PAGE_BLOCKS,
 };
 use clme::types::rng::SplitMix64;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 const MASTER: [u8; 32] = [0x47; 32];
@@ -367,5 +367,112 @@ fn trusted_nodes_on_and_off_behave_the_same() {
     );
     for path in paths {
         let _ = std::fs::remove_file(path);
+    }
+}
+
+/// `(hits, partial_hits, misses)`: the page visits the cache has served
+/// in each state so far.
+fn serves<B: StoreBackend>(layer: &EncryptionLayer<B>) -> [u64; 3] {
+    let cache = layer.metrics_snapshot().cache;
+    [cache.hits, cache.partial_hits, cache.misses]
+}
+
+/// Page runs: seeded read batches with shuffled and repeated addresses,
+/// so one page's requests sit at positions that are not adjacent, must
+/// read exactly as a `cache_pages: 0` twin over an identical store
+/// reads them. Writes, rekeys and foreign store writes between batches
+/// keep every serve state — full hit, partial hit, miss — in play, and
+/// each batch serves every distinct page it names exactly once.
+#[test]
+fn shuffled_batches_serve_one_run_per_page() {
+    const PAGES: u64 = BLOCKS.div_ceil(PAGE_BLOCKS);
+    let twin = |cache_pages| {
+        EncryptionLayer::with_options(
+            VecBackend::for_blocks(BLOCKS),
+            BLOCKS,
+            MASTER,
+            options(cache_pages),
+        )
+        .expect("geometry fits")
+    };
+    let (cached, plain) = (twin(4), twin(0));
+    let telemetry = cached.metrics().is_some();
+    let mut rng = SplitMix64::new(SplitMix64::new(SEED).derive(b"cache/runs"));
+    let mut totals = [0u64; 3];
+    let mut split_runs = 0usize;
+    for batch in 0..240u64 {
+        match rng.below(10) {
+            0 => {
+                let mut new_master = MASTER;
+                new_master[..8].copy_from_slice(&batch.to_le_bytes());
+                cached.rekey(new_master).expect("cached rekey");
+                plain.rekey(new_master).expect("plain rekey");
+            }
+            // A foreign write that stores the word it read: the store
+            // still verifies, but the cache must purge.
+            1 => {
+                let word = rng.below(cached.geometry().total_words());
+                for backend in [cached.backend(), plain.backend()] {
+                    let bytes = backend.read_word(word).expect("read word");
+                    backend.write_word(word, &bytes).expect("write word");
+                }
+            }
+            2 | 3 => {
+                let len = 1 + rng.below(6) as usize;
+                let writes: Vec<(u64, Block)> = (0..len)
+                    .map(|_| (rng.below(BLOCKS), random_block(&mut rng)))
+                    .collect();
+                cached.batch_write(&writes).expect("cached write");
+                plain.batch_write(&writes).expect("plain write");
+            }
+            _ => {}
+        }
+        // A few low slots per page (all inside the partial last page),
+        // so pages fill up to full hits between the writes and purges
+        // that knock them back.
+        let len = 1 + rng.below(20) as usize;
+        let mut addrs: Vec<u64> = (0..len)
+            .map(|_| rng.below(PAGES) * PAGE_BLOCKS + rng.below(12))
+            .collect();
+        for _ in 0..rng.below(4) {
+            addrs.push(addrs[rng.below(addrs.len() as u64) as usize]);
+        }
+        for i in (1..addrs.len()).rev() {
+            addrs.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let pages: BTreeSet<u64> = addrs.iter().map(|&addr| addr / PAGE_BLOCKS).collect();
+        // Runs of adjacent same-page addresses beyond one per page.
+        let adjacent_runs = 1 + addrs
+            .windows(2)
+            .filter(|w| w[0] / PAGE_BLOCKS != w[1] / PAGE_BLOCKS)
+            .count();
+        split_runs += adjacent_runs - pages.len();
+
+        let before = serves(&cached);
+        assert_eq!(
+            cached.batch_read(&addrs).expect("cached read"),
+            plain.batch_read(&addrs).expect("plain read"),
+            "batch {batch}: {addrs:?} read differently with the cache on"
+        );
+        if telemetry {
+            let after = serves(&cached);
+            let delta: Vec<u64> = (0..3).map(|s| after[s] - before[s]).collect();
+            assert_eq!(
+                delta.iter().sum::<u64>(),
+                pages.len() as u64,
+                "batch {batch}: {addrs:?} served {delta:?} over {} pages",
+                pages.len()
+            );
+            for (total, d) in totals.iter_mut().zip(delta) {
+                *total += d;
+            }
+        }
+    }
+    assert!(split_runs > 0, "no batch split a page across positions");
+    if telemetry {
+        assert!(
+            totals.iter().all(|&n| n > 0),
+            "every serve state must occur: (hits, partial, misses) = {totals:?}"
+        );
     }
 }
