@@ -7,6 +7,8 @@
 //! region: it learns a stable block stride within a region and, once
 //! confident, prefetches `degree` blocks ahead.
 
+use clme_types::hash::BlockHasher;
+
 /// A next-line prefetcher: every access to block `b` suggests `b + 1`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NextLinePrefetcher;
@@ -233,32 +235,8 @@ mod tests {
     }
 }
 
-/// The throttle's block hasher: one multiply by the 64-bit golden ratio,
-/// with the well-mixed high half folded into the low bits the table
-/// indexes by. Far cheaper than the default SipHash on the per-access
-/// probe, and exact: the set is probed and never iterated, so the hash
-/// only picks buckets, never results. The keys are simulated block
-/// addresses, so no outside input can craft collisions.
-#[derive(Clone, Copy, Debug, Default)]
-struct BlockHasher(u64);
-
-impl std::hash::Hasher for BlockHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let h = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
+/// The throttle's outstanding-block set: probed on every access, never
+/// iterated, so [`BlockHasher`] picks its buckets.
 type BlockSet = std::collections::HashSet<u64, std::hash::BuildHasherDefault<BlockHasher>>;
 
 /// Accuracy-feedback throttle, as real prefetchers employ: prefetches are

@@ -29,6 +29,10 @@ use clme_ecc::layout::{Chip, EncodedBlock};
 use clme_types::BlockAddr;
 use std::collections::{HashMap, HashSet};
 
+/// Reads always run the Section IV-E entropy disambiguation when a
+/// correction trial finds several candidates.
+const ENTROPY_FILTER: bool = true;
+
 /// Why a read failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReadError {
@@ -89,7 +93,6 @@ pub struct MemoryImage {
     tree: IntegrityTree,
     memo: MemoTable,
     wb_mode: WritebackMode,
-    entropy_filter: bool,
     stats: ImageStats,
 }
 
@@ -126,7 +129,6 @@ impl MemoryImage {
             permanent_counterless: HashSet::new(),
             memo,
             wb_mode: WritebackMode::Counter,
-            entropy_filter: true,
             stats: ImageStats::default(),
         }
     }
@@ -135,11 +137,6 @@ impl MemoryImage {
     /// monitor in the full system).
     pub fn set_writeback_mode(&mut self, mode: WritebackMode) {
         self.wb_mode = mode;
-    }
-
-    /// Enables/disables the Section IV-E entropy disambiguation.
-    pub fn set_entropy_filter(&mut self, on: bool) {
-        self.entropy_filter = on;
     }
 
     /// Functional statistics.
@@ -231,7 +228,7 @@ impl MemoryImage {
             MetaWord::counterless(),
             MetaWord::counter(self.counter_of(block) as u32),
         ];
-        match verify_or_correct(&stored, &candidates, &verifier, self.entropy_filter) {
+        match verify_or_correct(&stored, &candidates, &verifier, ENTROPY_FILTER) {
             CorrectionOutcome::Clean { meta } => {
                 self.stats.reads += 1;
                 Ok(verifier.decrypt(&stored.data(), meta))

@@ -51,7 +51,6 @@ mod hw;
 pub mod keys;
 pub mod mac;
 pub mod otp;
-pub mod present;
 pub mod sha3;
 pub mod xts;
 

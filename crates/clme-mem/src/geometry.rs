@@ -109,11 +109,6 @@ impl Geometry {
         self.node_counts[level]
     }
 
-    /// Counters at `level` (`pages` at level 0).
-    pub fn level_count(&self, level: usize) -> u64 {
-        self.level_counts[level]
-    }
-
     /// Total stored words a backend must hold.
     pub fn total_words(&self) -> u64 {
         self.total_words

@@ -295,6 +295,102 @@ fn cb_mac(key: &[u8; 32], page: u64, image: &[u8; 64], leaf_count: u64, reserved
     )
 }
 
+/// Splits a sealed metadata word into its lanes. Tree-node and counter
+/// words share one layout: payload `[..64]`, MAC `[64..72]` and a
+/// reserved lane `[72..80]` that the MAC binds and a reseal keeps.
+fn split_sealed(word: &StoredWord) -> ([u8; 64], u64, [u8; 8]) {
+    (
+        word[..64].try_into().expect("64-byte payload"),
+        u64::from_le_bytes(word[64..72].try_into().expect("8-byte mac")),
+        word[72..80].try_into().expect("8-byte reserved"),
+    )
+}
+
+/// Inverse of [`split_sealed`].
+fn join_sealed(payload: &[u8; 64], mac: u64, reserved: &[u8; 8]) -> StoredWord {
+    let mut word = [0u8; WORD_BYTES];
+    word[..64].copy_from_slice(payload);
+    word[64..72].copy_from_slice(&mac.to_le_bytes());
+    word[72..80].copy_from_slice(reserved);
+    word
+}
+
+/// Parses a tree-node word and checks its MAC against the parent's
+/// counter for it. A mismatch is a `TreeNode` tamper reported at
+/// `err_addr`.
+fn open_node(
+    mkey: &[u8; 32],
+    word: &StoredWord,
+    level: usize,
+    group: u64,
+    parent: u64,
+    err_addr: u64,
+) -> Result<TreeNode, IntegrityError> {
+    let (payload, mac, reserved) = split_sealed(word);
+    if node_mac(mkey, level as u8, group, &payload, parent, &reserved) != mac {
+        return Err(IntegrityError {
+            addr: err_addr,
+            class: TamperClass::TreeNode { level: level as u8 },
+        });
+    }
+    let counters = std::array::from_fn(|j| {
+        let lane = payload[8 * j..8 * j + 8].try_into();
+        u64::from_le_bytes(lane.expect("8-byte counter"))
+    });
+    Ok(TreeNode { counters, reserved })
+}
+
+/// Serializes and seals a tree node under `parent`, its parent's
+/// counter for it.
+fn seal_node(
+    mkey: &[u8; 32],
+    node: &TreeNode,
+    level: usize,
+    group: u64,
+    parent: u64,
+) -> StoredWord {
+    let mut payload = [0u8; 64];
+    for (j, counter) in node.counters.iter().enumerate() {
+        payload[8 * j..8 * j + 8].copy_from_slice(&counter.to_le_bytes());
+    }
+    let mac = node_mac(mkey, level as u8, group, &payload, parent, &node.reserved);
+    join_sealed(&payload, mac, &node.reserved)
+}
+
+/// Parses a page's counter word and checks its MAC, which binds the
+/// page's verified leaf count; returns the counter block and the
+/// reserved lane. A mismatch is a `CounterBlock` tamper reported at
+/// `err_addr`.
+fn open_counter_word(
+    mkey: &[u8; 32],
+    word: &StoredWord,
+    page: u64,
+    leaf_count: u64,
+    err_addr: u64,
+) -> Result<(CounterBlock, [u8; 8]), IntegrityError> {
+    let (image, mac, reserved) = split_sealed(word);
+    if cb_mac(mkey, page, &image, leaf_count, &reserved) != mac {
+        return Err(IntegrityError {
+            addr: err_addr,
+            class: TamperClass::CounterBlock,
+        });
+    }
+    Ok((CounterBlock::from_bytes(&image), reserved))
+}
+
+/// Serializes and seals a page's counter block under its leaf count.
+fn seal_counter_word(
+    mkey: &[u8; 32],
+    cb: &CounterBlock,
+    page: u64,
+    leaf_count: u64,
+    reserved: &[u8; 8],
+) -> StoredWord {
+    let image = cb.to_bytes();
+    let mac = cb_mac(mkey, page, &image, leaf_count, reserved);
+    join_sealed(&image, mac, reserved)
+}
+
 fn encode_word(block: &EncodedBlock) -> StoredWord {
     let mut word = [0u8; WORD_BYTES];
     word[..64].copy_from_slice(&block.data());
@@ -791,27 +887,15 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             let mut flat = Vec::with_capacity((self.geo.node_count(level) * NODE_ARITY) as usize);
             for group in 0..self.geo.node_count(level) {
                 let index = self.geo.node_word(level, group);
-                let mut word = self.backend.read_word(index)?;
-                let counters: [u8; 64] = word[..64].try_into().expect("64-byte counters");
-                let reserved: [u8; 8] = word[72..80].try_into().expect("8-byte reserved");
-                let stored = u64::from_le_bytes(word[64..72].try_into().expect("8-byte mac"));
                 let parent = parents[group as usize];
-                let level8 = level as u8;
-                if node_mac(old_mkey, level8, group, &counters, parent, &reserved) != stored {
-                    return Err(IntegrityError {
-                        addr: self.geo.probe_addr(Region::TreeNode { level: level8, group }),
-                        class: TamperClass::TreeNode { level: level8 },
-                    }
-                    .into());
-                }
-                let mac = node_mac(new_mkey, level8, group, &counters, parent, &reserved);
-                word[64..72].copy_from_slice(&mac.to_le_bytes());
-                self.store_write(index, &word)?;
-                for j in 0..NODE_ARITY as usize {
-                    flat.push(u64::from_le_bytes(
-                        word[8 * j..8 * j + 8].try_into().expect("8-byte counter"),
-                    ));
-                }
+                let err_addr = self.geo.probe_addr(Region::TreeNode {
+                    level: level as u8,
+                    group,
+                });
+                let word = self.backend.read_word(index)?;
+                let node = open_node(old_mkey, &word, level, group, parent, err_addr)?;
+                self.store_write(index, &seal_node(new_mkey, &node, level, group, parent))?;
+                flat.extend_from_slice(&node.counters);
             }
             if level == 0 {
                 leaf_counts = flat;
@@ -824,23 +908,13 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         let mut counterless_blocks = 0u64;
         for page in 0..self.geo.pages() {
             let index = self.geo.counter_word(page);
-            let mut word = self.backend.read_word(index)?;
-            let image: [u8; 64] = word[..64].try_into().expect("64-byte image");
-            let reserved: [u8; 8] = word[72..80].try_into().expect("8-byte reserved");
-            let stored = u64::from_le_bytes(word[64..72].try_into().expect("8-byte mac"));
             let leaf = leaf_counts[page as usize];
-            if cb_mac(old_mkey, page, &image, leaf, &reserved) != stored {
-                return Err(IntegrityError {
-                    addr: page * PAGE_BLOCKS,
-                    class: TamperClass::CounterBlock,
-                }
-                .into());
-            }
-            let mac = cb_mac(new_mkey, page, &image, leaf, &reserved);
-            word[64..72].copy_from_slice(&mac.to_le_bytes());
+            let word = self.backend.read_word(index)?;
+            let (cb, reserved) =
+                open_counter_word(old_mkey, &word, page, leaf, page * PAGE_BLOCKS)?;
+            let word = seal_counter_word(new_mkey, &cb, page, leaf, &reserved);
             self.store_write(index, &word)?;
 
-            let cb = CounterBlock::from_bytes(&image);
             let page_first = blocks;
             for addr in self.geo.page_addr_range(page) {
                 let counter = cb.counter(self.geo.slot_of(addr));
@@ -902,21 +976,19 @@ impl<B: StoreBackend> EncryptionLayer<B> {
     fn initial_sweep(&self) -> Result<(), MemError> {
         let keys = self.keys();
         let mkey = keys.counterless_mac_key();
-        let zero_counters = [0u8; 64];
+        let zero_node = TreeNode {
+            counters: [0; NODE_ARITY as usize],
+            reserved: [0; 8],
+        };
         for level in 0..self.geo.levels() {
             for group in 0..self.geo.node_count(level) {
-                let mut word = [0u8; WORD_BYTES];
-                let mac = node_mac(mkey, level as u8, group, &zero_counters, 0, &[0u8; 8]);
-                word[64..72].copy_from_slice(&mac.to_le_bytes());
+                let word = seal_node(mkey, &zero_node, level, group, 0);
                 self.store_write(self.geo.node_word(level, group), &word)?;
             }
         }
-        let image = CounterBlock::new().to_bytes();
+        let cb = CounterBlock::new();
         for page in 0..self.geo.pages() {
-            let mut word = [0u8; WORD_BYTES];
-            word[..64].copy_from_slice(&image);
-            let mac = cb_mac(mkey, page, &image, 0, &[0u8; 8]);
-            word[64..72].copy_from_slice(&mac.to_le_bytes());
+            let word = seal_counter_word(mkey, &cb, page, 0, &[0; 8]);
             self.store_write(self.geo.counter_word(page), &word)?;
         }
         let zeros = [0u8; BLOCK_BYTES];
@@ -980,7 +1052,8 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 }
                 None => {
                     hops.verified += 1;
-                    let node = self.read_node(mkey, level, group, parent, err_addr)?;
+                    let word = self.backend.read_word(self.geo.node_word(level, group))?;
+                    let node = open_node(mkey, &word, level, group, parent, err_addr)?;
                     if batch.is_none() {
                         fresh.insert((level, group), node);
                     }
@@ -1009,46 +1082,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         err_addr: u64,
     ) -> Result<CounterBlock, MemError> {
         let word = self.backend.read_word(self.geo.counter_word(page))?;
-        let image: [u8; 64] = word[..64].try_into().expect("64-byte image");
-        let reserved: [u8; 8] = word[72..80].try_into().expect("8-byte reserved");
-        let stored = u64::from_le_bytes(word[64..72].try_into().expect("8-byte mac"));
-        if cb_mac(mkey, page, &image, leaf_count, &reserved) != stored {
-            return Err(IntegrityError {
-                addr: err_addr,
-                class: TamperClass::CounterBlock,
-            }
-            .into());
-        }
-        Ok(CounterBlock::from_bytes(&image))
-    }
-
-    /// Reads one tree-node word and checks its MAC against the parent's
-    /// counter for it.
-    fn read_node(
-        &self,
-        mkey: &[u8; 32],
-        level: usize,
-        group: u64,
-        parent: u64,
-        err_addr: u64,
-    ) -> Result<TreeNode, MemError> {
-        let word = self.backend.read_word(self.geo.node_word(level, group))?;
-        let counters_bytes: [u8; 64] = word[..64].try_into().expect("64-byte counters");
-        let reserved: [u8; 8] = word[72..80].try_into().expect("8-byte reserved");
-        let stored = u64::from_le_bytes(word[64..72].try_into().expect("8-byte mac"));
-        if node_mac(mkey, level as u8, group, &counters_bytes, parent, &reserved) != stored {
-            return Err(IntegrityError {
-                addr: err_addr,
-                class: TamperClass::TreeNode { level: level as u8 },
-            }
-            .into());
-        }
-        let mut counters = [0u64; NODE_ARITY as usize];
-        for (j, counter) in counters.iter_mut().enumerate() {
-            *counter =
-                u64::from_le_bytes(word[8 * j..8 * j + 8].try_into().expect("8-byte counter"));
-        }
-        Ok(TreeNode { counters, reserved })
+        Ok(open_counter_word(mkey, &word, page, leaf_count, err_addr)?.0)
     }
 
     /// A write batch's group commit: adds each page's committed block
@@ -1091,24 +1125,13 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             } else {
                 nodes[&(level + 1, group / NODE_ARITY)].counters[(group % NODE_ARITY) as usize]
             };
-            let node = &nodes[&(level, group)];
-            let mut word = [0u8; WORD_BYTES];
-            for (j, counter) in node.counters.iter().enumerate() {
-                word[8 * j..8 * j + 8].copy_from_slice(&counter.to_le_bytes());
-            }
-            word[72..80].copy_from_slice(&node.reserved);
-            let counters: [u8; 64] = word[..64].try_into().expect("64-byte counters");
-            let mac = node_mac(mkey, level as u8, group, &counters, parent, &node.reserved);
-            word[64..72].copy_from_slice(&mac.to_le_bytes());
+            let word = seal_node(mkey, &nodes[&(level, group)], level, group, parent);
             self.store_write(self.geo.node_word(level, group), &word)?;
         }
         for (cb, p) in pages {
             let leaf = nodes[&(0, p.page / NODE_ARITY)].counters[(p.page % NODE_ARITY) as usize];
-            let image = cb.to_bytes();
-            let mut word = [0u8; WORD_BYTES];
-            word[..64].copy_from_slice(&image);
-            let mac = cb_mac(mkey, p.page, &image, leaf, &[0u8; 8]);
-            word[64..72].copy_from_slice(&mac.to_le_bytes());
+            // A committed counter word starts a fresh reserved lane.
+            let word = seal_counter_word(mkey, cb, p.page, leaf, &[0; 8]);
             self.store_write(self.geo.counter_word(p.page), &word)?;
         }
         Ok(())

@@ -380,7 +380,9 @@ pub struct MemMetricsSnapshot {
     pub store: StoreStats,
 }
 
-fn hist_json(h: &Log2Histogram) -> JsonValue {
+/// A latency histogram's `--stats-json` object: count, p50/p95/p99,
+/// mean and max, in nanoseconds.
+pub(crate) fn hist_json(h: &Log2Histogram) -> JsonValue {
     let ns = |ps: u64| ps as f64 / 1000.0;
     JsonValue::Obj(vec![
         ("count".into(), JsonValue::Num(h.count() as f64)),

@@ -19,6 +19,12 @@
 //! * Per-tenant SLOs ([`SloSpec`], e.g. `read-p99=120us`) are scored on
 //!   every driver-recorded op; windowed burn rates follow the classic
 //!   error-budget form `bad_fraction / (1 - quantile)`.
+//! * Every per-tenant cell is a striped [`Counter`] or histogram that
+//!   only grows. A burn window and a tenant's key exposure are derived:
+//!   the cumulative count minus the baseline that the last
+//!   [`roll_windows`](TenantTelemetry::roll_windows) or
+//!   [`on_rekey`](TenantTelemetry::on_rekey) recorded, so no hot cell is
+//!   ever swapped or reset.
 //! * Noisy-neighbor attribution: sampled page visits report their
 //!   measured segments (lock wait, tree walk, store I/O, MAC, pad,
 //!   commit — the same marks span tracing reads), summed per tenant as
@@ -31,12 +37,12 @@
 //! [`EncryptionLayer::record_tenant_batch`](crate::EncryptionLayer::record_tenant_batch).
 //! A `telemetry-off` layer drops an installed table and never feeds it.
 
-use clme_obs::registry::ShardedHistogram;
+use crate::metrics::hist_json;
+use clme_obs::registry::{Counter, ShardedHistogram};
 use clme_obs::tenant::{tenant_label, HeavyHitter, TenantScope, TenantSketch, OTHER_TENANT};
 use clme_obs::{Log2Histogram, MetricKind, Sample, SampleValue};
 use clme_types::json::JsonValue;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// How many rolled burn windows each SLO retains per tenant.
@@ -350,18 +356,6 @@ pub struct TenantSnapshot {
     pub hot_unadmitted: Vec<(u64, u64)>,
 }
 
-fn hist_json(h: &Log2Histogram) -> JsonValue {
-    let ns = |ps: u64| ps as f64 / 1000.0;
-    JsonValue::Obj(vec![
-        ("count".into(), JsonValue::Num(h.count() as f64)),
-        ("p50_ns".into(), JsonValue::Num(ns(h.percentile_ps(0.50)))),
-        ("p95_ns".into(), JsonValue::Num(ns(h.percentile_ps(0.95)))),
-        ("p99_ns".into(), JsonValue::Num(ns(h.percentile_ps(0.99)))),
-        ("mean_ns".into(), JsonValue::Num(h.mean_ps() / 1000.0)),
-        ("max_ns".into(), JsonValue::Num(ns(h.max_ps()))),
-    ])
-}
-
 impl TenantSnapshot {
     /// The `tenants` object of `--stats-json` / `BENCH_mem.json`.
     pub fn to_json(&self) -> JsonValue {
@@ -592,43 +586,49 @@ impl TenantSnapshot {
     }
 }
 
+/// One tenant row's live cells. Every cell only grows; windows and key
+/// exposure are derived from baselines kept in [`Baselines`].
 struct TenantSlot {
     read: ShardedHistogram,
     write: ShardedHistogram,
-    ops: [AtomicU64; 2],
-    blocks: [AtomicU64; 2],
-    cache: [AtomicU64; 3],
-    observed: AtomicU64,
-    exposure: AtomicU64,
-    stage_ns: [AtomicU64; TAIL_CAUSES],
-    tail: [AtomicU64; TAIL_CAUSES],
+    ops: [Counter; 2],
+    blocks: [Counter; 2],
+    cache: [Counter; 3],
+    observed: Counter,
+    stage_ns: [Counter; TAIL_CAUSES],
+    tail: [Counter; TAIL_CAUSES],
     /// Cumulative per-SLO good/bad.
-    slo_good: Vec<AtomicU64>,
-    slo_bad: Vec<AtomicU64>,
-    /// In-progress window per SLO.
-    win_good: Vec<AtomicU64>,
-    win_bad: Vec<AtomicU64>,
+    slo_good: Box<[Counter]>,
+    slo_bad: Box<[Counter]>,
 }
 
 impl TenantSlot {
     fn new(slos: usize) -> TenantSlot {
-        let zeros = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         TenantSlot {
             read: ShardedHistogram::new(),
             write: ShardedHistogram::new(),
             ops: Default::default(),
             blocks: Default::default(),
             cache: Default::default(),
-            observed: AtomicU64::new(0),
-            exposure: AtomicU64::new(0),
+            observed: Counter::new(),
             stage_ns: Default::default(),
             tail: Default::default(),
-            slo_good: zeros(slos),
-            slo_bad: zeros(slos),
-            win_good: zeros(slos),
-            win_bad: zeros(slos),
+            slo_good: (0..slos).map(|_| Counter::new()).collect(),
+            slo_bad: (0..slos).map(|_| Counter::new()).collect(),
         }
     }
+}
+
+/// What the cumulative cells read at the last window roll and the last
+/// rekey, per slot: the in-progress window of an SLO is its good/bad
+/// count minus `slo`, and key exposure is `observed` minus `exposure`.
+struct Baselines {
+    /// Rolled burn-window history: `[slot][slo]` ring, oldest first.
+    burns: Vec<Vec<Vec<f64>>>,
+    /// `[slot][slo]` good/bad counts at the last roll.
+    slo: Vec<Vec<[u64; 2]>>,
+    /// `[slot]` ciphertext writes observed at the last rekey.
+    exposure: Vec<u64>,
 }
 
 /// The per-tenant recording surface. One per layer, installed with
@@ -650,9 +650,9 @@ pub struct TenantTelemetry {
     tail_cutoff_ns: u64,
     /// Exact slots then the `__other__` rollup (last).
     slots: Vec<TenantSlot>,
-    folded_ops: AtomicU64,
-    /// Rolled burn-window history: `[slot][slo]` ring, oldest first.
-    windows: Mutex<Vec<Vec<Vec<f64>>>>,
+    folded_ops: Counter,
+    /// Burn history and the baselines windows and exposure count from.
+    windows: Mutex<Baselines>,
     /// Display-name overrides, for operators naming tenants.
     names: Mutex<HashMap<u64, String>>,
 }
@@ -690,9 +690,11 @@ impl TenantTelemetry {
             .unwrap_or(DEFAULT_TAIL_CUTOFF_NS);
         let n_slots = admitted.len() + 1;
         let slots = (0..n_slots).map(|_| TenantSlot::new(slos.len())).collect();
-        let windows = (0..n_slots)
-            .map(|_| vec![Vec::new(); slos.len()])
-            .collect();
+        let windows = Baselines {
+            burns: vec![vec![Vec::new(); slos.len()]; n_slots],
+            slo: vec![vec![[0; 2]; slos.len()]; n_slots],
+            exposure: vec![0; n_slots],
+        };
         TenantTelemetry {
             ranges,
             scope,
@@ -702,7 +704,7 @@ impl TenantTelemetry {
             slos,
             tail_cutoff_ns,
             slots,
-            folded_ops: AtomicU64::new(0),
+            folded_ops: Counter::new(),
             windows: Mutex::new(windows),
             names: Mutex::new(HashMap::new()),
         }
@@ -742,12 +744,12 @@ impl TenantTelemetry {
             .observe_n(tenant as usize, tenant, blocks.max(1));
         let slot_idx = self.slot_of_tenant(tenant);
         if slot_idx == self.slots.len() - 1 {
-            self.folded_ops.fetch_add(1, Ordering::Relaxed);
+            self.folded_ops.inc();
         }
         let slot = &self.slots[slot_idx];
         let op = write as usize;
-        slot.ops[op].fetch_add(1, Ordering::Relaxed);
-        slot.blocks[op].fetch_add(blocks, Ordering::Relaxed);
+        slot.ops[op].inc();
+        slot.blocks[op].add(blocks);
         let hist = if write { &slot.write } else { &slot.read };
         hist.record_ps(latency_ns.saturating_mul(1000));
         for (i, spec) in self.slos.iter().enumerate() {
@@ -755,11 +757,9 @@ impl TenantTelemetry {
                 continue;
             }
             if latency_ns > spec.threshold_ns {
-                slot.slo_bad[i].fetch_add(1, Ordering::Relaxed);
-                slot.win_bad[i].fetch_add(1, Ordering::Relaxed);
+                slot.slo_bad[i].inc();
             } else {
-                slot.slo_good[i].fetch_add(1, Ordering::Relaxed);
-                slot.win_good[i].fetch_add(1, Ordering::Relaxed);
+                slot.slo_good[i].inc();
             }
         }
     }
@@ -768,7 +768,7 @@ impl TenantTelemetry {
     #[inline]
     pub fn page_served(&self, page: u64, serve: TenantServe) {
         if let Some(slot) = self.slot_of_page(page) {
-            self.slots[slot].cache[serve as usize].fetch_add(1, Ordering::Relaxed);
+            self.slots[slot].cache[serve as usize].inc();
         }
     }
 
@@ -778,8 +778,7 @@ impl TenantTelemetry {
     #[inline]
     pub fn ciphertext_writes(&self, page: u64, n: u64) {
         if let Some(slot) = self.slot_of_page(page) {
-            self.slots[slot].observed.fetch_add(n, Ordering::Relaxed);
-            self.slots[slot].exposure.fetch_add(n, Ordering::Relaxed);
+            self.slots[slot].observed.add(n);
         }
     }
 
@@ -795,23 +794,24 @@ impl TenantTelemetry {
         let mut dominant = 0usize;
         for (i, &ns) in segs.iter().enumerate() {
             if ns > 0 {
-                slot.stage_ns[i].fetch_add(ns, Ordering::Relaxed);
+                slot.stage_ns[i].add(ns);
             }
             if ns > segs[dominant] {
                 dominant = i;
             }
         }
         if total_ns >= self.tail_cutoff_ns && segs[dominant] > 0 {
-            slot.tail[dominant].fetch_add(1, Ordering::Relaxed);
+            slot.tail[dominant].inc();
         }
     }
 
     /// Layer hook: a rekey sweep completed — every key-exposure gauge
-    /// resets, because the writes an observer collected were under the
-    /// retired key.
+    /// restarts from zero, because the writes an observer collected were
+    /// under the retired key.
     pub fn on_rekey(&self) {
-        for slot in &self.slots {
-            slot.exposure.store(0, Ordering::Relaxed);
+        let mut windows = self.windows.lock().expect("tenant windows poisoned");
+        for (base, slot) in windows.exposure.iter_mut().zip(&self.slots) {
+            *base = slot.observed.get();
         }
     }
 
@@ -820,12 +820,13 @@ impl TenantTelemetry {
     /// [`BURN_WINDOWS`]).
     pub fn roll_windows(&self) {
         let mut windows = self.windows.lock().expect("tenant windows poisoned");
+        let Baselines { burns, slo, .. } = &mut *windows;
         for (slot_idx, slot) in self.slots.iter().enumerate() {
             for (i, spec) in self.slos.iter().enumerate() {
-                let good = slot.win_good[i].swap(0, Ordering::Relaxed);
-                let bad = slot.win_bad[i].swap(0, Ordering::Relaxed);
-                let ring = &mut windows[slot_idx][i];
-                ring.push(spec.burn(good, bad));
+                let now = [slot.slo_good[i].get(), slot.slo_bad[i].get()];
+                let base = std::mem::replace(&mut slo[slot_idx][i], now);
+                let ring = &mut burns[slot_idx][i];
+                ring.push(spec.burn(now[0] - base[0], now[1] - base[1]));
                 if ring.len() > BURN_WINDOWS {
                     let drop = ring.len() - BURN_WINDOWS;
                     ring.drain(..drop);
@@ -856,13 +857,13 @@ impl TenantTelemetry {
                     .iter()
                     .enumerate()
                     .map(|(i, spec)| {
-                        let good = slot.slo_good[i].load(Ordering::Relaxed);
-                        let bad = slot.slo_bad[i].load(Ordering::Relaxed);
-                        let mut window_burns = windows[slot_idx][i].clone();
+                        let good = slot.slo_good[i].get();
+                        let bad = slot.slo_bad[i].get();
+                        let mut window_burns = windows.burns[slot_idx][i].clone();
                         // The in-progress window rides along so a
                         // snapshot before any roll still shows burn.
-                        let wg = slot.win_good[i].load(Ordering::Relaxed);
-                        let wb = slot.win_bad[i].load(Ordering::Relaxed);
+                        let [bg, bb] = windows.slo[slot_idx][i];
+                        let (wg, wb) = (good - bg, bad - bb);
                         if wg + wb > 0 {
                             window_burns.push(spec.burn(wg, wb));
                         }
@@ -875,27 +876,19 @@ impl TenantTelemetry {
                         }
                     })
                     .collect();
-                let load = |a: &[AtomicU64]| -> Vec<u64> {
-                    a.iter().map(|v| v.load(Ordering::Relaxed)).collect()
-                };
-                let arr6 = |a: &[AtomicU64; TAIL_CAUSES]| -> [u64; TAIL_CAUSES] {
-                    core::array::from_fn(|i| a[i].load(Ordering::Relaxed))
-                };
-                let ops = load(&slot.ops);
-                let blocks = load(&slot.blocks);
-                let cache = load(&slot.cache);
+                let observed = slot.observed.get();
                 TenantRow {
                     id,
                     label,
                     read: slot.read.merge(),
                     write: slot.write.merge(),
-                    ops: [ops[0], ops[1]],
-                    blocks: [blocks[0], blocks[1]],
-                    cache: [cache[0], cache[1], cache[2]],
-                    ciphertext_writes: slot.observed.load(Ordering::Relaxed),
-                    key_exposure_writes: slot.exposure.load(Ordering::Relaxed),
-                    stage_ns: arr6(&slot.stage_ns),
-                    tail: arr6(&slot.tail),
+                    ops: slot.ops.each_ref().map(Counter::get),
+                    blocks: slot.blocks.each_ref().map(Counter::get),
+                    cache: slot.cache.each_ref().map(Counter::get),
+                    ciphertext_writes: observed,
+                    key_exposure_writes: observed - windows.exposure[slot_idx],
+                    stage_ns: slot.stage_ns.each_ref().map(Counter::get),
+                    tail: slot.tail.each_ref().map(Counter::get),
                     slo,
                 }
             })
@@ -912,7 +905,7 @@ impl TenantTelemetry {
             top_k: self.scope.cap(),
             slo: self.slos.clone(),
             rows,
-            folded_ops: self.folded_ops.load(Ordering::Relaxed),
+            folded_ops: self.folded_ops.get(),
             hot_unadmitted,
         }
     }
@@ -1033,6 +1026,12 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.rows[2].ciphertext_writes, 5, "observations persist");
         assert_eq!(snap.rows[2].key_exposure_writes, 0, "exposure resets");
+        t.ciphertext_writes(6, 3); // tenant 2, under the new key
+        t.ciphertext_writes(1, 2); // tenant 0
+        let snap = t.snapshot();
+        assert_eq!(snap.rows[2].ciphertext_writes, 8);
+        assert_eq!(snap.rows[2].key_exposure_writes, 3, "only post-rekey writes");
+        assert_eq!(snap.rows[0].key_exposure_writes, 2);
     }
 
     #[test]

@@ -100,30 +100,50 @@ fn composed_stream_is_deterministic_across_runs_and_thread_counts() {
     assert_eq!(batches_a, batches_b, "same seed must compose the same stream");
     assert_eq!(a.digest(), b.digest());
 
-    // Execute the identical stream under 1 and 4 threads: the digest is
-    // already fixed (composition-time), and the per-tenant op/block
-    // counters must agree exactly because they are recorded per batch,
-    // not per timing.
+    // Execute the identical stream under 1, 4 and 16 threads, rolling
+    // the SLO windows halfway: the digest is already fixed
+    // (composition-time), and the per-tenant op/block counters, SLO
+    // scores and window burns must agree exactly because they are
+    // recorded per batch, not per timing (every read meets 1 s, every
+    // write misses 1 ns). 16 threads outnumber the counters' owned
+    // stripes, so the shared stripe runs too.
     {
         let mut snapshots = Vec::new();
-        for threads in [1usize, 4] {
+        for threads in [1usize, 4, 16] {
             let layer = Arc::new(layer_for(&cfg));
-            let telemetry = telemetry_for(&cfg, 4, "read-p99=1s");
-            execute(&layer, &telemetry, &batches_a, threads);
+            let telemetry = telemetry_for(&cfg, 4, "read-p99=1s,write-p99=1ns");
+            let (first, second) = batches_a.split_at(batches_a.len() / 2);
+            execute(&layer, &telemetry, first, threads);
+            telemetry.roll_windows();
+            execute(&layer, &telemetry, second, threads);
             snapshots.push(telemetry.snapshot());
         }
-        let counters = |snap: &clme_mem::TenantSnapshot| -> Vec<(String, [u64; 2], [u64; 2])> {
+        type Row = (String, [u64; 2], [u64; 2], Vec<(u64, u64, Vec<f64>)>);
+        let counters = |snap: &clme_mem::TenantSnapshot| -> Vec<Row> {
             snap.rows
                 .iter()
-                .map(|r| (r.label.clone(), r.ops, r.blocks))
+                .map(|r| {
+                    let slo = r
+                        .slo
+                        .iter()
+                        .map(|s| (s.good, s.bad, s.window_burns.clone()))
+                        .collect();
+                    (r.label.clone(), r.ops, r.blocks, slo)
+                })
                 .collect()
         };
-        assert_eq!(
-            counters(&snapshots[0]),
-            counters(&snapshots[1]),
-            "per-tenant ops/blocks must not depend on the executing thread count"
+        assert!(
+            snapshots[0].rows.iter().any(|r| r.slo[1].bad > 0),
+            "the write objective must score some ops bad"
         );
-        assert_eq!(snapshots[0].folded_ops, snapshots[1].folded_ops);
+        for snap in &snapshots[1..] {
+            assert_eq!(
+                counters(&snapshots[0]),
+                counters(snap),
+                "per-tenant ops/blocks/SLO scores must not depend on the executing thread count"
+            );
+            assert_eq!(snapshots[0].folded_ops, snap.folded_ops);
+        }
     }
 }
 

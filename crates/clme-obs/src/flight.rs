@@ -4,7 +4,8 @@
 //! simulation loop; the flight recorder is its production twin, shaped
 //! like [`ShardedHistogram`](crate::ShardedHistogram): a bounded ring of
 //! compact structured events striped across cache-line-aligned per-thread
-//! shards, recorded with a handful of relaxed atomics and no clock reads,
+//! shards under the [registry's stripe rule](crate::registry), recorded
+//! with a handful of relaxed atomics and no clock reads,
 //! merged into one deterministic oldest-first timeline only when a
 //! [`snapshot`](FlightRing::snapshot) is taken (normally: post-mortem,
 //! after an integrity violation).
@@ -26,14 +27,9 @@
 //! assert!(snap.events[0].seq < snap.events[1].seq);
 //! ```
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::registry::thread_slot;
-
-/// Number of independent shards in a [`FlightRing`]. A power of two so
-/// the per-thread slot maps with a mask, matching
-/// [`HIST_SHARDS`](crate::HIST_SHARDS).
-pub const FLIGHT_SHARDS: usize = 8;
+use crate::registry::{stripe, stripe_add, STRIPES};
 
 /// Sentinel sequence number marking a slot empty or mid-write.
 const SEQ_EMPTY: u64 = u64::MAX;
@@ -82,14 +78,14 @@ impl FlightSlot {
 #[repr(align(128))]
 struct FlightShard {
     /// Total events ever recorded into this shard (wraps over `slots`).
-    cursor: AtomicUsize,
+    cursor: AtomicU64,
     slots: Box<[FlightSlot]>,
 }
 
 impl FlightShard {
     fn new(per_shard: usize) -> FlightShard {
         FlightShard {
-            cursor: AtomicUsize::new(0),
+            cursor: AtomicU64::new(0),
             slots: (0..per_shard).map(|_| FlightSlot::new()).collect(),
         }
     }
@@ -111,8 +107,10 @@ pub struct FlightSnapshot {
 /// A bounded, lock-free, per-thread-sharded event ring.
 ///
 /// Recording is allocation-free and clock-free: one relaxed `fetch_add`
-/// on the global sequence, one on the shard cursor, three relaxed payload
-/// stores and one release `seq` store — the same cost class as a few
+/// on the global sequence, which orders the merged timeline, then a
+/// shard-cursor bump under the stripe rule (a plain load and store for
+/// a thread that owns its shard), three relaxed payload stores and one
+/// release `seq` store — the same cost class as a few
 /// [`Counter`](crate::Counter) bumps, cheap enough to live on the
 /// `clme-mem` hot paths under the 3% telemetry budget.
 pub struct FlightRing {
@@ -123,11 +121,11 @@ pub struct FlightRing {
 
 impl FlightRing {
     /// Creates a ring retaining at least `capacity` events (rounded up to
-    /// a multiple of [`FLIGHT_SHARDS`], min one slot per shard).
+    /// a multiple of the eight thread shards, min one slot per shard).
     pub fn new(capacity: usize) -> FlightRing {
-        let per_shard = capacity.div_ceil(FLIGHT_SHARDS).max(1);
+        let per_shard = capacity.div_ceil(STRIPES).max(1);
         FlightRing {
-            shards: (0..FLIGHT_SHARDS).map(|_| FlightShard::new(per_shard)).collect(),
+            shards: (0..STRIPES).map(|_| FlightShard::new(per_shard)).collect(),
             per_shard,
             seq: AtomicU64::new(0),
         }
@@ -135,16 +133,17 @@ impl FlightRing {
 
     /// Maximum events retained across all shards.
     pub fn capacity(&self) -> usize {
-        self.per_shard * FLIGHT_SHARDS
+        self.per_shard * STRIPES
     }
 
     /// Records one event. Lock-free, allocation-free, no clock read.
     #[inline]
     pub fn record(&self, kind: u16, a: u64, b: u64) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[thread_slot() & (FLIGHT_SHARDS - 1)];
-        let at = shard.cursor.fetch_add(1, Ordering::Relaxed) % self.per_shard;
-        let slot = &shard.slots[at];
+        let (i, owned) = stripe();
+        let shard = &self.shards[i];
+        let at = stripe_add(&shard.cursor, 1, owned) % self.per_shard as u64;
+        let slot = &shard.slots[at as usize];
         // Invalidate first so a concurrent snapshot never pairs the new
         // payload with the old sequence stamp.
         slot.seq.store(SEQ_EMPTY, Ordering::Release);
@@ -168,7 +167,7 @@ impl FlightRing {
         let mut dropped = 0u64;
         for shard in self.shards.iter() {
             let pushed = shard.cursor.load(Ordering::Relaxed);
-            dropped += pushed.saturating_sub(self.per_shard) as u64;
+            dropped += pushed.saturating_sub(self.per_shard as u64);
             for slot in shard.slots.iter() {
                 let before = slot.seq.load(Ordering::Acquire);
                 if before == SEQ_EMPTY {
@@ -226,7 +225,7 @@ mod tests {
     #[test]
     fn records_in_order_single_thread() {
         // One thread records into one shard, so size the ring to keep
-        // per_shard (capacity / FLIGHT_SHARDS) above the event count.
+        // per_shard (capacity / STRIPES) above the event count.
         let ring = FlightRing::new(128);
         for i in 0..10u64 {
             ring.record(3, i, i * 2);
@@ -258,7 +257,7 @@ mod tests {
     #[test]
     fn capacity_floor_is_one_slot_per_shard() {
         let ring = FlightRing::new(0);
-        assert_eq!(ring.capacity(), FLIGHT_SHARDS);
+        assert_eq!(ring.capacity(), STRIPES);
         ring.record(9, 1, 2);
         assert_eq!(ring.snapshot().events.len(), 1);
     }
@@ -279,32 +278,42 @@ mod tests {
 
     #[test]
     fn concurrent_recording_loses_nothing_under_capacity() {
-        let ring = FlightRing::new(4096);
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let ring = &ring;
-                scope.spawn(move || {
-                    for i in 0..100u64 {
-                        ring.record(t as u16, t, i);
-                    }
-                });
+        // 16 threads outnumber the owned shards, so several share the
+        // last one. Size every shard for all events: which threads own
+        // a shard depends on what else ran in this process first.
+        for threads in [4u64, 16] {
+            let ring = FlightRing::new(threads as usize * 100 * STRIPES);
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    let ring = &ring;
+                    scope.spawn(move || {
+                        for i in 0..100u64 {
+                            ring.record(t as u16, t, i);
+                        }
+                    });
+                }
+            });
+            let snap = ring.snapshot();
+            assert_eq!(snap.recorded, threads * 100);
+            assert_eq!(snap.dropped, 0);
+            assert_eq!(snap.events.len() as u64, threads * 100);
+            // Sequence stamps are unique and the sort is total, so the
+            // merged timeline is deterministic given the same per-thread
+            // payloads.
+            for pair in snap.events.windows(2) {
+                assert!(pair[0].seq < pair[1].seq);
             }
-        });
-        let snap = ring.snapshot();
-        assert_eq!(snap.recorded, 400);
-        assert_eq!(snap.dropped, 0);
-        assert_eq!(snap.events.len(), 400);
-        // Sequence stamps are unique and the sort is total, so the merged
-        // timeline is deterministic given the same per-thread payloads.
-        for pair in snap.events.windows(2) {
-            assert!(pair[0].seq < pair[1].seq);
-        }
-        // Each thread's own events keep their program order.
-        for t in 0..4u64 {
-            let bs: Vec<u64> =
-                snap.events.iter().filter(|e| e.a == t).map(|e| e.b).collect();
-            let want: Vec<u64> = (0..100).collect();
-            assert_eq!(bs, want, "thread {t} subsequence is in program order");
+            // Each thread's own events keep their program order.
+            for t in 0..threads {
+                let bs: Vec<u64> = snap
+                    .events
+                    .iter()
+                    .filter(|e| e.a == t)
+                    .map(|e| e.b)
+                    .collect();
+                let want: Vec<u64> = (0..100).collect();
+                assert_eq!(bs, want, "thread {t} subsequence is in program order");
+            }
         }
     }
 }

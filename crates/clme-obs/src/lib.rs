@@ -38,11 +38,10 @@ pub mod tenant;
 
 pub use chrome::{chrome_trace_json, span_flow_json};
 pub use counters::{Component, EventCounters, EventKind};
-pub use flight::{FlightEvent, FlightRing, FlightSnapshot, FLIGHT_SHARDS};
+pub use flight::{FlightEvent, FlightRing, FlightSnapshot};
 pub use hist::Log2Histogram;
 pub use registry::{
     Counter, Gauge, MetricKind, MetricsError, Registry, Sample, SampleValue, ShardedHistogram,
-    HIST_SHARDS,
 };
 pub use ring::{TraceEvent, TraceRing};
 pub use series::{

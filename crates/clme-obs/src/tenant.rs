@@ -23,7 +23,9 @@
 //! Nothing here reads a clock or allocates on the observe path beyond the
 //! sketch's fixed-capacity tables.
 
+use clme_types::hash::BlockHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Mutex;
 
 /// Label value for the folded long-tail series.
@@ -55,8 +57,9 @@ pub struct HeavyHitter {
 pub struct SpaceSaving {
     cap: usize,
     entries: Vec<HeavyHitter>,
-    /// id -> index into `entries`.
-    index: HashMap<u64, usize>,
+    /// id -> index into `entries`. Probed, never iterated, and never
+    /// above `cap` ids, so colliding ids cost at most a `cap`-long probe.
+    index: HashMap<u64, usize, BuildHasherDefault<BlockHasher>>,
 }
 
 impl SpaceSaving {
@@ -66,7 +69,7 @@ impl SpaceSaving {
         SpaceSaving {
             cap,
             entries: Vec::with_capacity(cap),
-            index: HashMap::with_capacity(cap * 2),
+            index: HashMap::with_capacity_and_hasher(cap * 2, Default::default()),
         }
     }
 

@@ -255,11 +255,6 @@ impl SystemConfig {
     pub fn max_accesses_per_epoch(&self) -> u64 {
         self.epoch_length / self.block_transfer_time()
     }
-
-    /// Cycles in one epoch at the core clock.
-    pub fn cycles_per_epoch(&self) -> u64 {
-        self.epoch_length / self.core_period()
-    }
 }
 
 impl Default for SystemConfig {

@@ -15,6 +15,8 @@
 //!   run-matrix driver.
 //! * [`json`] — a dependency-free, byte-stable JSON encoder/decoder used
 //!   for stats snapshots and golden-file diffing.
+//! * [`hash`] — [`hash::BlockHasher`], a multiply-fold hasher for
+//!   integer-keyed tables that are probed and never iterated.
 //!
 //! # Examples
 //!
@@ -28,6 +30,7 @@
 
 pub mod addr;
 pub mod config;
+pub mod hash;
 pub mod json;
 pub mod rng;
 pub mod stats;

@@ -75,12 +75,6 @@ impl Time {
         self.0 as f64 / PS_PER_NS as f64
     }
 
-    /// Returns the time as fractional microseconds (for reporting only).
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_US as f64
-    }
-
     /// Saturating subtraction: returns `self - other`, or
     /// [`TimeDelta::ZERO`] when `other` is later than `self`.
     #[inline]
