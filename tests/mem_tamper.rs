@@ -380,3 +380,110 @@ fn warm_write_batch_does_not_hide_tampering() {
     drop(file);
     let _ = std::fs::remove_file(&path);
 }
+
+/// The pages of [`assert_batch_commits_pages_before_flip`]'s batch: six
+/// pages under six distinct leaf nodes, so flipping one page's leaf
+/// node fails that page's walk and no earlier page's.
+const BATCH_PAGES: [u64; 6] = [1, 10, 19, 28, 37, 46];
+
+/// A write batch over the six [`BATCH_PAGES`], two blocks each and
+/// listed out of page order, with the counter word or the leaf node of
+/// the k-th page (in page order) flipped, for every k, with the layer
+/// cold (freshly attached: nothing cached, nothing trusted) and warm.
+/// The batch must fail with the class naming the flipped word, at the
+/// first address the batch writes in that page; the pages before k
+/// commit (the root advances by their blocks and they read back the new
+/// data), page k and the later pages keep their old data, and the
+/// flipped word stays as flipped. This is the partial-commit rule: a
+/// batch commits exactly the pages its walk verified before the
+/// failure.
+fn assert_batch_commits_pages_before_flip<B: StoreBackend>(
+    mut layer: EncryptionLayer<B>,
+    label: &str,
+) {
+    let geo = layer.geometry().clone();
+    let blocks = geo.data_blocks();
+    let order = [3usize, 0, 5, 1, 4, 2];
+    let mut round = 0u8;
+    for counter_word in [true, false] {
+        for (k, &page) in BATCH_PAGES.iter().enumerate() {
+            for warm in [false, true] {
+                round = round.wrapping_add(1);
+                let case = format!("{label}: k={k} counter_word={counter_word} warm={warm}");
+                let slots = |page: u64| [page * PAGE_BLOCKS + 5, page * PAGE_BLOCKS + 2];
+                let before: Vec<Vec<[u8; 64]>> = BATCH_PAGES
+                    .iter()
+                    .map(|&p| layer.batch_read(&slots(p)).expect("readable before"))
+                    .collect();
+                if warm {
+                    let addrs: Vec<u64> = BATCH_PAGES.iter().map(|p| p * PAGE_BLOCKS).collect();
+                    layer.batch_read(&addrs).expect("warm read");
+                    let warmup: Vec<_> = addrs.iter().map(|&a| (a + 7, [round; 64])).collect();
+                    layer.batch_write(&warmup).expect("warm write");
+                    layer.batch_read(&addrs).expect("warm refill");
+                } else {
+                    let root = layer.root();
+                    layer = EncryptionLayer::attach(layer.into_backend(), blocks, MASTER, root)
+                        .expect("reattach");
+                }
+                let (word_index, class) = if counter_word {
+                    (geo.counter_word(page), TamperClass::CounterBlock)
+                } else {
+                    let (level, group, _) = geo.path(page)[0];
+                    (geo.node_word(level, group), TamperClass::TreeNode { level: 0 })
+                };
+                let original = layer.backend().read_word(word_index).expect("in bounds");
+                let mut flipped = original;
+                flipped[3] ^= 0x10;
+                layer.backend().write_word(word_index, &flipped).expect("in bounds");
+
+                let root = layer.root();
+                let new_block = |p: usize| [round ^ (0x40 + p as u8); 64];
+                let writes: Vec<(u64, [u8; 64])> = order
+                    .iter()
+                    .flat_map(|&p| slots(BATCH_PAGES[p]).map(|a| (a, new_block(p))))
+                    .collect();
+                let err = layer
+                    .batch_write(&writes)
+                    .expect_err(&format!("{case}: flip went undetected"));
+                let integrity = *err.integrity().unwrap_or_else(|| panic!("{case}: {err}"));
+                assert_eq!(integrity.class, class, "{case}");
+                assert_eq!(integrity.addr, slots(page)[0], "{case}: error address");
+                assert_eq!(layer.root(), root + 2 * k as u64, "{case}: committed blocks");
+                assert_eq!(
+                    layer.backend().read_word(word_index).expect("in bounds"),
+                    flipped,
+                    "{case}: the batch resealed the flipped word"
+                );
+
+                layer.backend().write_word(word_index, &original).expect("in bounds");
+                for (p, &pg) in BATCH_PAGES.iter().enumerate() {
+                    let got = layer.batch_read(&slots(pg)).expect("readable after restore");
+                    if p < k {
+                        assert_eq!(got, vec![new_block(p); 2], "{case}: page {pg} committed");
+                    } else {
+                        assert_eq!(got, before[p], "{case}: page {pg} kept its data");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn write_batch_commits_exactly_the_pages_before_a_flip() {
+    // 72 pages: a three-level tree with nine leaf nodes.
+    let blocks = 72 * PAGE_BLOCKS;
+    let vec = EncryptionLayer::new(VecBackend::for_blocks(blocks), blocks, MASTER).expect("vec");
+    assert_batch_commits_pages_before_flip(vec, "vec");
+    let path =
+        std::env::temp_dir().join(format!("clme-tamper-partial-{}.store", std::process::id()));
+    let file = EncryptionLayer::new(
+        FileBackend::create_for_blocks(&path, blocks).expect("store file"),
+        blocks,
+        MASTER,
+    )
+    .expect("file");
+    assert_batch_commits_pages_before_flip(file, "file");
+    let _ = std::fs::remove_file(&path);
+}
