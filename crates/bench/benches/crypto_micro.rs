@@ -8,7 +8,7 @@ use clme_crypto::aes::Aes;
 use clme_crypto::combine::{combine_linear, combine_nonlinear};
 use clme_crypto::keys::KeyMaterial;
 use clme_crypto::mac::counterless_mac;
-use clme_crypto::sha3::sha3_256;
+use clme_crypto::sha3::{sha3_256, sha3_tag64, sha3_tag64_batch, sha3_tag64_batch_portable};
 
 fn bench_crypto(c: &mut Criterion) {
     let mut group = c.benchmark_group("crypto");
@@ -32,6 +32,21 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| keys.otp().pad_block64(black_box(0x40), black_box(7)))
     });
     group.bench_function("sha3_256_64B", |b| b.iter(|| sha3_256(black_box(&data))));
+    // A tree-node MAC's input is 141 bytes: two permutations per tag.
+    let node_input = [0xA7u8; 141];
+    group.bench_function("sha3_tag64_141B", |b| {
+        b.iter(|| sha3_tag64(black_box(&node_input), &[]))
+    });
+    for n in [8usize, 64] {
+        let inputs = vec![&node_input[..]; n];
+        let mut tags = vec![0u64; n];
+        group.bench_function(format!("sha3_tag64_batch{n}_141B"), |b| {
+            b.iter(|| sha3_tag64_batch(black_box(&inputs), &mut tags))
+        });
+        group.bench_function(format!("sha3_tag64_batch{n}_141B_portable"), |b| {
+            b.iter(|| sha3_tag64_batch_portable(black_box(&inputs), &mut tags))
+        });
+    }
     group.bench_function("counterless_mac", |b| {
         b.iter(|| counterless_mac(keys.counterless_mac_key(), black_box(0x40), &data, u32::MAX))
     });
