@@ -16,7 +16,9 @@
 //! bit, the sweeping hand clears it, and a slot is reclaimed when the
 //! hand finds the bit already clear.
 
+use clme_types::hash::BlockHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::{Mutex, PoisonError};
 
 struct Slot<V> {
@@ -28,8 +30,9 @@ struct Slot<V> {
 struct ClockShard<V> {
     /// Fixed-capacity slab; `None` slots are free.
     slots: Vec<Option<Slot<V>>>,
-    /// key → slab position.
-    index: HashMap<u64, usize>,
+    /// key → slab position. Probed, never iterated, and bounded by the
+    /// slab, so [`BlockHasher`] picks its buckets.
+    index: HashMap<u64, usize, BuildHasherDefault<BlockHasher>>,
     /// CLOCK hand: next slab position the eviction sweep examines.
     hand: usize,
 }
@@ -40,7 +43,7 @@ impl<V> ClockShard<V> {
         slots.resize_with(capacity, || None);
         ClockShard {
             slots,
-            index: HashMap::with_capacity(capacity),
+            index: HashMap::with_capacity_and_hasher(capacity, Default::default()),
             hand: 0,
         }
     }
