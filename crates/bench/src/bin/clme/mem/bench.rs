@@ -9,7 +9,7 @@ use clme_workloads::tenants::TenantComposer;
 use std::time::{Duration, Instant};
 
 /// One batch the bench issues.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Batch {
     /// The issuing tenant, for composed traffic.
     pub tenant: Option<u64>,
@@ -23,11 +23,17 @@ pub struct Batch {
 /// Where the bench's batches come from. The uniform stream (`--bench`):
 /// each rep writes `ops` blocks at uniform random addresses, then reads
 /// `ops` uniform random addresses, in batches of 64 from the `mem/bench`
-/// seed stream. Composed traffic (`--tenants`): `ops` blocks a rep from
-/// the composer; write data comes from its own `mem/tenants/data`
-/// stream, so the composed stream (and its digest) does not depend on it.
+/// seed stream. Composed traffic (`--tenants`): `ops` blocks of composer
+/// batches, composed once, during the first rep (the warm-up), and
+/// replayed by every later rep, so all reps time the same traffic; write
+/// data comes from its own `mem/tenants/data` stream, so the composed
+/// stream (and its digest) does not depend on it.
 pub struct BatchSource {
     composer: Option<TenantComposer>,
+    /// The composed rep, as far as it has been composed.
+    composed: Vec<Batch>,
+    /// The position in `composed` of the current rep's next batch.
+    replay: usize,
     rng: SplitMix64,
     blocks: u64,
     ops: usize,
@@ -44,6 +50,8 @@ impl BatchSource {
         };
         BatchSource {
             composer,
+            composed: Vec::new(),
+            replay: 0,
             rng: SplitMix64::new(SplitMix64::new(args.seed).derive(label)),
             blocks,
             ops: args.ops.max(64),
@@ -57,19 +65,26 @@ impl BatchSource {
         batch.writes.clear();
         if let Some(composer) = &mut self.composer {
             if issued >= ops {
+                self.replay = 0;
                 return false;
             }
-            let composed = composer.next_batch();
-            batch.tenant = Some(composed.tenant);
-            batch.write = composed.write;
-            batch.addrs = composed.addrs;
-            if batch.write {
-                let data = batch
-                    .addrs
-                    .iter()
-                    .map(|&a| (a, random_bytes(&mut self.rng)));
-                batch.writes.extend(data);
+            if self.replay == self.composed.len() {
+                let composed = composer.next_batch();
+                let writes = if composed.write {
+                    let data = composed.addrs.iter();
+                    data.map(|&a| (a, random_bytes(&mut self.rng))).collect()
+                } else {
+                    Vec::new()
+                };
+                self.composed.push(Batch {
+                    tenant: Some(composed.tenant),
+                    write: composed.write,
+                    addrs: composed.addrs,
+                    writes,
+                });
             }
+            batch.clone_from(&self.composed[self.replay]);
+            self.replay += 1;
             return true;
         }
         if issued >= 2 * ops {
@@ -184,7 +199,9 @@ pub fn bench<B: StoreBackend>(
     // host noise only ever slows a run down (same reasoning as the perf
     // gate's measure_best) — but the per-rep rates are kept so the
     // artifact records the spread instead of silently folding a noisy
-    // host into the best. The source runs on through all reps.
+    // host into the best. Every rep issues equal work: the uniform
+    // stream draws the same counts each rep, and composed traffic replays
+    // the rep the warm-up composed.
     let (mut write, mut read) = (Reps::default(), Reps::default());
     for rep in 0..=args.reps {
         // [read, write] blocks and summed batch time of this rep.
