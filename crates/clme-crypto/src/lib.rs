@@ -18,7 +18,8 @@
 //! * [`otp`] — AES-CTR one-time pads, the *counter mode* encryption used
 //!   by SGX1 (paper Fig. 2b): one AES per 16B word over (address, counter).
 //! * [`sha3`] — Keccak-f\[1600\] and SHA3-256; the counterless MAC hash
-//!   (Intel MKTME uses SHA-3 for its per-block MAC).
+//!   (Intel MKTME uses SHA-3 for its per-block MAC), and the batched
+//!   64-bit tags behind `clme-mem`'s metadata MACs.
 //! * [`mac`] — the two 64-bit MAC constructions of Section II: the
 //!   SHA-3-based counterless MAC and the OTP ⊕ GF-dot-product counter-mode
 //!   MAC, both extended with the EncryptionMetadata input of Section IV-C.
@@ -30,8 +31,10 @@
 //!
 //! AES encryption and the counter-mode MAC's GF(2¹²⁸) dot product run on
 //! the CPU's AES-NI and PCLMULQDQ units where CPUID reports them, chosen
-//! once when a cipher or MAC is built. The portable code stays the
-//! reference and the only path elsewhere; both produce identical bytes.
+//! once when a cipher or MAC is built; batched SHA-3 tags
+//! ([`sha3::sha3_tag64_batch`]) run eight Keccak states per permutation
+//! on AVX-512F. The portable code stays the reference and the only path
+//! elsewhere; both produce identical bytes.
 //! All of the crate's `unsafe` code is in one private module, `hw`.
 //!
 //! # Examples
