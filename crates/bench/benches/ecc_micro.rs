@@ -22,7 +22,9 @@ fn bench_ecc(c: &mut Criterion) {
     });
     let block = encode(&data, 0x1234, MetaWord::counter(7));
     group.bench_function("decode_meta", |b| b.iter(|| decode_meta(black_box(&block))));
-    group.bench_function("block_entropy", |b| b.iter(|| block_entropy(black_box(&data))));
+    group.bench_function("block_entropy", |b| {
+        b.iter(|| block_entropy(black_box(&data)))
+    });
 
     // Full functional read paths.
     let mut mem = MemoryImage::new(1 << 20, [3; 32]);

@@ -110,7 +110,10 @@ fn main() {
         })
     );
     println!("\nanalytic DUE probabilities (Section IV-E):");
-    println!("  Synergy baseline:            2^{:.1}", synergy_due_probability().log2());
+    println!(
+        "  Synergy baseline:            2^{:.1}",
+        synergy_due_probability().log2()
+    );
     println!(
         "  Counter-light (no filter):   2^{:.1}  (doubled trials)",
         counter_light_due_probability().log2()

@@ -262,7 +262,9 @@ pub fn parse_baseline(text: &str) -> Result<f64, String> {
         .and_then(JsonValue::as_f64)
         .ok_or("baseline missing schema")?;
     if schema != PERF_SCHEMA as f64 {
-        return Err(format!("baseline schema {schema} != supported {PERF_SCHEMA}"));
+        return Err(format!(
+            "baseline schema {schema} != supported {PERF_SCHEMA}"
+        ));
     }
     doc.get("normalized_score")
         .and_then(JsonValue::as_f64)
@@ -320,12 +322,18 @@ mod tests {
         let text = baseline_json(&fake(3.5));
         assert_eq!(parse_baseline(&text).unwrap(), 3.5);
         assert!(parse_baseline("{}").is_err());
-        assert!(parse_baseline(&text.replace("1,", "9,")).is_err(), "bad schema");
+        assert!(
+            parse_baseline(&text.replace("1,", "9,")).is_err(),
+            "bad schema"
+        );
     }
 
     #[test]
     fn gate_semantics() {
-        assert!(regression(10.0, 9.0, 0.15).is_none(), "10% drop passes 15% gate");
+        assert!(
+            regression(10.0, 9.0, 0.15).is_none(),
+            "10% drop passes 15% gate"
+        );
         assert!(regression(10.0, 8.4, 0.15).is_some(), "16% drop fails");
         assert!(regression(10.0, 12.0, 0.15).is_none(), "improvement passes");
     }
@@ -355,7 +363,9 @@ mod tests {
         let history = extract_history(&second);
         assert_eq!(history.len(), 2);
         assert_eq!(
-            history[1].get("normalized_score").and_then(JsonValue::as_f64),
+            history[1]
+                .get("normalized_score")
+                .and_then(JsonValue::as_f64),
             Some(3.1)
         );
         // Unparseable and wrong-schema inputs reset cleanly.
@@ -373,7 +383,11 @@ mod tests {
         let history = extract_history(&capped);
         assert_eq!(history.len(), HISTORY_CAP);
         assert_eq!(
-            history.last().unwrap().get("unix_time").and_then(JsonValue::as_f64),
+            history
+                .last()
+                .unwrap()
+                .get("unix_time")
+                .and_then(JsonValue::as_f64),
             Some(9999.0)
         );
     }

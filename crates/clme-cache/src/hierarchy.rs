@@ -186,11 +186,21 @@ impl MemorySystemCaches {
             match level {
                 HitLevel::L1 => obs.count(EventKind::L1Hit),
                 HitLevel::L2 => obs.count(EventKind::L2Hit),
-                HitLevel::Llc => {
-                    obs.event(at, Component::Cache, EventKind::LlcHit, block, TimeDelta::ZERO)
-                }
+                HitLevel::Llc => obs.event(
+                    at,
+                    Component::Cache,
+                    EventKind::LlcHit,
+                    block,
+                    TimeDelta::ZERO,
+                ),
                 HitLevel::Memory => {
-                    obs.event(at, Component::Cache, EventKind::LlcMiss, block, TimeDelta::ZERO);
+                    obs.event(
+                        at,
+                        Component::Cache,
+                        EventKind::LlcMiss,
+                        block,
+                        TimeDelta::ZERO,
+                    );
                     // The LLC miss opens a request span; the machine and
                     // engine report its dependent operations as children.
                     obs.span_request_begin(at, block);
@@ -382,7 +392,10 @@ mod tests {
         for b in 1..=total_lines {
             writebacks.extend(caches.access(0, b, false).writebacks);
         }
-        assert!(writebacks.contains(&0), "dirty block 0 never reached memory");
+        assert!(
+            writebacks.contains(&0),
+            "dirty block 0 never reached memory"
+        );
     }
 
     #[test]
@@ -512,7 +525,11 @@ mod tests {
         for step in 0..5_000 {
             let core = rng.below(2) as usize;
             // Short strided runs train the prefetchers between jumps.
-            let block = if rng.chance(0.7) { step * 3 } else { rng.below(1 << 14) };
+            let block = if rng.chance(0.7) {
+                step * 3
+            } else {
+                rng.below(1 << 14)
+            };
             let write = rng.chance(0.3);
             reusing.access_into(core, block, write, Time::ZERO, &mut NopSink, &mut result);
             assert_eq!(result, fresh.access(core, block, write), "step {step}");
@@ -531,7 +548,11 @@ mod tests {
         assert_eq!(rec.counters().get(EventKind::LlcMiss), 1);
         assert_eq!(rec.counters().get(EventKind::L1Hit), 1);
         assert_eq!(rec.counters().get(EventKind::LlcHit), 1);
-        assert_eq!(rec.ring().len(), 2, "only LLC-level outcomes take ring slots");
+        assert_eq!(
+            rec.ring().len(),
+            2,
+            "only LLC-level outcomes take ring slots"
+        );
     }
 }
 

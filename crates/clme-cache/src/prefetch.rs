@@ -68,7 +68,10 @@ impl StridePrefetcher {
     ///
     /// Panics if `entries` is not a nonzero power of two.
     pub fn new(entries: usize, degree: u32) -> StridePrefetcher {
-        assert!(entries.is_power_of_two() && entries > 0, "entries must be a power of two");
+        assert!(
+            entries.is_power_of_two() && entries > 0,
+            "entries must be a power of two"
+        );
         StridePrefetcher {
             table: vec![StrideEntry::default(); entries],
             degree,

@@ -61,7 +61,10 @@ impl SetAssocCache {
     ///
     /// Panics if `sets` is not a nonzero power of two or `ways` is zero.
     pub fn new(sets: usize, ways: usize) -> SetAssocCache {
-        assert!(sets.is_power_of_two() && sets > 0, "sets must be a power of two");
+        assert!(
+            sets.is_power_of_two() && sets > 0,
+            "sets must be a power of two"
+        );
         assert!(ways > 0, "need at least one way");
         let lines = sets * ways;
         SetAssocCache {
@@ -254,14 +257,26 @@ mod tests {
         c.fill(7, false);
         c.access(7, true); // make dirty
         let evicted = c.fill(9, false).unwrap();
-        assert_eq!(evicted, Evicted { block: 7, dirty: true });
+        assert_eq!(
+            evicted,
+            Evicted {
+                block: 7,
+                dirty: true
+            }
+        );
     }
 
     #[test]
     fn clean_eviction_reported_clean() {
         let mut c = SetAssocCache::new(1, 1);
         c.fill(7, false);
-        assert_eq!(c.fill(9, false).unwrap(), Evicted { block: 7, dirty: false });
+        assert_eq!(
+            c.fill(9, false).unwrap(),
+            Evicted {
+                block: 7,
+                dirty: false
+            }
+        );
     }
 
     #[test]

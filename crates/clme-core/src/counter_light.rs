@@ -194,14 +194,22 @@ impl EncryptionEngine for CounterLightEngine {
             let skew = meta_known.picos() as i64 - data.arrival.picos() as i64;
             self.stats.counter_skew.add(skew);
             if obs.enabled() {
-                obs.count(if memo_hit { EventKind::PadMemoized } else { EventKind::PadAes });
+                obs.count(if memo_hit {
+                    EventKind::PadMemoized
+                } else {
+                    EventKind::PadAes
+                });
                 // The in-ECC "fetch" completes at the half-block point.
                 obs.latency(Stage::CounterFetch, meta_known.saturating_since(issue));
                 // In-ECC decode: the counter is never a DRAM dependency,
                 // so the counter-fetch span always ends before arrival.
                 obs.span_child(SpanKind::CounterFetch, 0, issue, meta_known);
                 obs.span_child(
-                    if memo_hit { SpanKind::PadMemo } else { SpanKind::PadAes },
+                    if memo_hit {
+                        SpanKind::PadMemo
+                    } else {
+                        SpanKind::PadAes
+                    },
                     0,
                     meta_known,
                     meta_known + pad_latency,
@@ -217,9 +225,20 @@ impl EncryptionEngine for CounterLightEngine {
             obs.count(EventKind::MacVerify);
             // Synergy in-line MAC: lanes arrive with the burst tail.
             obs.latency(Stage::MacFetch, self.mac_window);
-            obs.span_child(SpanKind::MacFetch, 0, data.arrival - self.mac_window, data.arrival);
+            obs.span_child(
+                SpanKind::MacFetch,
+                0,
+                data.arrival - self.mac_window,
+                data.arrival,
+            );
             obs.span_child(SpanKind::EccDecode, 0, ready - self.ecc_check, ready);
-            obs.event(issue, Component::Engine, EventKind::ReadMiss, block.raw(), ready - issue);
+            obs.event(
+                issue,
+                Component::Engine,
+                EventKind::ReadMiss,
+                block.raw(),
+                ready - issue,
+            );
             obs.latency(Stage::Engine, ready - data.arrival);
         }
         ReadMissOutcome {
@@ -402,7 +421,10 @@ mod tests {
         engine.counterless_blocks.insert(block.raw());
         assert!(engine.is_counterless(block));
         engine.on_writeback(block, Time::ZERO, &mut dram);
-        assert!(!engine.is_counterless(block), "quiet epoch rewrites in counter mode");
+        assert!(
+            !engine.is_counterless(block),
+            "quiet epoch rewrites in counter mode"
+        );
     }
 
     #[test]
@@ -462,6 +484,9 @@ mod tests {
             engine.epoch.observe_access(Time::ZERO);
         }
         let wb = engine.on_writeback(BlockAddr::new(1), Time::ZERO, &mut dram);
-        assert!(wb.used_counter_mode, "ablated engine must stay in counter mode");
+        assert!(
+            wb.used_counter_mode,
+            "ablated engine must stay in counter mode"
+        );
     }
 }

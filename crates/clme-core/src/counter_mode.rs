@@ -159,7 +159,9 @@ impl EncryptionEngine for CounterModeEngine {
             if fetch.counter_dram_arrival.is_some() {
                 self.stats.counter_fetches += 1;
                 if self.mode_cfg.tree_on_read {
-                    let verify = self.metadata.verify_tree_for_read_obs(block, issue, dram, obs);
+                    let verify = self
+                        .metadata
+                        .verify_tree_for_read_obs(block, issue, dram, obs);
                     self.stats.metadata_reads += verify.dram_reads;
                     self.stats.metadata_writes += verify.dram_writes;
                 }
@@ -173,7 +175,11 @@ impl EncryptionEngine for CounterModeEngine {
             // Pad generation starts when the counter value is known.
             let counter = self.counter_of(block);
             let memo_hit = self.memo.lookup(counter).is_some();
-            let pad_latency = if memo_hit { self.memo_combine } else { self.aes };
+            let pad_latency = if memo_hit {
+                self.memo_combine
+            } else {
+                self.aes
+            };
             self.stats.memo = self.memo.hit_ratio();
             let pad_done = fetch.available + pad_latency;
             ready = pad_done.max(data.arrival) + self.ecc_check;
@@ -181,10 +187,18 @@ impl EncryptionEngine for CounterModeEngine {
                 if fetch.available > data.arrival {
                     obs.count(EventKind::CounterLate);
                 }
-                obs.count(if memo_hit { EventKind::PadMemoized } else { EventKind::PadAes });
+                obs.count(if memo_hit {
+                    EventKind::PadMemoized
+                } else {
+                    EventKind::PadAes
+                });
                 obs.latency(Stage::CounterFetch, fetch.available.saturating_since(issue));
                 obs.span_child(
-                    if memo_hit { SpanKind::PadMemo } else { SpanKind::PadAes },
+                    if memo_hit {
+                        SpanKind::PadMemo
+                    } else {
+                        SpanKind::PadAes
+                    },
                     0,
                     fetch.available,
                     pad_done,
@@ -201,9 +215,20 @@ impl EncryptionEngine for CounterModeEngine {
             // Synergy stores the MAC in-line: its lanes ride the tail of
             // the data burst instead of issuing a separate DRAM read.
             obs.latency(Stage::MacFetch, self.mac_window);
-            obs.span_child(SpanKind::MacFetch, 0, data.arrival - self.mac_window, data.arrival);
+            obs.span_child(
+                SpanKind::MacFetch,
+                0,
+                data.arrival - self.mac_window,
+                data.arrival,
+            );
             obs.span_child(SpanKind::EccDecode, 0, ready - self.ecc_check, ready);
-            obs.event(issue, Component::Engine, EventKind::ReadMiss, block.raw(), ready - issue);
+            obs.event(
+                issue,
+                Component::Engine,
+                EventKind::ReadMiss,
+                block.raw(),
+                ready - issue,
+            );
             obs.latency(Stage::Engine, ready.saturating_since(data.arrival));
         }
         ReadMissOutcome {
@@ -224,7 +249,8 @@ impl EncryptionEngine for CounterModeEngine {
         self.stats.prefetch_fills += 1;
         obs.count(EventKind::PrefetchFill);
         let arrival = dram.background_access_obs(block, AccessKind::Read, issue, obs);
-        if self.mode_cfg.fetch_counters_on_read && block.raw() < self.metadata.layout().data_blocks()
+        if self.mode_cfg.fetch_counters_on_read
+            && block.raw() < self.metadata.layout().data_blocks()
         {
             let fetch = self.metadata.counter_for_read(
                 block,

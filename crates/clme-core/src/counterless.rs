@@ -77,10 +77,26 @@ impl EncryptionEngine for CounterlessEngine {
             obs.count(EventKind::MacVerify);
             obs.latency(Stage::MacFetch, self.mac_window);
             obs.span_child(SpanKind::DataDram, 0, issue, access.arrival);
-            obs.span_child(SpanKind::MacFetch, 0, access.arrival - self.mac_window, access.arrival);
+            obs.span_child(
+                SpanKind::MacFetch,
+                0,
+                access.arrival - self.mac_window,
+                access.arrival,
+            );
             obs.span_child(SpanKind::PadAes, 0, access.arrival, cipher_done);
-            obs.span_child(SpanKind::EccDecode, 0, cipher_done.max(access.arrival), ready);
-            obs.event(issue, Component::Engine, EventKind::ReadMiss, block.raw(), ready - issue);
+            obs.span_child(
+                SpanKind::EccDecode,
+                0,
+                cipher_done.max(access.arrival),
+                ready,
+            );
+            obs.event(
+                issue,
+                Component::Engine,
+                EventKind::ReadMiss,
+                block.raw(),
+                ready - issue,
+            );
             obs.latency(Stage::Engine, ready - access.arrival);
         }
         ReadMissOutcome {

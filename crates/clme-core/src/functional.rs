@@ -121,7 +121,10 @@ impl MemoryImage {
         let keys = KeyMaterial::from_master(master);
         memo.insert(0, keys.otp().counter_only_aes(0));
         MemoryImage {
-            tree: IntegrityTree::new(layout.counter_blocks() as usize, *keys.counterless_mac_key()),
+            tree: IntegrityTree::new(
+                layout.counter_blocks() as usize,
+                *keys.counterless_mac_key(),
+            ),
             keys,
             layout,
             blocks: HashMap::new(),
@@ -190,7 +193,8 @@ impl MemoryImage {
                             "counter metadata failed integrity verification (replay?)"
                         );
                         if !self.memo.probe(next) {
-                            self.memo.insert(next, self.keys.otp().counter_only_aes(next));
+                            self.memo
+                                .insert(next, self.keys.otp().counter_only_aes(next));
                         }
                         self.counters.insert(block.raw(), next);
                         self.tree.record_write(leaf);
@@ -368,7 +372,10 @@ impl MacVerifier for BlockVerifier<'_> {
                 let pad = pad_for(self.keys, self.addr, counter as u64);
                 let plaintext = xor64(ciphertext, &pad);
                 let otp_trunc = u64::from_le_bytes(pad[..8].try_into().expect("64-byte pad"));
-                mac == self.keys.counter_mode_mac().tag(otp_trunc, &plaintext, counter)
+                mac == self
+                    .keys
+                    .counter_mode_mac()
+                    .tag(otp_trunc, &plaintext, counter)
             }
         }
     }
@@ -444,7 +451,10 @@ mod tests {
     #[test]
     fn never_written_errors() {
         let mut mem = image();
-        assert_eq!(mem.read_block(BlockAddr::new(1)), Err(ReadError::NeverWritten));
+        assert_eq!(
+            mem.read_block(BlockAddr::new(1)),
+            Err(ReadError::NeverWritten)
+        );
     }
 
     #[test]

@@ -221,7 +221,8 @@ impl MetadataTraffic {
             };
         }
         let arrival = if demand {
-            dram.access(meta_block, AccessKind::Read, lookup_done).arrival
+            dram.access(meta_block, AccessKind::Read, lookup_done)
+                .arrival
         } else {
             dram.background_access(meta_block, AccessKind::Read, lookup_done)
         };

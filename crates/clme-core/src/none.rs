@@ -64,7 +64,13 @@ impl EncryptionEngine for NoEncryptionEngine {
             obs.count(EventKind::MacVerify);
             obs.span_child(SpanKind::DataDram, 0, issue, access.arrival);
             obs.span_child(SpanKind::EccDecode, 0, access.arrival, ready);
-            obs.event(issue, Component::Engine, EventKind::ReadMiss, block.raw(), ready - issue);
+            obs.event(
+                issue,
+                Component::Engine,
+                EventKind::ReadMiss,
+                block.raw(),
+                ready - issue,
+            );
             obs.latency(Stage::Engine, ready - access.arrival);
         }
         ReadMissOutcome {

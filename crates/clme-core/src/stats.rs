@@ -130,25 +130,40 @@ impl EngineStats {
             ("metadata_reads", self.metadata_reads as f64),
             ("metadata_writes", self.metadata_writes as f64),
             ("counterless_writebacks", self.counterless_writebacks as f64),
-            ("counter_mode_writebacks", self.counter_mode_writebacks as f64),
-            ("counterless_writeback_fraction", self.counterless_writeback_fraction()),
+            (
+                "counter_mode_writebacks",
+                self.counter_mode_writebacks as f64,
+            ),
+            (
+                "counterless_writeback_fraction",
+                self.counterless_writeback_fraction(),
+            ),
             ("memo_hits", self.memo.hits() as f64),
             ("memo_lookups", self.memo.total() as f64),
             ("memo_hit_rate", self.memo.rate()),
             ("reads_in_counter_mode", self.reads_in_counter_mode as f64),
             ("mean_read_latency_ns", self.mean_read_latency().as_ns_f64()),
-            ("mean_stall_after_data_ns", self.mean_stall_after_data().as_ns_f64()),
+            (
+                "mean_stall_after_data_ns",
+                self.mean_stall_after_data().as_ns_f64(),
+            ),
             ("counter_cache_hits", self.counter_cache.hits() as f64),
             ("counter_cache_lookups", self.counter_cache.total() as f64),
             ("counter_cache_hit_rate", self.counter_cache.rate()),
         ];
         // The Fig. 8 skew distribution, folded bucket-by-bucket so golden
         // diffs catch shifts the scalar late-fraction would average away.
-        fields.push(("counter_skew.below_m30ns", self.counter_skew.underflow() as f64));
+        fields.push((
+            "counter_skew.below_m30ns",
+            self.counter_skew.underflow() as f64,
+        ));
         for (i, name) in SKEW_BUCKET_NAMES.iter().enumerate() {
             fields.push((name, self.counter_skew.bucket_count(i) as f64));
         }
-        fields.push(("counter_skew.above_p30ns", self.counter_skew.overflow() as f64));
+        fields.push((
+            "counter_skew.above_p30ns",
+            self.counter_skew.overflow() as f64,
+        ));
         fields.push(("counter_late_fraction", self.counter_late_fraction()));
         fields
     }

@@ -120,7 +120,9 @@ mod tests {
         for i in 0..1024u64 {
             cc.fill(BlockAddr::new(i), false);
         }
-        let resident = (0..1024u64).filter(|&i| cc.probe(BlockAddr::new(i))).count();
+        let resident = (0..1024u64)
+            .filter(|&i| cc.probe(BlockAddr::new(i)))
+            .count();
         assert_eq!(resident, 1024);
     }
 
@@ -137,6 +139,10 @@ mod tests {
                 cc.fill(b, true);
             }
         }
-        assert!(cc.hit_ratio().rate() < 0.05, "rate {}", cc.hit_ratio().rate());
+        assert!(
+            cc.hit_ratio().rate() < 0.05,
+            "rate {}",
+            cc.hit_ratio().rate()
+        );
     }
 }

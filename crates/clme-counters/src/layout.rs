@@ -85,7 +85,10 @@ impl MetadataLayout {
     ///
     /// Panics if `data_block` is outside the data region.
     pub fn counter_block_of(&self, data_block: BlockAddr) -> BlockAddr {
-        assert!(data_block.raw() < self.data_blocks, "address beyond data region");
+        assert!(
+            data_block.raw() < self.data_blocks,
+            "address beyond data region"
+        );
         BlockAddr::new(self.data_blocks + data_block.raw() / BLOCKS_PER_COUNTER_BLOCK as u64)
     }
 

@@ -213,7 +213,12 @@ fn rot_word(w: [u8; 4]) -> [u8; 4] {
 
 fn sub_word(w: [u8; 4]) -> [u8; 4] {
     let s = sbox();
-    [s[w[0] as usize], s[w[1] as usize], s[w[2] as usize], s[w[3] as usize]]
+    [
+        s[w[0] as usize],
+        s[w[1] as usize],
+        s[w[2] as usize],
+        s[w[3] as usize],
+    ]
 }
 
 fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
@@ -258,7 +263,12 @@ fn inv_shift_rows(state: &mut [u8; 16]) {
 
 fn mix_columns(state: &mut [u8; 16]) {
     for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
+        let col = [
+            state[4 * c],
+            state[4 * c + 1],
+            state[4 * c + 2],
+            state[4 * c + 3],
+        ];
         state[4 * c] = xtime(col[0]) ^ (xtime(col[1]) ^ col[1]) ^ col[2] ^ col[3];
         state[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
         state[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
@@ -268,7 +278,12 @@ fn mix_columns(state: &mut [u8; 16]) {
 
 fn inv_mix_columns(state: &mut [u8; 16]) {
     for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
+        let col = [
+            state[4 * c],
+            state[4 * c + 1],
+            state[4 * c + 2],
+            state[4 * c + 3],
+        ];
         state[4 * c] = gf8_mul(col[0], 0x0E)
             ^ gf8_mul(col[1], 0x0B)
             ^ gf8_mul(col[2], 0x0D)
@@ -392,7 +407,10 @@ mod tests {
             .zip(flipped.iter())
             .map(|(a, b)| (a ^ b).count_ones())
             .sum();
-        assert!((40..=90).contains(&differing), "weak diffusion: {differing}");
+        assert!(
+            (40..=90).contains(&differing),
+            "weak diffusion: {differing}"
+        );
     }
 
     #[test]

@@ -43,7 +43,11 @@ pub fn gf8_mul(a: u8, b: u8) -> u8 {
 #[inline]
 pub fn xtime(a: u8) -> u8 {
     let shifted = (a as u16) << 1;
-    (if shifted & 0x100 != 0 { shifted ^ 0x11B } else { shifted }) as u8
+    (if shifted & 0x100 != 0 {
+        shifted ^ 0x11B
+    } else {
+        shifted
+    }) as u8
 }
 
 /// Multiplicative inverse in GF(2⁸); `gf8_inv(0) == 0` by the AES
@@ -210,7 +214,11 @@ mod tests {
     #[test]
     fn clmul_linearity() {
         // clmul is linear in each argument: (a^b)*c == a*c ^ b*c.
-        let (a, b, c) = (0xDEAD_BEEF_u64, 0x1234_5678_9ABC_DEF0, 0xFFFF_0000_FFFF_0001);
+        let (a, b, c) = (
+            0xDEAD_BEEF_u64,
+            0x1234_5678_9ABC_DEF0,
+            0xFFFF_0000_FFFF_0001,
+        );
         assert_eq!(clmul64(a ^ b, c), clmul64(a, c) ^ clmul64(b, c));
         assert_eq!(clmul64(a, 1), a as u128);
         assert_eq!(clmul64(a, 2), (a as u128) << 1);

@@ -110,12 +110,14 @@ impl KeyMaterial {
         let data_label = [label, b":data"].concat();
         let tweak_label = [label, b":tweak"].concat();
         match strength {
-            AesStrength::Aes128 => {
-                Xts::new_128(derive16(master, &data_label), derive16(master, &tweak_label))
-            }
-            AesStrength::Aes256 => {
-                Xts::new_256(derive32(master, &data_label), derive32(master, &tweak_label))
-            }
+            AesStrength::Aes128 => Xts::new_128(
+                derive16(master, &data_label),
+                derive16(master, &tweak_label),
+            ),
+            AesStrength::Aes256 => Xts::new_256(
+                derive32(master, &data_label),
+                derive32(master, &tweak_label),
+            ),
         }
     }
 }

@@ -30,7 +30,12 @@ use crate::sha3::sha3_tag64;
 /// let tag = counterless_mac(&[1; 32], 0x40, &[0; 64], u32::MAX);
 /// assert_ne!(tag, counterless_mac(&[1; 32], 0x41, &[0; 64], u32::MAX));
 /// ```
-pub fn counterless_mac(key: &[u8; 32], block_addr: u64, ciphertext: &[u8; 64], enc_meta: u32) -> u64 {
+pub fn counterless_mac(
+    key: &[u8; 32],
+    block_addr: u64,
+    ciphertext: &[u8; 64],
+    enc_meta: u32,
+) -> u64 {
     sha3_tag64(
         b"clme:counterless-mac:v1",
         &[
@@ -71,9 +76,8 @@ impl CounterModeMac {
     pub fn from_seed(seed: &[u8; 32]) -> CounterModeMac {
         let mut lane_keys = [Gf128::ZERO; DATA_LANES + 1];
         for (i, key) in lane_keys.iter_mut().enumerate() {
-            let digest = crate::sha3::sha3_256(
-                &[b"clme:mac-lane:".as_slice(), &[i as u8], seed].concat(),
-            );
+            let digest =
+                crate::sha3::sha3_256(&[b"clme:mac-lane:".as_slice(), &[i as u8], seed].concat());
             *key = Gf128::from_bytes(digest[..16].try_into().expect("32-byte digest"));
         }
         CounterModeMac {
@@ -153,7 +157,11 @@ mod tests {
         for byte in 0..64 {
             let mut tampered = ct;
             tampered[byte] ^= 0x80;
-            assert_ne!(counterless_mac(&key, 100, &tampered, u32::MAX), tag, "byte {byte}");
+            assert_ne!(
+                counterless_mac(&key, 100, &tampered, u32::MAX),
+                tag,
+                "byte {byte}"
+            );
         }
     }
 

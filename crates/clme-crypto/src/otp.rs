@@ -239,7 +239,10 @@ mod tests {
         let o = otp();
         // Same numeric value in both constructions must yield different
         // AES outputs (different domain tags).
-        assert_ne!(o.address_only_aes(0, 5 / WORDS_PER_BLOCK as u32), o.counter_only_aes(5));
+        assert_ne!(
+            o.address_only_aes(0, 5 / WORDS_PER_BLOCK as u32),
+            o.counter_only_aes(5)
+        );
         assert_ne!(o.counter_only_aes(5), o.pad_word(0, 0, 5));
     }
 

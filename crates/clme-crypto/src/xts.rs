@@ -167,7 +167,11 @@ mod tests {
         let pt = [0x33; 64];
         let ct = x.encrypt_block64(9, &pt);
         for j in 1..WORDS_PER_BLOCK {
-            assert_ne!(ct[0..16], ct[16 * j..16 * j + 16], "word {j} repeats word 0");
+            assert_ne!(
+                ct[0..16],
+                ct[16 * j..16 * j + 16],
+                "word {j} repeats word 0"
+            );
         }
     }
 

@@ -466,7 +466,10 @@ mod tests {
             Time::ZERO + TimeDelta::from_us(10),
         );
         let early = d.access(BlockAddr::new(blocks_per_row), AccessKind::Read, Time::ZERO);
-        assert!(early.arrival < late.arrival, "backfill must serve the early request first");
+        assert!(
+            early.arrival < late.arrival,
+            "backfill must serve the early request first"
+        );
         assert_eq!(early.arrival, Time::ZERO + ns(30.0));
     }
 
@@ -505,7 +508,10 @@ mod tests {
         for i in 0..200u64 {
             bg = d.background_access(BlockAddr::new(4096 + i), AccessKind::Write, Time::ZERO);
         }
-        assert!(bg >= last, "bg {bg} must queue past the burst ending {last}");
+        assert!(
+            bg >= last,
+            "bg {bg} must queue past the burst ending {last}"
+        );
     }
 
     #[test]
@@ -691,7 +697,10 @@ mod reservation_properties {
             }
             let total: u64 = r.busy.iter().map(|&(s, e)| e - s).sum();
             let requested: u64 = requests.iter().map(|&(_, d)| d).sum();
-            assert_eq!(total, requested, "case {case}: reserved time must be conserved");
+            assert_eq!(
+                total, requested,
+                "case {case}: reserved time must be conserved"
+            );
         }
     }
 
@@ -706,7 +715,11 @@ mod reservation_properties {
             for _ in 0..len {
                 let at = rng.below(10_000_000);
                 let block = rng.below(1 << 22);
-                let access = d.access(BlockAddr::new(block), AccessKind::Read, Time::from_picos(at));
+                let access = d.access(
+                    BlockAddr::new(block),
+                    AccessKind::Read,
+                    Time::from_picos(at),
+                );
                 assert!(access.bank_start.picos() >= at, "case {case}");
                 assert!(access.array_done > access.bank_start, "case {case}");
                 assert!(access.bus_start >= access.array_done, "case {case}");

@@ -138,7 +138,11 @@ pub fn verify_or_correct<V: MacVerifier>(
 /// zero-difference "repair").
 fn push_match(matches: &mut Vec<Correction>, block: EncodedBlock, meta: MetaWord, bad_chip: Chip) {
     if !matches.iter().any(|m| m.block == block && m.meta == meta) {
-        matches.push(Correction { block, meta, bad_chip });
+        matches.push(Correction {
+            block,
+            meta,
+            bad_chip,
+        });
     }
 }
 
@@ -312,7 +316,10 @@ mod tests {
         bad.lanes[0] ^= 0xDEAD;
         bad.lanes[5] ^= 0xBEEF;
         let outcome = verify_or_correct(&bad, &candidates(3), &v, true);
-        assert_eq!(outcome, CorrectionOutcome::Uncorrectable { matched_trials: 0 });
+        assert_eq!(
+            outcome,
+            CorrectionOutcome::Uncorrectable { matched_trials: 0 }
+        );
         assert!(!outcome.is_usable());
     }
 
@@ -342,9 +349,16 @@ mod tests {
         let good = v.make_block(&low_entropy_plaintext(), MetaWord::counter(10));
         let mut bad = good;
         bad.lanes[2] ^= 0x1;
-        let outcome =
-            verify_or_correct(&bad, &[MetaWord::counterless(), MetaWord::counter(11)], &v, true);
-        assert_eq!(outcome, CorrectionOutcome::Uncorrectable { matched_trials: 0 });
+        let outcome = verify_or_correct(
+            &bad,
+            &[MetaWord::counterless(), MetaWord::counter(11)],
+            &v,
+            true,
+        );
+        assert_eq!(
+            outcome,
+            CorrectionOutcome::Uncorrectable { matched_trials: 0 }
+        );
     }
 
     /// A rigged verifier that accepts everything, to force ambiguity and
@@ -389,14 +403,11 @@ mod tests {
         // repaired blocks but identical plaintext view here, so the filter
         // still ends ambiguous *within* the right meta — use a single
         // candidate per mode to end with exactly one survivor.
-        let outcome = verify_or_correct(
-            &corrupted,
-            &[MetaWord::counterless()],
-            &v,
-            true,
-        );
+        let outcome = verify_or_correct(&corrupted, &[MetaWord::counterless()], &v, true);
         // All counterless trials decrypt to high-entropy data → DUE.
-        assert!(matches!(outcome, CorrectionOutcome::Uncorrectable { matched_trials } if matched_trials >= 2));
+        assert!(
+            matches!(outcome, CorrectionOutcome::Uncorrectable { matched_trials } if matched_trials >= 2)
+        );
     }
 
     #[test]
@@ -409,7 +420,9 @@ mod tests {
         let mut corrupted = block;
         corrupted.mac ^= 0x10;
         let outcome = verify_or_correct(&corrupted, &candidates(1), &v, false);
-        assert!(matches!(outcome, CorrectionOutcome::Uncorrectable { matched_trials } if matched_trials >= 2));
+        assert!(
+            matches!(outcome, CorrectionOutcome::Uncorrectable { matched_trials } if matched_trials >= 2)
+        );
     }
 
     #[test]

@@ -51,7 +51,12 @@ pub fn counter_light_due_with_entropy_filter(wrong_escape_probability: f64) -> f
 /// tag to `tag_bits` and measure how often a wrong correction trial's tag
 /// collides, comparing against `(trials − 1) · 2^-tag_bits`. The paper's
 /// probabilities are the same formula evaluated at 64 bits.
-pub fn measure_ambiguity_rate(trials_per_correction: u32, tag_bits: u32, samples: u32, seed: u64) -> f64 {
+pub fn measure_ambiguity_rate(
+    trials_per_correction: u32,
+    tag_bits: u32,
+    samples: u32,
+    seed: u64,
+) -> f64 {
     assert!(tag_bits <= 24, "keep the experiment tractable");
     assert!(trials_per_correction >= 1);
     let mut rng = clme_types::rng::Xoshiro256::seed_from(seed);
@@ -122,8 +127,14 @@ mod tests {
         let synergy = measure_ambiguity_rate(SYNERGY_TRIALS, 10, 200_000, 11);
         let light = measure_ambiguity_rate(2 * SYNERGY_TRIALS, 10, 200_000, 12);
         let predict = |trials: u32| (trials - 1) as f64 / 1024.0;
-        assert!((synergy - predict(SYNERGY_TRIALS)).abs() < 0.002, "synergy {synergy}");
-        assert!((light - predict(2 * SYNERGY_TRIALS)).abs() < 0.002, "light {light}");
+        assert!(
+            (synergy - predict(SYNERGY_TRIALS)).abs() < 0.002,
+            "synergy {synergy}"
+        );
+        assert!(
+            (light - predict(2 * SYNERGY_TRIALS)).abs() < 0.002,
+            "light {light}"
+        );
         // And the doubling relationship holds empirically.
         let ratio = light / synergy;
         assert!((1.8..2.5).contains(&ratio), "ratio {ratio}");

@@ -210,7 +210,10 @@ impl DumpBundle {
                     ("total_words".into(), num(self.total_words)),
                     ("shards".into(), num(self.shards)),
                     ("saturation".into(), num(self.saturation)),
-                    ("seed".into(), JsonValue::Str(format!("{:#018x}", self.seed))),
+                    (
+                        "seed".into(),
+                        JsonValue::Str(format!("{:#018x}", self.seed)),
+                    ),
                 ]),
             ),
             ("op_index".into(), num(self.op_index)),
@@ -255,8 +258,7 @@ impl DumpBundle {
         let seed_digits = seed_text
             .strip_prefix("0x")
             .ok_or_else(|| format!("seed not hex: {seed_text}"))?;
-        let seed =
-            u64::from_str_radix(seed_digits, 16).map_err(|e| format!("bad seed: {e}"))?;
+        let seed = u64::from_str_radix(seed_digits, 16).map_err(|e| format!("bad seed: {e}"))?;
         let error = match doc.get("error") {
             None | Some(JsonValue::Null) => None,
             Some(e) => {
@@ -349,10 +351,7 @@ mod tests {
         let ctx = DumpContext {
             path: PathBuf::from("unused.clmedump"),
             seed: 0x00C0_FFEE,
-            workload: JsonValue::Obj(vec![(
-                "mode".into(),
-                JsonValue::Str("tamper".into()),
-            )]),
+            workload: JsonValue::Obj(vec![("mode".into(), JsonValue::Str("tamper".into()))]),
         };
         let delta = MemMetricsSnapshot {
             batch_reads: 3,
@@ -366,8 +365,18 @@ mod tests {
         };
         let flight = FlightSnapshot {
             events: vec![
-                FlightEvent { seq: 5, kind: FlightKind::WritePage as u16, a: 1, b: 64 },
-                FlightEvent { seq: 6, kind: FlightKind::IntegrityFail as u16, a: 70, b: 0 },
+                FlightEvent {
+                    seq: 5,
+                    kind: FlightKind::WritePage as u16,
+                    a: 1,
+                    b: 64,
+                },
+                FlightEvent {
+                    seq: 6,
+                    kind: FlightKind::IntegrityFail as u16,
+                    a: 70,
+                    b: 0,
+                },
             ],
             dropped: 4,
             recorded: 6,
@@ -428,10 +437,8 @@ mod tests {
 
     #[test]
     fn write_atomic_replaces_whole_file() {
-        let path = std::env::temp_dir().join(format!(
-            "clme-dump-atomic-{}.json",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("clme-dump-atomic-{}.json", std::process::id()));
         write_atomic(&path, "first version").unwrap();
         write_atomic(&path, "second").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");

@@ -57,7 +57,9 @@ impl TamperClass {
             0 => Some(TamperClass::DataMac),
             1 => Some(TamperClass::Meta),
             2 => Some(TamperClass::CounterBlock),
-            n => u8::try_from(n - 3).ok().map(|level| TamperClass::TreeNode { level }),
+            n => u8::try_from(n - 3)
+                .ok()
+                .map(|level| TamperClass::TreeNode { level }),
         }
     }
 }
@@ -208,12 +210,18 @@ mod tests {
         for c in classes {
             assert_eq!(TamperClass::from_code(c.code()), Some(c));
         }
-        assert_eq!(TamperClass::from_code(3), Some(TamperClass::TreeNode { level: 0 }));
+        assert_eq!(
+            TamperClass::from_code(3),
+            Some(TamperClass::TreeNode { level: 0 })
+        );
         let mut seen = std::collections::HashSet::new();
         for c in classes {
             assert!(seen.insert(c.code()), "codes must be unique");
         }
-        assert!(TamperClass::from_code(3 + 256).is_none(), "level beyond u8 rejected");
+        assert!(
+            TamperClass::from_code(3 + 256).is_none(),
+            "level beyond u8 rejected"
+        );
     }
 
     #[test]

@@ -60,7 +60,9 @@ pub use adt::{Block, MemoryAdt, BLOCK_BYTES};
 pub use cache::ClockCache;
 pub use dump::{write_atomic, DumpBundle, DumpContext, DumpCounts, DUMP_SCHEMA};
 pub use error::{IntegrityError, MemError, TamperClass};
-pub use flight::{FlightKind, FlightRecorder, BURST_FLOOR, FLIGHT_CAPACITY, FLIGHT_KINDS, SLOW_LOCK_NS};
+pub use flight::{
+    FlightKind, FlightRecorder, BURST_FLOOR, FLIGHT_CAPACITY, FLIGHT_KINDS, SLOW_LOCK_NS,
+};
 pub use geometry::{Geometry, Region, NODE_ARITY, PAGE_BLOCKS};
 pub use layer::{EncryptionLayer, LayerOptions, RekeyReport, DEFAULT_CACHE_PAGES};
 pub use metrics::{

@@ -189,7 +189,9 @@ impl StoreStats {
             words_read: self.words_read.saturating_sub(base.words_read),
             words_written: self.words_written.saturating_sub(base.words_written),
             page_cache_hits: self.page_cache_hits.saturating_sub(base.page_cache_hits),
-            page_cache_misses: self.page_cache_misses.saturating_sub(base.page_cache_misses),
+            page_cache_misses: self
+                .page_cache_misses
+                .saturating_sub(base.page_cache_misses),
             page_cache_evictions: self
                 .page_cache_evictions
                 .saturating_sub(base.page_cache_evictions),
@@ -400,8 +402,14 @@ fn fanin_json(h: &Log2Histogram) -> JsonValue {
     let blocks = |ps: u64| ps as f64 / 1000.0;
     JsonValue::Obj(vec![
         ("count".into(), JsonValue::Num(h.count() as f64)),
-        ("p50_blocks".into(), JsonValue::Num(blocks(h.percentile_ps(0.50)))),
-        ("p99_blocks".into(), JsonValue::Num(blocks(h.percentile_ps(0.99)))),
+        (
+            "p50_blocks".into(),
+            JsonValue::Num(blocks(h.percentile_ps(0.50))),
+        ),
+        (
+            "p99_blocks".into(),
+            JsonValue::Num(blocks(h.percentile_ps(0.99))),
+        ),
         ("mean_blocks".into(), JsonValue::Num(h.mean_ps() / 1000.0)),
         ("max_blocks".into(), JsonValue::Num(blocks(h.max_ps()))),
     ])
@@ -464,8 +472,12 @@ impl MemMetricsSnapshot {
             batch_writes: self.batch_writes.saturating_sub(base.batch_writes),
             integrity_errors: self.integrity_errors.saturating_sub(base.integrity_errors),
             page_rolls: self.page_rolls.saturating_sub(base.page_rolls),
-            counterless_reads: self.counterless_reads.saturating_sub(base.counterless_reads),
-            counterless_writes: self.counterless_writes.saturating_sub(base.counterless_writes),
+            counterless_reads: self
+                .counterless_reads
+                .saturating_sub(base.counterless_reads),
+            counterless_writes: self
+                .counterless_writes
+                .saturating_sub(base.counterless_writes),
             observed_writes_total: self
                 .observed_writes_total
                 .saturating_sub(base.observed_writes_total),
@@ -524,10 +536,22 @@ impl MemMetricsSnapshot {
             (
                 "counters".into(),
                 JsonValue::Obj(vec![
-                    ("blocks_read".into(), JsonValue::Num(self.blocks_read as f64)),
-                    ("blocks_written".into(), JsonValue::Num(self.blocks_written as f64)),
-                    ("batch_reads".into(), JsonValue::Num(self.batch_reads as f64)),
-                    ("batch_writes".into(), JsonValue::Num(self.batch_writes as f64)),
+                    (
+                        "blocks_read".into(),
+                        JsonValue::Num(self.blocks_read as f64),
+                    ),
+                    (
+                        "blocks_written".into(),
+                        JsonValue::Num(self.blocks_written as f64),
+                    ),
+                    (
+                        "batch_reads".into(),
+                        JsonValue::Num(self.batch_reads as f64),
+                    ),
+                    (
+                        "batch_writes".into(),
+                        JsonValue::Num(self.batch_writes as f64),
+                    ),
                     (
                         "integrity_errors".into(),
                         JsonValue::Num(self.integrity_errors as f64),
@@ -564,11 +588,26 @@ impl MemMetricsSnapshot {
                 "rekey".into(),
                 JsonValue::Obj(vec![
                     ("sweeps".into(), JsonValue::Num(self.rekey.sweeps as f64)),
-                    ("pages_total".into(), JsonValue::Num(self.rekey.pages_total as f64)),
-                    ("pages_done".into(), JsonValue::Num(self.rekey.pages_done as f64)),
-                    ("in_progress".into(), JsonValue::Bool(self.rekey.in_progress)),
-                    ("key_dwell_ms".into(), JsonValue::Num(self.rekey.key_dwell_ms as f64)),
-                    ("last_sweep_ms".into(), JsonValue::Num(self.rekey.last_sweep_ms as f64)),
+                    (
+                        "pages_total".into(),
+                        JsonValue::Num(self.rekey.pages_total as f64),
+                    ),
+                    (
+                        "pages_done".into(),
+                        JsonValue::Num(self.rekey.pages_done as f64),
+                    ),
+                    (
+                        "in_progress".into(),
+                        JsonValue::Bool(self.rekey.in_progress),
+                    ),
+                    (
+                        "key_dwell_ms".into(),
+                        JsonValue::Num(self.rekey.key_dwell_ms as f64),
+                    ),
+                    (
+                        "last_sweep_ms".into(),
+                        JsonValue::Num(self.rekey.last_sweep_ms as f64),
+                    ),
                     (
                         "last_old_key_dwell_ms".into(),
                         JsonValue::Num(self.rekey.last_old_key_dwell_ms as f64),
@@ -579,12 +618,21 @@ impl MemMetricsSnapshot {
                 "verify_cache".into(),
                 JsonValue::Obj(vec![
                     ("hits".into(), JsonValue::Num(self.cache.hits as f64)),
-                    ("partial_hits".into(), JsonValue::Num(self.cache.partial_hits as f64)),
+                    (
+                        "partial_hits".into(),
+                        JsonValue::Num(self.cache.partial_hits as f64),
+                    ),
                     ("misses".into(), JsonValue::Num(self.cache.misses as f64)),
                     ("hit_rate".into(), JsonValue::Num(self.cache.hit_rate())),
                     ("fills".into(), JsonValue::Num(self.cache.fills as f64)),
-                    ("evictions".into(), JsonValue::Num(self.cache.evictions as f64)),
-                    ("bypasses".into(), JsonValue::Num(self.cache.bypasses as f64)),
+                    (
+                        "evictions".into(),
+                        JsonValue::Num(self.cache.evictions as f64),
+                    ),
+                    (
+                        "bypasses".into(),
+                        JsonValue::Num(self.cache.bypasses as f64),
+                    ),
                     (
                         "invalidations".into(),
                         JsonValue::Obj(
@@ -612,8 +660,14 @@ impl MemMetricsSnapshot {
             (
                 "tree".into(),
                 JsonValue::Obj(vec![
-                    ("nodes_trusted".into(), JsonValue::Num(self.tree.nodes_trusted as f64)),
-                    ("nodes_verified".into(), JsonValue::Num(self.tree.nodes_verified as f64)),
+                    (
+                        "nodes_trusted".into(),
+                        JsonValue::Num(self.tree.nodes_trusted as f64),
+                    ),
+                    (
+                        "nodes_verified".into(),
+                        JsonValue::Num(self.tree.nodes_verified as f64),
+                    ),
                 ]),
             ),
             (
@@ -626,8 +680,14 @@ impl MemMetricsSnapshot {
             (
                 "store".into(),
                 JsonValue::Obj(vec![
-                    ("words_read".into(), JsonValue::Num(self.store.words_read as f64)),
-                    ("words_written".into(), JsonValue::Num(self.store.words_written as f64)),
+                    (
+                        "words_read".into(),
+                        JsonValue::Num(self.store.words_read as f64),
+                    ),
+                    (
+                        "words_written".into(),
+                        JsonValue::Num(self.store.words_written as f64),
+                    ),
                     (
                         "page_cache_hits".into(),
                         JsonValue::Num(self.store.page_cache_hits as f64),
@@ -648,8 +708,14 @@ impl MemMetricsSnapshot {
                         "page_cache_hit_rate".into(),
                         JsonValue::Num(self.store.page_cache_hit_rate()),
                     ),
-                    ("file_reads".into(), JsonValue::Num(self.store.file_reads as f64)),
-                    ("file_writes".into(), JsonValue::Num(self.store.file_writes as f64)),
+                    (
+                        "file_reads".into(),
+                        JsonValue::Num(self.store.file_reads as f64),
+                    ),
+                    (
+                        "file_writes".into(),
+                        JsonValue::Num(self.store.file_writes as f64),
+                    ),
                 ]),
             ),
         ])
@@ -769,7 +835,10 @@ impl MemMetrics {
             lock_wait,
             lock_hold,
             blocks_read: counter("clme_mem_blocks_read_total", "blocks decrypted for callers"),
-            blocks_written: counter("clme_mem_blocks_written_total", "blocks encrypted for callers"),
+            blocks_written: counter(
+                "clme_mem_blocks_written_total",
+                "blocks encrypted for callers",
+            ),
             batch_reads: counter("clme_mem_batch_reads_total", "batch_read calls"),
             batch_writes: counter("clme_mem_batch_writes_total", "batch_write calls"),
             integrity_errors: counter(
@@ -1209,7 +1278,10 @@ mod store_counters {
                 words_read: counter("clme_store_words_read_total", "stored words read"),
                 words_written: counter("clme_store_words_written_total", "stored words written"),
                 page_cache_hits: counter("clme_store_page_cache_hits_total", "page-cache hits"),
-                page_cache_misses: counter("clme_store_page_cache_misses_total", "page-cache misses"),
+                page_cache_misses: counter(
+                    "clme_store_page_cache_misses_total",
+                    "page-cache misses",
+                ),
                 page_cache_evictions: counter(
                     "clme_store_page_cache_evictions_total",
                     "cache fills displacing a live page",
@@ -1361,8 +1433,14 @@ mod tests {
         assert_eq!(snap.op(MemOp::Read).latency.count(), 1);
         assert_eq!(snap.op(MemOp::Write).latency.count(), 1);
         assert_eq!(snap.op(MemOp::Batch).latency.count(), 0);
-        assert_eq!(snap.op(MemOp::Read).stages[MemStage::MacVerify as usize].count(), 1);
-        assert_eq!(snap.op(MemOp::Write).stages[MemStage::MacVerify as usize].count(), 0);
+        assert_eq!(
+            snap.op(MemOp::Read).stages[MemStage::MacVerify as usize].count(),
+            1
+        );
+        assert_eq!(
+            snap.op(MemOp::Write).stages[MemStage::MacVerify as usize].count(),
+            0
+        );
     }
 
     #[test]

@@ -385,7 +385,10 @@ mod tests {
         assert_eq!(store.read_word(0).unwrap(), [0u8; WORD_BYTES]);
         assert!(matches!(
             store.read_word(100),
-            Err(MemError::OutOfBounds { index: 100, limit: 100 })
+            Err(MemError::OutOfBounds {
+                index: 100,
+                limit: 100
+            })
         ));
         assert!(store.write_word(100, &word).is_err());
     }
@@ -456,7 +459,10 @@ mod tests {
         let word = [0x22u8; WORD_BYTES];
         store.write_word(far, &word).unwrap();
         let after = stats();
-        assert_eq!(after.file_reads, before.file_reads, "a write miss reads nothing");
+        assert_eq!(
+            after.file_reads, before.file_reads,
+            "a write miss reads nothing"
+        );
         assert_eq!(after.file_writes, before.file_writes + 1);
         assert_eq!(after.page_cache_misses, before.page_cache_misses);
         assert_eq!(after.page_cache_evictions, before.page_cache_evictions);

@@ -242,7 +242,10 @@ impl SloSpec {
                 JsonValue::Str(if self.write { "write" } else { "read" }.into()),
             ),
             ("quantile".into(), JsonValue::Num(self.quantile)),
-            ("threshold_ns".into(), JsonValue::Num(self.threshold_ns as f64)),
+            (
+                "threshold_ns".into(),
+                JsonValue::Num(self.threshold_ns as f64),
+            ),
         ])
     }
 }
@@ -374,10 +377,8 @@ impl TenantSnapshot {
                         })
                         .collect(),
                 );
-                let mut tail: Vec<(String, JsonValue)> = vec![(
-                    "total".into(),
-                    JsonValue::Num(r.tail_total() as f64),
-                )];
+                let mut tail: Vec<(String, JsonValue)> =
+                    vec![("total".into(), JsonValue::Num(r.tail_total() as f64))];
                 for c in TailCause::ALL {
                     tail.push((c.name().into(), JsonValue::Num(r.tail[c as usize] as f64)));
                 }
@@ -513,7 +514,11 @@ impl TenantSnapshot {
                     "Per-tenant op latency.",
                     MetricKind::Histogram,
                     vec![t(r), ("op".into(), op.into())],
-                    SampleValue::Histogram(if i == 0 { r.read.clone() } else { r.write.clone() }),
+                    SampleValue::Histogram(if i == 0 {
+                        r.read.clone()
+                    } else {
+                        r.write.clone()
+                    }),
                 ));
             }
             for (result, i) in [("hit", 0usize), ("partial", 1), ("miss", 2)] {
@@ -556,9 +561,7 @@ impl TenantSnapshot {
                 ));
             }
             for s in &r.slo {
-                let labels = |extra: &str| {
-                    vec![t(r), ("slo".into(), extra.to_string())]
-                };
+                let labels = |extra: &str| vec![t(r), ("slo".into(), extra.to_string())];
                 out.push(sample(
                     "clme_tenant_slo_good_total",
                     "Ops meeting the objective.",
@@ -1030,7 +1033,10 @@ mod tests {
         t.ciphertext_writes(1, 2); // tenant 0
         let snap = t.snapshot();
         assert_eq!(snap.rows[2].ciphertext_writes, 8);
-        assert_eq!(snap.rows[2].key_exposure_writes, 3, "only post-rekey writes");
+        assert_eq!(
+            snap.rows[2].key_exposure_writes, 3,
+            "only post-rekey writes"
+        );
         assert_eq!(snap.rows[0].key_exposure_writes, 2);
     }
 

@@ -22,7 +22,10 @@ use clme_types::json::JsonValue;
 use clme_workloads::tenants::{ComposedBatch, TenantComposer, TenantTrafficConfig};
 use std::sync::Arc;
 
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../goldens/mem/exact_series.json");
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../goldens/mem/exact_series.json"
+);
 const MASTER: [u8; 32] = [0x3C; 32];
 const TENANTS: u64 = 6;
 const PAGES_PER_TENANT: u64 = 2;
@@ -58,14 +61,22 @@ fn block_for(addr: u64, round: u64) -> Block {
 fn drive<B: StoreBackend>(layer: &EncryptionLayer<B>, batch: &ComposedBatch, round: u64) {
     let started = std::time::Instant::now();
     if batch.write {
-        let writes: Vec<(u64, Block)> =
-            batch.addrs.iter().map(|&a| (a, block_for(a, round))).collect();
+        let writes: Vec<(u64, Block)> = batch
+            .addrs
+            .iter()
+            .map(|&a| (a, block_for(a, round)))
+            .collect();
         layer.batch_write(&writes).expect("stream write");
     } else {
         layer.batch_read(&batch.addrs).expect("stream read");
     }
     let blocks = batch.addrs.len() as u64;
-    layer.record_tenant_batch(batch.tenant, batch.write, started.elapsed().as_nanos() as u64, blocks);
+    layer.record_tenant_batch(
+        batch.tenant,
+        batch.write,
+        started.elapsed().as_nanos() as u64,
+        blocks,
+    );
 }
 
 fn num(v: u64) -> JsonValue {
@@ -73,7 +84,12 @@ fn num(v: u64) -> JsonValue {
 }
 
 fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    JsonValue::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 /// Runs the stream on `layer` and returns its exact series.
@@ -103,7 +119,9 @@ fn series<B: StoreBackend>(mut layer: EncryptionLayer<B>) -> JsonValue {
     // counter and re-encrypt the page's co-residents.
     let victim = 3 * PAGE_BLOCKS + 5;
     for i in 0..130u64 {
-        layer.batch_write(&[(victim, block_for(victim, i))]).expect("roll write");
+        layer
+            .batch_write(&[(victim, block_for(victim, i))])
+            .expect("roll write");
     }
     phase(&layer, 100);
     let report = layer.rekey([0xA5; 32]).expect("rekey");
@@ -114,9 +132,18 @@ fn series<B: StoreBackend>(mut layer: EncryptionLayer<B>) -> JsonValue {
     let word = layer.backend().read_word(word_index).expect("in bounds");
     let mut flipped = word;
     flipped[7] ^= 0x10;
-    layer.backend().write_word(word_index, &flipped).expect("in bounds");
-    assert!(layer.batch_read(&[victim]).is_err(), "tamper must be detected");
-    layer.backend().write_word(word_index, &word).expect("in bounds");
+    layer
+        .backend()
+        .write_word(word_index, &flipped)
+        .expect("in bounds");
+    assert!(
+        layer.batch_read(&[victim]).is_err(),
+        "tamper must be detected"
+    );
+    layer
+        .backend()
+        .write_word(word_index, &word)
+        .expect("in bounds");
     layer.batch_read(&[victim]).expect("restored word verifies");
     phase(&layer, 50);
 
@@ -132,10 +159,22 @@ fn series<B: StoreBackend>(mut layer: EncryptionLayer<B>) -> JsonValue {
         .map(|r| {
             obj(vec![
                 ("tenant", JsonValue::Str(r.label.clone())),
-                ("ops", JsonValue::Arr(r.ops.iter().map(|&v| num(v)).collect())),
-                ("blocks", JsonValue::Arr(r.blocks.iter().map(|&v| num(v)).collect())),
-                ("latency_counts", JsonValue::Arr(vec![num(r.read.count()), num(r.write.count())])),
-                ("cache", JsonValue::Arr(r.cache.iter().map(|&v| num(v)).collect())),
+                (
+                    "ops",
+                    JsonValue::Arr(r.ops.iter().map(|&v| num(v)).collect()),
+                ),
+                (
+                    "blocks",
+                    JsonValue::Arr(r.blocks.iter().map(|&v| num(v)).collect()),
+                ),
+                (
+                    "latency_counts",
+                    JsonValue::Arr(vec![num(r.read.count()), num(r.write.count())]),
+                ),
+                (
+                    "cache",
+                    JsonValue::Arr(r.cache.iter().map(|&v| num(v)).collect()),
+                ),
                 ("ciphertext_writes", num(r.ciphertext_writes)),
                 ("key_exposure_writes", num(r.key_exposure_writes)),
             ])
@@ -189,7 +228,10 @@ fn series<B: StoreBackend>(mut layer: EncryptionLayer<B>) -> JsonValue {
                 ("fills", num(c.fills)),
                 ("evictions", num(c.evictions)),
                 ("bypasses", num(c.bypasses)),
-                ("invalidations", JsonValue::Arr(c.invalidations.iter().map(|&v| num(v)).collect())),
+                (
+                    "invalidations",
+                    JsonValue::Arr(c.invalidations.iter().map(|&v| num(v)).collect()),
+                ),
                 ("foreign_purges", num(c.foreign_purges)),
                 ("resident_pages", num(c.resident_pages)),
             ]),
@@ -222,7 +264,10 @@ fn series<B: StoreBackend>(mut layer: EncryptionLayer<B>) -> JsonValue {
                 ("page_cache_hits", num(s.page_cache_hits)),
                 ("page_cache_misses", num(s.page_cache_misses)),
                 ("page_cache_evictions", num(s.page_cache_evictions)),
-                ("page_cache_read_fill_evictions", num(s.page_cache_read_fill_evictions)),
+                (
+                    "page_cache_read_fill_evictions",
+                    num(s.page_cache_read_fill_evictions),
+                ),
                 ("file_reads", num(s.file_reads)),
                 ("file_writes", num(s.file_writes)),
             ]),
@@ -239,10 +284,19 @@ fn series<B: StoreBackend>(mut layer: EncryptionLayer<B>) -> JsonValue {
             obj(vec![
                 ("read_latency", num(count(MemOp::Read))),
                 ("batch_latency", num(count(MemOp::Batch))),
-                ("read_tree_walk", num(stage(MemOp::Read, MemStage::TreeWalk))),
-                ("write_tree_walk", num(stage(MemOp::Write, MemStage::TreeWalk))),
+                (
+                    "read_tree_walk",
+                    num(stage(MemOp::Read, MemStage::TreeWalk)),
+                ),
+                (
+                    "write_tree_walk",
+                    num(stage(MemOp::Write, MemStage::TreeWalk)),
+                ),
                 ("write_commit", num(stage(MemOp::Write, MemStage::Commit))),
-                ("write_mac_verify", num(stage(MemOp::Write, MemStage::MacVerify))),
+                (
+                    "write_mac_verify",
+                    num(stage(MemOp::Write, MemStage::MacVerify)),
+                ),
             ]),
         ),
         ("root", num(layer.root())),
@@ -268,7 +322,10 @@ fn exact_series_match_the_golden() {
         .expect("vec layer");
         configs.push((format!("vec/{label}"), series(vec)));
 
-        let path = dir.join(format!("clme-exact-series-{}-{label}.store", std::process::id()));
+        let path = dir.join(format!(
+            "clme-exact-series-{}-{label}.store",
+            std::process::id()
+        ));
         let file = EncryptionLayer::with_options(
             FileBackend::create_for_blocks(&path, BLOCKS).expect("store file"),
             BLOCKS,

@@ -73,8 +73,7 @@ fn merged_counts_are_deterministic_across_thread_interleavings() {
                             .map(|i| (base + chunk * 64 + i, pattern(t as u8)))
                             .collect();
                         layer.batch_write(&batch).unwrap();
-                        let addrs: Vec<u64> =
-                            (0..64).map(|i| base + chunk * 64 + i).collect();
+                        let addrs: Vec<u64> = (0..64).map(|i| base + chunk * 64 + i).collect();
                         let got = layer.batch_read(&addrs).unwrap();
                         assert!(got.iter().all(|b| *b == pattern(t as u8)));
                     }

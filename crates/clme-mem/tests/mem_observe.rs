@@ -43,7 +43,10 @@ fn sampled_probes_share_the_visit_decision() {
     let visits = snap.fanin_read.count();
     assert!(visits >= 1, "the thread's first visit is sampled");
     let read = snap.op(MemOp::Read);
-    assert_eq!(read.stages[MemStage::MacVerify as usize].count(), K * visits);
+    assert_eq!(
+        read.stages[MemStage::MacVerify as usize].count(),
+        K * visits
+    );
     assert_eq!(read.stages[MemStage::PadGen as usize].count(), K * visits);
     let waits: u64 = snap.lock_wait.iter().map(|h| h.count()).sum();
     let holds: u64 = snap.lock_hold.iter().map(|h| h.count()).sum();

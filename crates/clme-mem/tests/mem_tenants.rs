@@ -27,8 +27,7 @@ fn traffic(tenants: u64, pages_per: u64, seed: u64) -> TenantTrafficConfig {
 
 fn layer_for(cfg: &TenantTrafficConfig) -> EncryptionLayer<VecBackend> {
     let blocks = cfg.tenants * cfg.pages_per_tenant * PAGE_BLOCKS;
-    EncryptionLayer::new(VecBackend::for_blocks(blocks), blocks, [9u8; 32])
-        .expect("layer builds")
+    EncryptionLayer::new(VecBackend::for_blocks(blocks), blocks, [9u8; 32]).expect("layer builds")
 }
 
 fn telemetry_for(cfg: &TenantTrafficConfig, top_k: usize, slos: &str) -> Arc<TenantTelemetry> {
@@ -97,7 +96,10 @@ fn composed_stream_is_deterministic_across_runs_and_thread_counts() {
     let mut b = TenantComposer::new(cfg);
     let batches_a = a.compose(96);
     let batches_b = b.compose(96);
-    assert_eq!(batches_a, batches_b, "same seed must compose the same stream");
+    assert_eq!(
+        batches_a, batches_b,
+        "same seed must compose the same stream"
+    );
     assert_eq!(a.digest(), b.digest());
 
     // Execute the identical stream under 1, 4 and 16 threads, rolling
@@ -173,7 +175,10 @@ fn top_k_rows_are_exact_and_tail_folds_into_other() {
     for row in &snap.rows[..8] {
         let id = row.id.expect("exact rows carry the tenant id") as usize;
         assert!(admitted.contains(&(id as u64)));
-        assert_eq!(row.ops, truth[id], "exact slot must match ground truth for tenant {id}");
+        assert_eq!(
+            row.ops, truth[id],
+            "exact slot must match ground truth for tenant {id}"
+        );
     }
     let other = &snap.rows[8];
     assert_eq!(other.id, None);
@@ -205,11 +210,22 @@ fn hostile_tenant_labels_cannot_break_the_prom_exposition() {
     // The exposition grammar survives: every quote, newline, and
     // backslash in a label value is escaped, so no rendered line is
     // split or terminated early by a hostile name.
-    assert!(text.contains("quote\\\"inject\\\"}"), "quotes must be escaped:\n{text}");
-    assert!(text.contains("new\\nline{{evil=\\\"1\\\"}}") || text.contains("new\\nline"),
-        "newlines must be escaped:\n{text}");
-    assert!(text.contains("back\\\\slash"), "backslashes must be escaped:\n{text}");
-    assert!(text.contains("ünïcódé-租户-🦀"), "plain UTF-8 passes through");
+    assert!(
+        text.contains("quote\\\"inject\\\"}"),
+        "quotes must be escaped:\n{text}"
+    );
+    assert!(
+        text.contains("new\\nline{{evil=\\\"1\\\"}}") || text.contains("new\\nline"),
+        "newlines must be escaped:\n{text}"
+    );
+    assert!(
+        text.contains("back\\\\slash"),
+        "backslashes must be escaped:\n{text}"
+    );
+    assert!(
+        text.contains("ünïcódé-租户-🦀"),
+        "plain UTF-8 passes through"
+    );
     assert!(text.contains(&long_name), "long names pass through intact");
     for line in text.lines() {
         if let Some(open) = line.find('{') {
@@ -254,11 +270,26 @@ fn layer_hooks_attribute_cache_and_observation_to_the_owning_tenant() {
         .iter()
         .find(|r| r.id == Some(2))
         .expect("tenant 2 has an exact slot");
-    assert!(row.ciphertext_writes >= PAGE_BLOCKS, "observed {}", row.ciphertext_writes);
-    assert!(row.cache[0] >= 1, "second read must hit the verified-page cache");
+    assert!(
+        row.ciphertext_writes >= PAGE_BLOCKS,
+        "observed {}",
+        row.ciphertext_writes
+    );
+    assert!(
+        row.cache[0] >= 1,
+        "second read must hit the verified-page cache"
+    );
     assert!(row.cache[2] >= 1, "first read must miss");
-    for other in snap.rows.iter().filter(|r| r.id != Some(2) && r.id.is_some()) {
-        assert_eq!(other.ciphertext_writes, 0, "{} saw foreign traffic", other.label);
+    for other in snap
+        .rows
+        .iter()
+        .filter(|r| r.id != Some(2) && r.id.is_some())
+    {
+        assert_eq!(
+            other.ciphertext_writes, 0,
+            "{} saw foreign traffic",
+            other.label
+        );
         assert_eq!(other.cache, [0, 0, 0]);
     }
 
@@ -268,5 +299,8 @@ fn layer_hooks_attribute_cache_and_observation_to_the_owning_tenant() {
     let after = layer.tenants().expect("installed").snapshot();
     let row_after = after.rows.iter().find(|r| r.id == Some(2)).expect("slot");
     assert_eq!(row_after.key_exposure_writes, 0, "exposure resets at rekey");
-    assert!(row_after.ciphertext_writes >= PAGE_BLOCKS, "observation history survives");
+    assert!(
+        row_after.ciphertext_writes >= PAGE_BLOCKS,
+        "observation history survives"
+    );
 }

@@ -61,10 +61,7 @@ pub fn chrome_trace_json(ring: &TraceRing) -> String {
     for event in ring.iter() {
         events.push(JsonValue::Obj(vec![
             ("name".into(), JsonValue::Str(event.event.name().into())),
-            (
-                "cat".into(),
-                JsonValue::Str(event.component.name().into()),
-            ),
+            ("cat".into(), JsonValue::Str(event.component.name().into())),
             ("ph".into(), JsonValue::Str("X".into())),
             ("pid".into(), JsonValue::Num(TRACE_PID)),
             (
@@ -158,14 +155,16 @@ pub fn span_flow_json(label: &str, requests: &[RequestSpans]) -> String {
                         "addr".into(),
                         JsonValue::Str(format!("{:#x}", request.addr)),
                     ),
-                    (
-                        "blame".into(),
-                        JsonValue::Str(request.blame.name().into()),
-                    ),
+                    ("blame".into(), JsonValue::Str(request.blame.name().into())),
                 ]),
             ),
         ]));
-        events.push(flow_event("s", request.id, REQUEST_TID, request.issue.picos()));
+        events.push(flow_event(
+            "s",
+            request.id,
+            REQUEST_TID,
+            request.issue.picos(),
+        ));
         for child in &request.children {
             let tid = 1.0 + child.kind as usize as f64;
             let name = if child.kind == SpanKind::CounterFetch {
@@ -187,7 +186,12 @@ pub fn span_flow_json(label: &str, requests: &[RequestSpans]) -> String {
             ]));
             events.push(flow_event("t", request.id, tid, child.begin.picos()));
         }
-        events.push(flow_event("f", request.id, REQUEST_TID, request.ready.picos()));
+        events.push(flow_event(
+            "f",
+            request.id,
+            REQUEST_TID,
+            request.ready.picos(),
+        ));
     }
     let doc = JsonValue::Obj(vec![
         ("displayTimeUnit".into(), JsonValue::Str("ns".into())),
@@ -267,7 +271,10 @@ mod tests {
 
     #[test]
     fn output_is_deterministic() {
-        assert_eq!(chrome_trace_json(&sample_ring()), chrome_trace_json(&sample_ring()));
+        assert_eq!(
+            chrome_trace_json(&sample_ring()),
+            chrome_trace_json(&sample_ring())
+        );
     }
 
     #[test]
@@ -302,7 +309,11 @@ mod tests {
             .collect();
         assert_eq!(names.len(), Component::ALL.len() * EventKind::ALL.len());
         for &event in EventKind::ALL.iter() {
-            assert!(names.contains(&event.name()), "{} lost in export", event.name());
+            assert!(
+                names.contains(&event.name()),
+                "{} lost in export",
+                event.name()
+            );
         }
     }
 
@@ -428,10 +439,7 @@ mod tests {
                 JsonValue::Obj(vec![("name".into(), JsonValue::Str(hostile.into()))]),
             ),
         ]);
-        let doc = JsonValue::Obj(vec![(
-            "traceEvents".into(),
-            JsonValue::Arr(vec![meta]),
-        )]);
+        let doc = JsonValue::Obj(vec![("traceEvents".into(), JsonValue::Arr(vec![meta]))]);
         let text = doc.to_pretty();
         assert!(
             text.bytes().all(|b| b >= 0x20 || b == b'\n'),
@@ -439,7 +447,10 @@ mod tests {
         );
         assert!(text.contains(r#"\"bank\""#), "quotes must be escaped");
         assert!(text.contains(r#"\\row"#), "backslashes must be escaped");
-        assert!(text.contains(r#"\u0001"#), "control chars must be \\u-escaped");
+        assert!(
+            text.contains(r#"\u0001"#),
+            "control chars must be \\u-escaped"
+        );
         let parsed = clme_types::json::parse(&text).expect("hostile trace must still parse");
         let round_tripped = parsed
             .get("traceEvents")

@@ -234,8 +234,7 @@ mod tests {
         assert_eq!(snap.events.len(), 10);
         assert_eq!(snap.dropped, 0);
         assert_eq!(snap.recorded, 10);
-        let payload: Vec<(u64, u64, u64)> =
-            snap.events.iter().map(|e| (e.seq, e.a, e.b)).collect();
+        let payload: Vec<(u64, u64, u64)> = snap.events.iter().map(|e| (e.seq, e.a, e.b)).collect();
         let want: Vec<(u64, u64, u64)> = (0..10).map(|i| (i, i, i * 2)).collect();
         assert_eq!(payload, want, "timeline sorts into record order");
     }

@@ -213,7 +213,11 @@ mod tests {
             let lo = 1u64 << (i - 1);
             let hi = 1u64 << i;
             assert_eq!(Log2Histogram::bucket_of(lo), i, "lower edge of bucket {i}");
-            assert_eq!(Log2Histogram::bucket_of(hi - 1), i, "upper edge of bucket {i}");
+            assert_eq!(
+                Log2Histogram::bucket_of(hi - 1),
+                i,
+                "upper edge of bucket {i}"
+            );
             assert_eq!(Log2Histogram::bucket_of(hi), i + 1, "next bucket after {i}");
             assert_eq!(Log2Histogram::bucket_lo_ps(i), lo);
             assert_eq!(Log2Histogram::bucket_hi_ps(i), hi);
@@ -363,7 +367,7 @@ mod tests {
         let delta = purged.delta_since(&newer);
         assert_eq!(delta.count(), 1);
         assert_eq!(delta.bucket_count(3), 1); // 7 in [4, 8)
-        // Internal consistency: total always equals the bucket sum.
+                                              // Internal consistency: total always equals the bucket sum.
         let summed: u64 = (0..LOG2_BUCKETS).map(|i| delta.bucket_count(i)).sum();
         assert_eq!(delta.count(), summed);
     }

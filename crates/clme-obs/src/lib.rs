@@ -44,13 +44,11 @@ pub use registry::{
     Counter, Gauge, MetricKind, MetricsError, Registry, Sample, SampleValue, ShardedHistogram,
 };
 pub use ring::{TraceEvent, TraceRing};
-pub use series::{
-    EpochSample, EpochSeries, SeriesRecorder, StageSample, DEFAULT_EPOCH_CYCLES,
-};
+pub use series::{EpochSample, EpochSeries, SeriesRecorder, StageSample, DEFAULT_EPOCH_CYCLES};
 pub use sink::{NopSink, Recorder, Stage, TraceSink, DEFAULT_RING_CAPACITY, STAGES};
 pub use span::{
-    Blame, BlameTally, BlameTracker, ChildSpan, RequestSpans, SpanKind, SpanTracer,
-    BLAME_KINDS, DEFAULT_SPAN_SAMPLES, SPAN_KINDS,
+    Blame, BlameTally, BlameTracker, ChildSpan, RequestSpans, SpanKind, SpanTracer, BLAME_KINDS,
+    DEFAULT_SPAN_SAMPLES, SPAN_KINDS,
 };
 pub use tenant::{
     tenant_label, HeavyHitter, SpaceSaving, TenantScope, TenantSketch, OTHER_TENANT,

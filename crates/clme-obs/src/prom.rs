@@ -93,7 +93,12 @@ fn render_histogram(out: &mut String, name: &str, labels: &[(String, String)], h
         let mean = h.mean_ps();
         format_value(mean * h.count() as f64)
     });
-    let _ = writeln!(out, "{name}_count{} {}", label_block(labels, None), h.count());
+    let _ = writeln!(
+        out,
+        "{name}_count{} {}",
+        label_block(labels, None),
+        h.count()
+    );
 }
 
 fn format_value(v: f64) -> String {
@@ -126,10 +131,20 @@ pub fn render(samples: &[Sample]) -> String {
         }
         match (&sample.value, sample.kind) {
             (SampleValue::Counter(v), _) => {
-                let _ = writeln!(out, "{}{} {v}", sample.name, label_block(&sample.labels, None));
+                let _ = writeln!(
+                    out,
+                    "{}{} {v}",
+                    sample.name,
+                    label_block(&sample.labels, None)
+                );
             }
             (SampleValue::Gauge(v), _) => {
-                let _ = writeln!(out, "{}{} {v}", sample.name, label_block(&sample.labels, None));
+                let _ = writeln!(
+                    out,
+                    "{}{} {v}",
+                    sample.name,
+                    label_block(&sample.labels, None)
+                );
             }
             (SampleValue::Histogram(h), _) => {
                 render_histogram(&mut out, &sample.name, &sample.labels, h);
@@ -169,7 +184,9 @@ mod tests {
             .counter("clme_ops_total", "ops so far", &[("shard", "3")])
             .unwrap();
         c.add(42);
-        reg.gauge("clme_level", "current level", &[]).unwrap().set(7);
+        reg.gauge("clme_level", "current level", &[])
+            .unwrap()
+            .set(7);
         let text = render(&reg.snapshot());
         assert!(text.contains("# HELP clme_ops_total ops so far\n"));
         assert!(text.contains("# TYPE clme_ops_total counter\n"));
@@ -205,8 +222,14 @@ mod tests {
         // 1000 in [512,1024) -> le=1023 cum 4.
         assert!(text.contains("clme_lat_ps_bucket{le=\"3\"} 2\n"), "{text}");
         assert!(text.contains("clme_lat_ps_bucket{le=\"7\"} 3\n"), "{text}");
-        assert!(text.contains("clme_lat_ps_bucket{le=\"1023\"} 4\n"), "{text}");
-        assert!(text.contains("clme_lat_ps_bucket{le=\"+Inf\"} 4\n"), "{text}");
+        assert!(
+            text.contains("clme_lat_ps_bucket{le=\"1023\"} 4\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("clme_lat_ps_bucket{le=\"+Inf\"} 4\n"),
+            "{text}"
+        );
         assert!(text.contains("clme_lat_ps_sum 1011\n"), "{text}");
         assert!(text.contains("clme_lat_ps_count 4\n"), "{text}");
     }

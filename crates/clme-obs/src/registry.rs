@@ -314,7 +314,10 @@ impl fmt::Display for MetricsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MetricsError::InvalidMetricName(n) => {
-                write!(f, "invalid metric name {n:?}: must match [a-zA-Z_:][a-zA-Z0-9_:]*")
+                write!(
+                    f,
+                    "invalid metric name {n:?}: must match [a-zA-Z_:][a-zA-Z0-9_:]*"
+                )
             }
             MetricsError::InvalidLabelName(n) => {
                 write!(

@@ -147,7 +147,11 @@ mod tests {
         assert_eq!(ring.len(), 4);
         assert_eq!(ring.dropped(), 3);
         let order: Vec<u64> = ring.iter().map(|e| e.addr).collect();
-        assert_eq!(order, vec![3, 4, 5, 6], "iteration stays oldest-first across the wrap");
+        assert_eq!(
+            order,
+            vec![3, 4, 5, 6],
+            "iteration stays oldest-first across the wrap"
+        );
     }
 
     #[test]

@@ -159,7 +159,10 @@ impl EpochSeries {
 
     /// Largest per-epoch IPC (0 for an empty series).
     pub fn ipc_max(&self) -> f64 {
-        self.samples.iter().map(EpochSample::ipc).fold(0.0, f64::max)
+        self.samples
+            .iter()
+            .map(EpochSample::ipc)
+            .fold(0.0, f64::max)
     }
 
     /// IPC of the final epoch (0 for an empty series) — the steady-state
@@ -182,7 +185,10 @@ impl EpochSeries {
         if self.samples.is_empty() {
             return 0.0;
         }
-        self.samples.iter().map(EpochSample::row_conflict_rate).sum::<f64>()
+        self.samples
+            .iter()
+            .map(EpochSample::row_conflict_rate)
+            .sum::<f64>()
             / self.samples.len() as f64
     }
 

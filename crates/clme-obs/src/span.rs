@@ -620,7 +620,10 @@ mod tests {
                         })
                     })
                     .collect();
-                handles.into_iter().map(|h| h.join().expect("no panics")).collect()
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("no panics"))
+                    .collect()
             });
             for ids in results {
                 assert_eq!(

@@ -189,10 +189,7 @@ impl TenantSketch {
     /// Empties every shard.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard
-                .lock()
-                .expect("tenant sketch shard poisoned")
-                .clear();
+            shard.lock().expect("tenant sketch shard poisoned").clear();
         }
     }
 }
@@ -327,8 +324,22 @@ mod tests {
         }
         let top = s.top();
         assert_eq!(top.len(), 5);
-        assert_eq!(top[0], HeavyHitter { id: 4, count: 5, error: 0 });
-        assert_eq!(top[4], HeavyHitter { id: 0, count: 1, error: 0 });
+        assert_eq!(
+            top[0],
+            HeavyHitter {
+                id: 4,
+                count: 5,
+                error: 0
+            }
+        );
+        assert_eq!(
+            top[4],
+            HeavyHitter {
+                id: 0,
+                count: 1,
+                error: 0
+            }
+        );
         // Under capacity every count is exact.
         assert!(top.iter().all(|e| e.error == 0));
     }
@@ -359,8 +370,22 @@ mod tests {
         s.observe_n(8, 10);
         s.observe_n(9, 30); // evicts 8 (min), inherits error floor 10
         let top = s.top();
-        assert_eq!(top[0], HeavyHitter { id: 7, count: 50, error: 0 });
-        assert_eq!(top[1], HeavyHitter { id: 9, count: 40, error: 10 });
+        assert_eq!(
+            top[0],
+            HeavyHitter {
+                id: 7,
+                count: 50,
+                error: 0
+            }
+        );
+        assert_eq!(
+            top[1],
+            HeavyHitter {
+                id: 9,
+                count: 40,
+                error: 10
+            }
+        );
     }
 
     #[test]
@@ -417,7 +442,7 @@ mod tests {
         assert_eq!(scope.prime(5), Some(0)); // idempotent
         assert_eq!(scope.prime(6), Some(1));
         assert_eq!(scope.prime(7), None); // full
-        // Primed tenants resolve to their reserved slots; others fold.
+                                          // Primed tenants resolve to their reserved slots; others fold.
         assert_eq!(scope.resolve(6), 1);
         assert_eq!(scope.resolve(7), TenantScope::OTHER_SLOT);
     }

@@ -235,7 +235,7 @@ mod tests {
         c.complete_mem(i1 + ns(100), true);
         let i2 = c.begin_mem(false);
         c.complete_mem(i2 + ns(10), true); // completes earlier...
-        // ...but cannot retire before the older one.
+                                           // ...but cannot retire before the older one.
         assert_eq!(c.drained_at(), i1 + ns(100));
     }
 

@@ -77,11 +77,7 @@ impl Machine {
         caches: MemorySystemCaches,
         dram: Dram,
     ) -> Machine {
-        assert_eq!(
-            workloads.len(),
-            cfg.cores,
-            "one workload instance per core"
-        );
+        assert_eq!(workloads.len(), cfg.cores, "one workload instance per core");
         Machine {
             cores: (0..cfg.cores).map(|_| CoreModel::new(&cfg)).collect(),
             caches,
@@ -162,8 +158,13 @@ impl Machine {
         if let Some((stall, at)) = stall_before {
             let grown = self.cores[core_idx].rob_stall().saturating_sub(stall);
             if grown > TimeDelta::ZERO {
-                self.obs
-                    .event(at, Component::Core, EventKind::RobStall, core_idx as u64, grown);
+                self.obs.event(
+                    at,
+                    Component::Core,
+                    EventKind::RobStall,
+                    core_idx as u64,
+                    grown,
+                );
                 self.obs.latency(Stage::RobStall, grown);
             }
         }
@@ -172,8 +173,14 @@ impl Machine {
     /// One access through the hierarchy; returns the load-use completion
     /// time.
     fn memory_access(&mut self, core_idx: usize, block: u64, write: bool, issue: Time) -> Time {
-        self.caches
-            .access_into(core_idx, block, write, issue, &mut *self.obs, &mut self.access);
+        self.caches.access_into(
+            core_idx,
+            block,
+            write,
+            issue,
+            &mut *self.obs,
+            &mut self.access,
+        );
         let level = self.access.level.expect("access always resolves");
         let completion = match level {
             HitLevel::L1 => issue + self.l1_latency,
@@ -184,7 +191,8 @@ impl Machine {
                 let slot = self.cores[core_idx].acquire_mshr(mc_issue);
                 if self.obs.enabled() {
                     // Lookup walked L1→L2→LLC before the miss left the chip.
-                    self.obs.span_child(SpanKind::CacheLookup, 0, issue, mc_issue);
+                    self.obs
+                        .span_child(SpanKind::CacheLookup, 0, issue, mc_issue);
                 }
                 let outcome = self.engine.on_read_miss_obs(
                     clme_types::BlockAddr::new(block),
@@ -195,7 +203,8 @@ impl Machine {
                 self.cores[core_idx].commit_mshr(outcome.ready);
                 // Close the request span before writebacks/prefetches below
                 // emit their own (ignored, requestless) child spans.
-                self.obs.span_request_end(outcome.data_arrival, outcome.ready);
+                self.obs
+                    .span_request_end(outcome.data_arrival, outcome.ready);
                 outcome.ready
             }
         };
@@ -314,9 +323,8 @@ impl Machine {
         let instructions: u64 = self.cores.iter().map(CoreModel::instructions).sum();
         let tracker = self.dram.tracker();
         let elapsed_nonzero = elapsed.max(TimeDelta::from_picos(1));
-        let window_cycles = (elapsed_nonzero.picos() as f64
-            / self.cfg.core_period().picos() as f64)
-            .max(1.0);
+        let window_cycles =
+            (elapsed_nonzero.picos() as f64 / self.cfg.core_period().picos() as f64).max(1.0);
         let per_core = self
             .cores
             .iter()
@@ -366,7 +374,9 @@ mod tests {
     fn small_machine(kind: EngineKind, bench: &str) -> Machine {
         let cfg = SystemConfig::isca_table1();
         let engine = build_engine(kind, &cfg, suites::address_space_blocks());
-        let workloads = (0..cfg.cores).map(|c| suites::instantiate(bench, c)).collect();
+        let workloads = (0..cfg.cores)
+            .map(|c| suites::instantiate(bench, c))
+            .collect();
         Machine::new(cfg, engine, workloads)
     }
 
@@ -415,8 +425,10 @@ mod tests {
             let engine = build_engine(kind, &cfg, suites::address_space_blocks());
             let workloads = (0..cfg.cores)
                 .map(|c| {
-                    Box::new(suites::pointer_chase(c as u64, c as u64 * suites::SPAN_BLOCKS))
-                        as Box<dyn clme_workloads::Workload>
+                    Box::new(suites::pointer_chase(
+                        c as u64,
+                        c as u64 * suites::SPAN_BLOCKS,
+                    )) as Box<dyn clme_workloads::Workload>
                 })
                 .collect();
             Machine::new(cfg.clone(), engine, workloads).run(1_000, 8_000)
@@ -457,10 +469,15 @@ mod tests {
             suites::address_space_blocks(),
             false,
         ));
-        let workloads = (0..cfg.cores).map(|c| suites::instantiate("omnetpp", c)).collect();
+        let workloads = (0..cfg.cores)
+            .map(|c| suites::instantiate("omnetpp", c))
+            .collect();
         let mut m = Machine::new(cfg, engine, workloads);
         let result = m.run(500, 4_000);
-        assert_eq!(result.engine_stats.counterless_writebacks, 0, "ablation never switches");
+        assert_eq!(
+            result.engine_stats.counterless_writebacks, 0,
+            "ablation never switches"
+        );
     }
 
     #[test]

@@ -455,10 +455,16 @@ mod tests {
         let labels: Vec<String> = cells.iter().map(MatrixCell::label).collect();
         assert_eq!(
             labels,
-            ["table1/counter-light/bfs", "table1/counter-light/streamcluster"]
+            [
+                "table1/counter-light/bfs",
+                "table1/counter-light/streamcluster"
+            ]
         );
         // Surviving cells keep their label-keyed seeds.
-        assert_eq!(filtered.cell_seed(&cells[0]), full.cell_seed(&full_cells[2]));
+        assert_eq!(
+            filtered.cell_seed(&cells[0]),
+            full.cell_seed(&full_cells[2])
+        );
         // A pattern matching nothing yields an empty grid, not an error.
         assert!(tiny().filter("nope/*").cells().is_empty());
     }

@@ -54,9 +54,15 @@ impl StatsSnapshot {
         for (i, core) in result.per_core.iter().enumerate() {
             push(&format!("core{i}.ipc"), core.ipc);
             push(&format!("core{i}.rob_stall_ns"), core.rob_stall.as_ns_f64());
-            push(&format!("core{i}.rob_stall_events"), core.rob_stall_events as f64);
+            push(
+                &format!("core{i}.rob_stall_events"),
+                core.rob_stall_events as f64,
+            );
         }
-        push("energy_per_instruction_nj", result.energy_per_instruction_nj);
+        push(
+            "energy_per_instruction_nj",
+            result.energy_per_instruction_nj,
+        );
 
         for (name, value) in result.engine_stats.export() {
             push(&format!("engine.{name}"), value);
@@ -110,8 +116,7 @@ impl StatsSnapshot {
         blame: &clme_obs::BlameTally,
     ) -> StatsSnapshot {
         let mut snapshot = StatsSnapshot::capture(result, config, seed);
-        let mut push =
-            |name: &str, value: f64| snapshot.metrics.push((name.to_string(), value));
+        let mut push = |name: &str, value: f64| snapshot.metrics.push((name.to_string(), value));
         push("series.epoch_cycles", series.epoch_cycles as f64);
         push("series.epochs", series.len() as f64);
         push("series.ipc_min", series.ipc_min());
@@ -126,7 +131,10 @@ impl StatsSnapshot {
             series.row_conflict_rate_mean(),
         );
         push("blame.requests", blame.total() as f64);
-        push("blame.dram_bound_fraction", blame.fraction(clme_obs::Blame::Dram));
+        push(
+            "blame.dram_bound_fraction",
+            blame.fraction(clme_obs::Blame::Dram),
+        );
         push(
             "blame.counter_bound_fraction",
             blame.fraction(clme_obs::Blame::Counter),
@@ -135,7 +143,10 @@ impl StatsSnapshot {
             "blame.cipher_bound_fraction",
             blame.fraction(clme_obs::Blame::Cipher),
         );
-        push("blame.mac_bound_fraction", blame.fraction(clme_obs::Blame::Mac));
+        push(
+            "blame.mac_bound_fraction",
+            blame.fraction(clme_obs::Blame::Mac),
+        );
         snapshot
     }
 
@@ -151,7 +162,10 @@ impl StatsSnapshot {
 
     /// Looks up one metric by name.
     pub fn metric(&self, name: &str) -> Option<f64> {
-        self.metrics.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+        self.metrics
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
     }
 
     /// The stable JSON encoding (ends with a newline).
@@ -166,7 +180,10 @@ impl StatsSnapshot {
             ("benchmark".into(), JsonValue::Str(self.benchmark.clone())),
             ("engine".into(), JsonValue::Str(self.engine.clone())),
             ("config".into(), JsonValue::Str(self.config.clone())),
-            ("seed".into(), JsonValue::Str(format!("{:#018x}", self.seed))),
+            (
+                "seed".into(),
+                JsonValue::Str(format!("{:#018x}", self.seed)),
+            ),
             ("metrics".into(), JsonValue::Obj(metrics)),
         ]);
         let mut text = doc.to_pretty();
@@ -186,7 +203,9 @@ impl StatsSnapshot {
             .and_then(JsonValue::as_f64)
             .ok_or("missing schema")?;
         if schema != SNAPSHOT_SCHEMA as f64 {
-            return Err(format!("snapshot schema {schema} != supported {SNAPSHOT_SCHEMA}"));
+            return Err(format!(
+                "snapshot schema {schema} != supported {SNAPSHOT_SCHEMA}"
+            ));
         }
         let field = |name: &str| -> Result<String, String> {
             doc.get(name)
@@ -355,7 +374,10 @@ mod tests {
             .iter()
             .map(|k| snap.metric(&format!("blame.{k}_bound_fraction")).unwrap())
             .sum::<f64>();
-        assert!((fractions - 1.0).abs() < 1e-9, "fractions sum to 1, got {fractions}");
+        assert!(
+            (fractions - 1.0).abs() < 1e-9,
+            "fractions sum to 1, got {fractions}"
+        );
         // The plain metrics come first and are unchanged by the series.
         let plain = StatsSnapshot::capture(&result, "table1", 11);
         assert_eq!(snap.metrics[..plain.metrics.len()], plain.metrics[..]);
@@ -386,11 +408,7 @@ mod tests {
         assert!(compare(&golden, &fresh, Tolerance::exact()).is_empty());
 
         // Nudge one metric by 1%: passes ±2%, fails exact.
-        let idx = fresh
-            .metrics
-            .iter()
-            .position(|(n, _)| n == "ipc")
-            .unwrap();
+        let idx = fresh.metrics.iter().position(|(n, _)| n == "ipc").unwrap();
         fresh.metrics[idx].1 *= 1.01;
         assert!(compare(&golden, &fresh, Tolerance::default_band()).is_empty());
         let exact = compare(&golden, &fresh, Tolerance::exact());
@@ -418,7 +436,9 @@ mod tests {
 
     #[test]
     fn schema_mismatch_is_rejected() {
-        let text = snapshot().to_json().replace("\"schema\": 4", "\"schema\": 999");
+        let text = snapshot()
+            .to_json()
+            .replace("\"schema\": 4", "\"schema\": 999");
         assert!(StatsSnapshot::from_json(&text).is_err());
     }
 }

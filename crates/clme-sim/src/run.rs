@@ -241,7 +241,12 @@ mod tests {
     #[test]
     fn run_benchmark_end_to_end() {
         let cfg = SystemConfig::isca_table1();
-        let result = run_benchmark(&cfg, EngineKind::CounterLight, "canneal", SimParams::quick());
+        let result = run_benchmark(
+            &cfg,
+            EngineKind::CounterLight,
+            "canneal",
+            SimParams::quick(),
+        );
         assert_eq!(result.engine, EngineKind::CounterLight);
         assert!(result.engine_stats.read_misses > 0);
     }
@@ -254,7 +259,8 @@ mod tests {
     #[test]
     fn series_run_matches_plain_run_and_samples_epochs() {
         let cfg = SystemConfig::isca_table1();
-        let plain = run_benchmark_seeded(&cfg, EngineKind::CounterMode, "bfs", SimParams::quick(), 7);
+        let plain =
+            run_benchmark_seeded(&cfg, EngineKind::CounterMode, "bfs", SimParams::quick(), 7);
         let (result, series, blame) = run_benchmark_series(
             &cfg,
             EngineKind::CounterMode,

@@ -139,7 +139,10 @@ mod tests {
         assert_eq!(PhysAddr::new(0).block(), BlockAddr::new(0));
         assert_eq!(PhysAddr::new(63).block(), BlockAddr::new(0));
         assert_eq!(PhysAddr::new(64).block(), BlockAddr::new(1));
-        assert_eq!(PhysAddr::new(0xFFFF_FFFF).block(), BlockAddr::new(0x3FF_FFFF));
+        assert_eq!(
+            PhysAddr::new(0xFFFF_FFFF).block(),
+            BlockAddr::new(0x3FF_FFFF)
+        );
     }
 
     #[test]

@@ -216,7 +216,10 @@ impl SystemConfig {
     ///
     /// Panics if `threshold` is outside `[0, 1]`.
     pub fn with_threshold(mut self, threshold: f64) -> SystemConfig {
-        assert!((0.0..=1.0).contains(&threshold), "threshold must be in [0,1]");
+        assert!(
+            (0.0..=1.0).contains(&threshold),
+            "threshold must be in [0,1]"
+        );
         self.bandwidth_threshold = threshold;
         self
     }

@@ -203,10 +203,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected '{}' at byte {}", b as char, self.pos))
         }
     }
 
@@ -219,7 +216,11 @@ impl Parser<'_> {
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.literal("null", JsonValue::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {:?} at byte {}", other.map(|b| b as char), self.pos)),
+            other => Err(format!(
+                "unexpected {:?} at byte {}",
+                other.map(|b| b as char),
+                self.pos
+            )),
         }
     }
 
@@ -367,7 +368,10 @@ mod tests {
             ("flag", JsonValue::Bool(true)),
             (
                 "nested",
-                obj(vec![("inner", JsonValue::Arr(vec![JsonValue::Num(1.0), JsonValue::Null]))]),
+                obj(vec![(
+                    "inner",
+                    JsonValue::Arr(vec![JsonValue::Num(1.0), JsonValue::Null]),
+                )]),
             ),
         ]);
         let text = v.to_pretty();
@@ -376,12 +380,7 @@ mod tests {
 
     #[test]
     fn encoding_is_byte_stable() {
-        let make = || {
-            obj(vec![
-                ("a", JsonValue::Num(1.0)),
-                ("b", JsonValue::Num(2.5)),
-            ])
-        };
+        let make = || obj(vec![("a", JsonValue::Num(1.0)), ("b", JsonValue::Num(2.5))]);
         assert_eq!(make().to_pretty(), make().to_pretty());
         assert_eq!(make().to_pretty(), "{\n  \"a\": 1,\n  \"b\": 2.5\n}");
     }
@@ -448,7 +447,10 @@ mod tests {
 
     #[test]
     fn get_and_accessors() {
-        let v = obj(vec![("x", JsonValue::Num(3.0)), ("s", JsonValue::Str("hi".into()))]);
+        let v = obj(vec![
+            ("x", JsonValue::Num(3.0)),
+            ("s", JsonValue::Str("hi".into())),
+        ]);
         assert_eq!(v.get("x").and_then(JsonValue::as_f64), Some(3.0));
         assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("hi"));
         assert!(v.get("missing").is_none());

@@ -208,7 +208,12 @@ impl fmt::Display for Histogram {
             )?;
         }
         if self.overflow > 0 {
-            writeln!(f, "  >= {:>7}: {}", self.bucket_hi(self.len() - 1), self.overflow)?;
+            writeln!(
+                f,
+                "  >= {:>7}: {}",
+                self.bucket_hi(self.len() - 1),
+                self.overflow
+            )?;
         }
         Ok(())
     }
@@ -275,7 +280,13 @@ impl Ratio {
 
 impl fmt::Display for Ratio {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{} ({:.1}%)", self.hits, self.total, self.rate() * 100.0)
+        write!(
+            f,
+            "{}/{} ({:.1}%)",
+            self.hits,
+            self.total,
+            self.rate() * 100.0
+        )
     }
 }
 

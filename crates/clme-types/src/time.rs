@@ -311,7 +311,10 @@ mod tests {
         assert!(a < b);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
-        assert_eq!(TimeDelta::from_ns(1).max(TimeDelta::from_ns(2)), TimeDelta::from_ns(2));
+        assert_eq!(
+            TimeDelta::from_ns(1).max(TimeDelta::from_ns(2)),
+            TimeDelta::from_ns(2)
+        );
     }
 
     #[test]

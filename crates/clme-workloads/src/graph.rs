@@ -149,7 +149,9 @@ impl GraphTraversal {
                 });
                 // Optional chase (union-find parents, DFS descent).
                 for _ in 0..self.kernel.chase_depth {
-                    target = (target.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1))
+                    target = (target
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1))
                         % self.kernel.vertices;
                     self.buffer.push_back(Op::Load {
                         addr: self.vertex_addr(target),
@@ -221,7 +223,10 @@ mod tests {
             match g.next_op() {
                 Op::Load { addr, .. } | Op::Store { addr } => {
                     let b = addr.block().raw();
-                    assert!((1000..1000 + footprint_blocks + 1).contains(&b), "block {b}");
+                    assert!(
+                        (1000..1000 + footprint_blocks + 1).contains(&b),
+                        "block {b}"
+                    );
                 }
                 Op::Compute { .. } => {}
             }
@@ -253,7 +258,9 @@ mod tests {
         for _ in 0..50_000 {
             match g.next_op() {
                 Op::Store { .. } => stores += 1,
-                Op::Load { dependent: false, .. } => {}
+                Op::Load {
+                    dependent: false, ..
+                } => {}
                 _ => {}
             }
         }

@@ -97,7 +97,13 @@ mod tests {
             .instructions(),
             1
         );
-        assert_eq!(Op::Store { addr: PhysAddr::new(0) }.instructions(), 1);
+        assert_eq!(
+            Op::Store {
+                addr: PhysAddr::new(0)
+            }
+            .instructions(),
+            1
+        );
         assert_eq!(Op::Compute { n: 7 }.instructions(), 7);
     }
 }

@@ -386,7 +386,10 @@ mod tests {
         };
         let omnetpp = count_stores("omnetpp");
         let streamcluster = count_stores("streamcluster");
-        assert!(omnetpp > 50 * streamcluster.max(1), "{omnetpp} vs {streamcluster}");
+        assert!(
+            omnetpp > 50 * streamcluster.max(1),
+            "{omnetpp} vs {streamcluster}"
+        );
     }
 
     #[test]

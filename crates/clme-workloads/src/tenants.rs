@@ -115,7 +115,10 @@ impl TenantComposer {
     /// `batch_blocks` is zero, or if `skew` is negative or non-finite.
     pub fn new(cfg: TenantTrafficConfig) -> TenantComposer {
         assert!(cfg.tenants > 0, "need at least one tenant");
-        assert!(cfg.pages_per_tenant > 0, "need at least one page per tenant");
+        assert!(
+            cfg.pages_per_tenant > 0,
+            "need at least one page per tenant"
+        );
         assert!(cfg.page_blocks > 0, "need at least one block per page");
         assert!(cfg.batch_blocks > 0, "need at least one block per batch");
         assert!(
@@ -239,7 +242,11 @@ impl TenantComposer {
         }
         self.batches += 1;
 
-        ComposedBatch { tenant, write, addrs }
+        ComposedBatch {
+            tenant,
+            write,
+            addrs,
+        }
     }
 
     /// Composes `n` batches up front. Because composition is a single
@@ -373,7 +380,10 @@ mod tests {
 
     #[test]
     fn zero_skew_is_roughly_uniform() {
-        let mut comp = TenantComposer::new(TenantTrafficConfig { skew: 0.0, ..cfg(17) });
+        let mut comp = TenantComposer::new(TenantTrafficConfig {
+            skew: 0.0,
+            ..cfg(17)
+        });
         let mut counts = vec![0u64; 16];
         for _ in 0..4800 {
             counts[comp.next_batch().tenant as usize] += 1;
@@ -398,7 +408,10 @@ mod tests {
                 reads += 1;
             }
         }
-        assert!(reads > writes, "read-mostly mix expected: {reads}r/{writes}w");
+        assert!(
+            reads > writes,
+            "read-mostly mix expected: {reads}r/{writes}w"
+        );
         assert!(writes > 0, "writes must still occur");
     }
 
@@ -411,6 +424,10 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 16, "ranks must be a permutation");
-        assert_ne!(ha, b.expected_heaviest(16), "rank order should follow the seed");
+        assert_ne!(
+            ha,
+            b.expected_heaviest(16),
+            "rank order should follow the seed"
+        );
     }
 }

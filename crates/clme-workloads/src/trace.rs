@@ -230,10 +230,8 @@ mod tests {
 
     #[test]
     fn replay_loops() {
-        let mut trace = RecordedTrace::from_ops(
-            "tiny",
-            vec![Op::Compute { n: 1 }, Op::Compute { n: 2 }],
-        );
+        let mut trace =
+            RecordedTrace::from_ops("tiny", vec![Op::Compute { n: 1 }, Op::Compute { n: 2 }]);
         assert_eq!(trace.next_op(), Op::Compute { n: 1 });
         assert_eq!(trace.next_op(), Op::Compute { n: 2 });
         assert_eq!(trace.next_op(), Op::Compute { n: 1 });

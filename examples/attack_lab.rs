@@ -34,9 +34,18 @@ fn main() {
 
     println!("\n=== 4. Ciphertext side channel (Section IV-D) ===");
     let sc = sidechannel::run();
-    println!("counterless, shared key  -> attacker recognises victim data: {}", sc.counterless_shared_key_leaks);
-    println!("counterless, per-VM keys -> leak: {}", sc.counterless_per_vm_keys_leak);
-    println!("counter mode, global key -> leak: {}", sc.counter_mode_global_key_leaks);
+    println!(
+        "counterless, shared key  -> attacker recognises victim data: {}",
+        sc.counterless_shared_key_leaks
+    );
+    println!(
+        "counterless, per-VM keys -> leak: {}",
+        sc.counterless_per_vm_keys_leak
+    );
+    println!(
+        "counter mode, global key -> leak: {}",
+        sc.counter_mode_global_key_leaks
+    );
 
     println!("\n=== 5. Algebraic attack on the OTP combiner (Section IV-F) ===");
     let simplest = AttackSystem::new(2, 2);

@@ -23,7 +23,11 @@ fn main() {
     ] {
         println!("=== {label} ===");
         mem.set_writeback_mode(mode);
-        let block = BlockAddr::new(if mode == WritebackMode::Counter { 10 } else { 20 });
+        let block = BlockAddr::new(if mode == WritebackMode::Counter {
+            10
+        } else {
+            20
+        });
         mem.write_block(block, &plaintext);
         for chip in Chip::all() {
             let mut bad = mem.raw_block(block).expect("written");
@@ -40,7 +44,9 @@ fn main() {
         mem.overwrite_raw(block, bad);
         match mem.read_block(block) {
             Err(ReadError::Uncorrectable) => {
-                println!("  two chips corrupted -> detected uncorrectable error (no silent corruption)")
+                println!(
+                    "  two chips corrupted -> detected uncorrectable error (no silent corruption)"
+                )
             }
             other => panic!("expected DUE, got {other:?}"),
         }

@@ -16,8 +16,14 @@ fn main() {
     mem.write_block(block, &secret);
     let stored = mem.raw_block(block).expect("just written");
     println!("plaintext[0..8]  = {:02x?}", &secret[..8]);
-    println!("ciphertext lane0 = {:#018x} (what a bus probe would see)", stored.lanes[0]);
-    println!("decrypted ok     = {}", mem.read_block(block).unwrap() == secret);
+    println!(
+        "ciphertext lane0 = {:#018x} (what a bus probe would see)",
+        stored.lanes[0]
+    );
+    println!(
+        "decrypted ok     = {}",
+        mem.read_block(block).unwrap() == secret
+    );
 
     // --- Timing: one benchmark under three designs ----------------------
     let cfg = SystemConfig::isca_table1();

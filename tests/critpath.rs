@@ -108,7 +108,10 @@ fn counter_mode_is_more_counter_bound_than_counter_light() {
             .iter()
             .any(|c| c.kind == SpanKind::CounterFetch)
     });
-    assert!(mode_has_fetch, "no sampled counter-mode request fetched a counter");
+    assert!(
+        mode_has_fetch,
+        "no sampled counter-mode request fetched a counter"
+    );
     for req in mode.sampled().iter().chain(light.sampled().iter()) {
         assert!(req.ready >= req.issue);
         for child in &req.children {

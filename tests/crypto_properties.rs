@@ -62,7 +62,11 @@ fn otp_round_trips() {
         let counter = rng.next_u64();
         let pt = bytes::<64>(&mut rng);
         let ct = keys.otp().encrypt_block64(addr, counter, &pt);
-        assert_eq!(keys.otp().decrypt_block64(addr, counter, &ct), pt, "case {case}");
+        assert_eq!(
+            keys.otp().decrypt_block64(addr, counter, &ct),
+            pt,
+            "case {case}"
+        );
     }
 }
 

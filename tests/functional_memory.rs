@@ -95,7 +95,10 @@ fn counter_overflow_switches_block_permanently() {
     mem.write_block(block, &plaintext(1));
     mem.set_counter_for_test(block, (u32::MAX - 1) as u64);
     mem.write_block(block, &plaintext(2));
-    assert!(mem.is_counterless(block), "overflow must switch to counterless");
+    assert!(
+        mem.is_counterless(block),
+        "overflow must switch to counterless"
+    );
     assert_eq!(mem.read_block(block).unwrap(), plaintext(2));
     // Stays counterless even though the mode is Counter.
     mem.write_block(block, &plaintext(3));

@@ -128,8 +128,7 @@ fn drive_twins<A: StoreBackend, B: StoreBackend>(
                         // generation, so the cache may not serve the
                         // stale (pre-flip) plaintext: both layers must
                         // fail verification identically.
-                        let cached_err =
-                            from_cached.expect_err("cache must not mask the flip");
+                        let cached_err = from_cached.expect_err("cache must not mask the flip");
                         let plain_err = from_plain.expect_err("plain flip detected");
                         assert_eq!(
                             cached_err.integrity().map(|e| e.class),
@@ -164,13 +163,9 @@ fn cache_on_and_off_read_identically_vec_backend() {
         options(3),
     )
     .expect("geometry fits");
-    let plain = EncryptionLayer::with_options(
-        VecBackend::for_blocks(BLOCKS),
-        BLOCKS,
-        MASTER,
-        options(0),
-    )
-    .expect("geometry fits");
+    let plain =
+        EncryptionLayer::with_options(VecBackend::for_blocks(BLOCKS), BLOCKS, MASTER, options(0))
+            .expect("geometry fits");
     let mut rng = SplitMix64::new(SplitMix64::new(SEED).derive(b"cache/vec"));
     let (rekeys, tampers) = drive_twins(&cached, &plain, &mut rng, 300);
     assert!(rekeys > 0, "the op mix must exercise rekey");
@@ -180,7 +175,10 @@ fn cache_on_and_off_read_identically_vec_backend() {
         // Telemetry is compiled in: the run must actually have used the
         // cache, evicted under pressure, and purged on rekey + tamper.
         assert!(snap.cache.fills > 0, "cache never filled");
-        assert!(snap.cache.evictions > 0, "capacity 3 over 5 pages must evict");
+        assert!(
+            snap.cache.evictions > 0,
+            "capacity 3 over 5 pages must evict"
+        );
         assert!(snap.cache.invalidated(CacheCause::Rekey) > 0);
         assert!(snap.cache.invalidated(CacheCause::Foreign) > 0);
     }
@@ -189,14 +187,10 @@ fn cache_on_and_off_read_identically_vec_backend() {
 #[test]
 fn cache_on_and_off_read_identically_file_backend() {
     let dir = std::env::temp_dir();
-    let cached_path = PathBuf::from(&dir).join(format!(
-        "clme-mem-cache-on-{}.store",
-        std::process::id()
-    ));
-    let plain_path = PathBuf::from(&dir).join(format!(
-        "clme-mem-cache-off-{}.store",
-        std::process::id()
-    ));
+    let cached_path =
+        PathBuf::from(&dir).join(format!("clme-mem-cache-on-{}.store", std::process::id()));
+    let plain_path =
+        PathBuf::from(&dir).join(format!("clme-mem-cache-off-{}.store", std::process::id()));
     {
         let cached = EncryptionLayer::with_options(
             FileBackend::create_for_blocks(&cached_path, BLOCKS).expect("create store"),
@@ -226,13 +220,9 @@ fn cache_on_and_off_read_identically_file_backend() {
 /// key. After a detected flip the same holds for pre-flip plaintext.
 #[test]
 fn rekey_and_tamper_leave_no_stale_entries() {
-    let layer = EncryptionLayer::with_options(
-        VecBackend::for_blocks(BLOCKS),
-        BLOCKS,
-        MASTER,
-        options(64),
-    )
-    .expect("geometry fits");
+    let layer =
+        EncryptionLayer::with_options(VecBackend::for_blocks(BLOCKS), BLOCKS, MASTER, options(64))
+            .expect("geometry fits");
     let mut rng = SplitMix64::new(SplitMix64::new(SEED).derive(b"cache/stale"));
     let batch: Vec<(u64, Block)> = (0..BLOCKS).map(|a| (a, random_block(&mut rng))).collect();
     layer.batch_write(&batch).expect("populate");
@@ -265,7 +255,10 @@ fn rekey_and_tamper_leave_no_stale_entries() {
         );
     }
     word[5] ^= 0x20;
-    layer.backend().write_word(word_index, &word).expect("restore");
+    layer
+        .backend()
+        .write_word(word_index, &word)
+        .expect("restore");
     assert_eq!(layer.batch_read(&addrs).expect("recovered sweep"), before);
 }
 
@@ -294,7 +287,11 @@ fn drive_trust_twins<A: StoreBackend, B: StoreBackend>(
         if rng.below(2) == 0 {
             let batch: Vec<(u64, Block)> = (0..len)
                 .map(|_| {
-                    let addr = if rng.below(3) == 0 { HOT } else { rng.below(blocks) };
+                    let addr = if rng.below(3) == 0 {
+                        HOT
+                    } else {
+                        rng.below(blocks)
+                    };
                     (addr, random_block(&mut rng))
                 })
                 .collect();
@@ -320,7 +317,12 @@ fn drive_trust_twins<A: StoreBackend, B: StoreBackend>(
     // The stream reached both modes and rolled the hot page: a
     // co-resident that was never written carries the rolled major.
     assert!(trusted.is_counterless(HOT).expect("hot counter"));
-    assert!(trusted.counter_of(HOT - HOT % PAGE_BLOCKS).expect("co-resident") >= 128);
+    assert!(
+        trusted
+            .counter_of(HOT - HOT % PAGE_BLOCKS)
+            .expect("co-resident")
+            >= 128
+    );
     let words = trusted.geometry().total_words();
     for w in 0..words {
         assert_eq!(

@@ -69,8 +69,9 @@ fn run_stream(
             // exactly — nobody else writes here.
             2 => {
                 let len = 1 + rng.below(16) as usize;
-                let addrs: Vec<u64> =
-                    (0..len).map(|_| private_base + rng.below(PAGE_BLOCKS)).collect();
+                let addrs: Vec<u64> = (0..len)
+                    .map(|_| private_base + rng.below(PAGE_BLOCKS))
+                    .collect();
                 let got = layer.batch_read(&addrs).expect("private read");
                 for (addr, block) in addrs.iter().zip(&got) {
                     let want = model.get(addr).copied().unwrap_or([0u8; 64]);
@@ -83,7 +84,9 @@ fn run_stream(
             _ => {
                 let addr = shared_base + rng.below(PAGE_BLOCKS);
                 let tag = (thread << 48) | 0xC0FFEE;
-                layer.write_block(addr, &tagged_block(tag)).expect("shared write");
+                layer
+                    .write_block(addr, &tagged_block(tag))
+                    .expect("shared write");
                 let read_addr = shared_base + rng.below(PAGE_BLOCKS);
                 let got = layer.read_block(read_addr).expect("shared read");
                 assert!(
@@ -100,8 +103,7 @@ fn run_stream(
 fn concurrent_streams_no_torn_reads_and_replay_matches() {
     // One private page per thread plus one shared page at the end.
     let blocks = (THREADS + 1) * PAGE_BLOCKS;
-    let layer =
-        EncryptionLayer::new(VecBackend::for_blocks(blocks), blocks, MASTER).expect("fits");
+    let layer = EncryptionLayer::new(VecBackend::for_blocks(blocks), blocks, MASTER).expect("fits");
     let shared_base = THREADS * PAGE_BLOCKS;
 
     let layer_ref = &layer;
@@ -109,7 +111,10 @@ fn concurrent_streams_no_torn_reads_and_replay_matches() {
         let handles: Vec<_> = (0..THREADS)
             .map(|thread| scope.spawn(move || run_stream(layer_ref, thread, shared_base)))
             .collect();
-        handles.into_iter().map(|h| h.join().expect("no panics")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("no panics"))
+            .collect()
     });
 
     // Every private block must equal its owner's model (disjointness),
@@ -162,20 +167,22 @@ fn concurrent_streams_no_torn_reads_and_replay_matches() {
 #[test]
 fn rekey_races_readers_without_integrity_failures() {
     let blocks = 4 * PAGE_BLOCKS;
-    let layer =
-        EncryptionLayer::new(VecBackend::for_blocks(blocks), blocks, MASTER).expect("fits");
+    let layer = EncryptionLayer::new(VecBackend::for_blocks(blocks), blocks, MASTER).expect("fits");
     for addr in 0..blocks {
-        layer.write_block(addr, &tagged_block(addr | 0xAB << 56)).expect("seed write");
+        layer
+            .write_block(addr, &tagged_block(addr | 0xAB << 56))
+            .expect("seed write");
     }
     let layer_ref = &layer;
     std::thread::scope(|scope| {
         for reader in 0..3u64 {
             scope.spawn(move || {
-                let mut rng =
-                    SplitMix64::new(SplitMix64::new(SEED).derive(&reader.to_le_bytes()));
+                let mut rng = SplitMix64::new(SplitMix64::new(SEED).derive(&reader.to_le_bytes()));
                 for _ in 0..400 {
                     let addr = rng.below(blocks);
-                    let got = layer_ref.read_block(addr).expect("reads verify across rekey");
+                    let got = layer_ref
+                        .read_block(addr)
+                        .expect("reads verify across rekey");
                     assert_eq!(block_tag(&got), Some(addr | 0xAB << 56));
                 }
             });

@@ -61,8 +61,13 @@ fn flip_and_probe<B: StoreBackend>(
 ) -> IntegrityError {
     let mut word = layer.backend().read_word(word_index).expect("in-bounds");
     word[byte] ^= 0x01;
-    layer.backend().write_word(word_index, &word).expect("in-bounds");
-    let err = layer.read_block(probe).expect_err("tamper must be detected");
+    layer
+        .backend()
+        .write_word(word_index, &word)
+        .expect("in-bounds");
+    let err = layer
+        .read_block(probe)
+        .expect_err("tamper must be detected");
     *err.integrity().expect("integrity class")
 }
 
@@ -73,20 +78,15 @@ where
     B: StoreBackend,
     R: StoreBackend,
 {
-    let dump_path = std::env::temp_dir().join(format!(
-        "clme-flight-{}-{tag}.clmedump",
-        std::process::id()
-    ));
+    let dump_path =
+        std::env::temp_dir().join(format!("clme-flight-{}-{tag}.clmedump", std::process::id()));
     let _ = std::fs::remove_file(&dump_path);
 
     let ops = 500usize;
     layer.arm_dump(DumpContext {
         path: dump_path.clone(),
         seed: SEED,
-        workload: JsonValue::Obj(vec![(
-            "mode".into(),
-            JsonValue::Str("test-tamper".into()),
-        )]),
+        workload: JsonValue::Obj(vec![("mode".into(), JsonValue::Str("test-tamper".into()))]),
     });
     let addrs = populate(&layer, SEED, ops);
     let victim = addrs[addrs.len() / 2];
@@ -109,11 +109,17 @@ where
     let recorded = bundle.error.expect("bundle carries the error");
     assert_eq!(recorded.class, captured.class);
     assert!(
-        bundle.events.iter().any(|e| e.kind == FlightKind::IntegrityFail as u16),
+        bundle
+            .events
+            .iter()
+            .any(|e| e.kind == FlightKind::IntegrityFail as u16),
         "{tag}: flight timeline must end with the integrity failure"
     );
     assert!(
-        bundle.events.iter().any(|e| e.kind == FlightKind::WritePage as u16),
+        bundle
+            .events
+            .iter()
+            .any(|e| e.kind == FlightKind::WritePage as u16),
         "{tag}: flight timeline must show the write window"
     );
     assert_eq!(bundle.counts.blocks_written, ops as u64);
@@ -134,10 +140,10 @@ where
 
 #[test]
 fn tamper_dump_replay_round_trip_vec_backend() {
-    let layer = EncryptionLayer::new(VecBackend::for_blocks(BLOCKS), BLOCKS, master(SEED))
-        .expect("fits");
-    let rebuild = EncryptionLayer::new(VecBackend::for_blocks(BLOCKS), BLOCKS, master(SEED))
-        .expect("fits");
+    let layer =
+        EncryptionLayer::new(VecBackend::for_blocks(BLOCKS), BLOCKS, master(SEED)).expect("fits");
+    let rebuild =
+        EncryptionLayer::new(VecBackend::for_blocks(BLOCKS), BLOCKS, master(SEED)).expect("fits");
     tamper_dump_replay(layer, rebuild, "vec");
 }
 
@@ -169,13 +175,11 @@ fn tamper_dump_replay_round_trip_file_backend() {
 /// and still snapshots the window.
 #[test]
 fn exit_dump_is_non_consuming_and_parses() {
-    let dump_path = std::env::temp_dir().join(format!(
-        "clme-flight-exit-{}.clmedump",
-        std::process::id()
-    ));
+    let dump_path =
+        std::env::temp_dir().join(format!("clme-flight-exit-{}.clmedump", std::process::id()));
     let _ = std::fs::remove_file(&dump_path);
-    let layer = EncryptionLayer::new(VecBackend::for_blocks(BLOCKS), BLOCKS, master(SEED))
-        .expect("fits");
+    let layer =
+        EncryptionLayer::new(VecBackend::for_blocks(BLOCKS), BLOCKS, master(SEED)).expect("fits");
     layer.arm_dump(DumpContext {
         path: dump_path.clone(),
         seed: SEED,
@@ -214,8 +218,7 @@ fn run_stream<B: StoreBackend>(layer: &EncryptionLayer<B>, thread: u64) {
             .map(|_| (base + rng.below(PAGE_BLOCKS), pattern_block(&mut rng)))
             .collect();
         layer.batch_write(&batch).expect("private write");
-        let addrs: Vec<u64> =
-            (0..len).map(|_| base + rng.below(PAGE_BLOCKS)).collect();
+        let addrs: Vec<u64> = (0..len).map(|_| base + rng.below(PAGE_BLOCKS)).collect();
         layer.batch_read(&addrs).expect("private read");
     }
 }

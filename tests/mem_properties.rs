@@ -98,13 +98,9 @@ fn verify_final_state(layer: &EncryptionLayer<impl StoreBackend>, model: &BTreeM
 
 #[test]
 fn random_interleavings_match_model_vec_backend() {
-    let layer = EncryptionLayer::with_options(
-        VecBackend::for_blocks(BLOCKS),
-        BLOCKS,
-        MASTER,
-        options(),
-    )
-    .expect("geometry fits");
+    let layer =
+        EncryptionLayer::with_options(VecBackend::for_blocks(BLOCKS), BLOCKS, MASTER, options())
+            .expect("geometry fits");
     let mut rng = SplitMix64::new(SplitMix64::new(SEED).derive(b"props/vec"));
     let (model, rekeys) = drive(&layer, &mut rng, 400);
     assert!(rekeys > 0, "the op mix must exercise rekey");
@@ -119,10 +115,8 @@ fn random_interleavings_match_model_vec_backend() {
 
 #[test]
 fn random_interleavings_match_model_file_backend() {
-    let path = PathBuf::from(std::env::temp_dir()).join(format!(
-        "clme-mem-props-{}.store",
-        std::process::id()
-    ));
+    let path = PathBuf::from(std::env::temp_dir())
+        .join(format!("clme-mem-props-{}.store", std::process::id()));
     let layer = EncryptionLayer::with_options(
         FileBackend::create_for_blocks(&path, BLOCKS).expect("temp store"),
         BLOCKS,
@@ -153,22 +147,22 @@ fn random_interleavings_match_model_file_backend() {
 /// decrypts — under the old key: every single block read must fail.
 #[test]
 fn rekey_leaves_no_block_decryptable_under_old_key() {
-    let layer = EncryptionLayer::with_options(
-        VecBackend::for_blocks(BLOCKS),
-        BLOCKS,
-        MASTER,
-        options(),
-    )
-    .expect("geometry fits");
+    let layer =
+        EncryptionLayer::with_options(VecBackend::for_blocks(BLOCKS), BLOCKS, MASTER, options())
+            .expect("geometry fits");
     let mut rng = SplitMix64::new(SplitMix64::new(SEED).derive(b"props/rekey"));
     // Populate every block, saturating a few.
     for addr in 0..BLOCKS {
-        layer.write_block(addr, &random_block(&mut rng)).expect("write");
+        layer
+            .write_block(addr, &random_block(&mut rng))
+            .expect("write");
     }
     for _ in 0..8 {
         let hot = rng.below(BLOCKS);
         for _ in 0..8 {
-            layer.write_block(hot, &random_block(&mut rng)).expect("write");
+            layer
+                .write_block(hot, &random_block(&mut rng))
+                .expect("write");
         }
     }
     let report = layer.rekey([0x99; 32]).expect("rekey succeeds");

@@ -41,13 +41,30 @@ fn recording_sink_leaves_snapshot_byte_identical() {
 #[test]
 fn recorded_trace_is_deterministic() {
     let cfg = SystemConfig::isca_table1();
-    let (_, a, _) =
-        run_benchmark_recorded(&cfg, EngineKind::CounterLight, "bfs", params(), SEED, 1 << 12);
-    let (_, b, _) =
-        run_benchmark_recorded(&cfg, EngineKind::CounterLight, "bfs", params(), SEED, 1 << 12);
+    let (_, a, _) = run_benchmark_recorded(
+        &cfg,
+        EngineKind::CounterLight,
+        "bfs",
+        params(),
+        SEED,
+        1 << 12,
+    );
+    let (_, b, _) = run_benchmark_recorded(
+        &cfg,
+        EngineKind::CounterLight,
+        "bfs",
+        params(),
+        SEED,
+        1 << 12,
+    );
     assert_eq!(a.chrome_trace(), b.chrome_trace());
     for (kind, count) in a.counters().nonzero() {
-        assert_eq!(b.counters().get(kind), count, "counter {} drifted", kind.name());
+        assert_eq!(
+            b.counters().get(kind),
+            count,
+            "counter {} drifted",
+            kind.name()
+        );
     }
     assert_eq!(a.ring().dropped(), b.ring().dropped());
 }
@@ -57,8 +74,14 @@ fn recorded_trace_is_deterministic() {
 #[test]
 fn stages_cover_the_pipeline() {
     let cfg = SystemConfig::isca_table1();
-    let (_, rec, _) =
-        run_benchmark_recorded(&cfg, EngineKind::CounterLight, "bfs", params(), SEED, 1 << 12);
+    let (_, rec, _) = run_benchmark_recorded(
+        &cfg,
+        EngineKind::CounterLight,
+        "bfs",
+        params(),
+        SEED,
+        1 << 12,
+    );
     for stage in [Stage::Engine, Stage::Dram, Stage::Cache, Stage::RobStall] {
         assert!(
             rec.stage(stage).count() > 0,
@@ -72,8 +95,14 @@ fn stages_cover_the_pipeline() {
 #[test]
 fn chrome_trace_is_wellformed() {
     let cfg = SystemConfig::isca_table1();
-    let (_, rec, _) =
-        run_benchmark_recorded(&cfg, EngineKind::CounterLight, "bfs", params(), SEED, 1 << 12);
+    let (_, rec, _) = run_benchmark_recorded(
+        &cfg,
+        EngineKind::CounterLight,
+        "bfs",
+        params(),
+        SEED,
+        1 << 12,
+    );
     let doc = parse(&rec.chrome_trace()).expect("trace must parse as JSON");
     let JsonValue::Obj(fields) = &doc else {
         panic!("trace root must be an object");
@@ -144,10 +173,22 @@ fn epoch_series_is_deterministic_across_run_paths() {
 #[test]
 fn diff_reproduces_the_counter_fetch_gap() {
     let cfg = SystemConfig::isca_table1();
-    let (_, mode_rec, _) =
-        run_benchmark_recorded(&cfg, EngineKind::CounterMode, "bfs", params(), SEED, 1 << 12);
-    let (_, light_rec, _) =
-        run_benchmark_recorded(&cfg, EngineKind::CounterLight, "bfs", params(), SEED, 1 << 12);
+    let (_, mode_rec, _) = run_benchmark_recorded(
+        &cfg,
+        EngineKind::CounterMode,
+        "bfs",
+        params(),
+        SEED,
+        1 << 12,
+    );
+    let (_, light_rec, _) = run_benchmark_recorded(
+        &cfg,
+        EngineKind::CounterLight,
+        "bfs",
+        params(),
+        SEED,
+        1 << 12,
+    );
     for kind in [
         EventKind::CounterFetchStart,
         EventKind::CounterCacheHit,

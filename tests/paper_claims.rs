@@ -23,7 +23,10 @@ fn counterless_slows_irregular_workloads() {
     let base = run_benchmark(&cfg, EngineKind::None, "bfs", params());
     let cxl = run_benchmark(&cfg, EngineKind::Counterless, "bfs", params());
     let perf = cxl.performance_vs(&base);
-    assert!(perf < 0.97, "counterless should cost several percent: {perf}");
+    assert!(
+        perf < 0.97,
+        "counterless should cost several percent: {perf}"
+    );
     assert!(perf > 0.75, "but not collapse: {perf}");
 }
 

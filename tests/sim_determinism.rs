@@ -98,8 +98,14 @@ fn timing_engine_and_functional_twin_agree_on_mode_decisions() {
     }
     // Both modes must actually have been exercised.
     let stats = engine.stats();
-    assert!(stats.counter_mode_writebacks > 0, "no counter-mode writebacks");
-    assert!(stats.counterless_writebacks > 0, "no counterless writebacks");
+    assert!(
+        stats.counter_mode_writebacks > 0,
+        "no counter-mode writebacks"
+    );
+    assert!(
+        stats.counterless_writebacks > 0,
+        "no counterless writebacks"
+    );
 }
 
 /// The decrypt path must agree with the stored mode.
