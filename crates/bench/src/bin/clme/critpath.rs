@@ -284,9 +284,16 @@ pub fn trace_mem<B: StoreBackend>(
             return 1;
         }
     }
-    let counterless = (0..blocks)
-        .filter(|&addr| layer.is_counterless(addr).unwrap_or(false))
-        .count();
+    let mut counterless = 0u64;
+    for addr in 0..blocks {
+        match layer.is_counterless(addr) {
+            Ok(mode) => counterless += u64::from(mode),
+            Err(err) => {
+                eprintln!("counter check failed: {err}");
+                return 1;
+            }
+        }
+    }
 
     let reads: Vec<u64> = (0..args.ops as u64)
         .map(|i| match pattern {

@@ -7,7 +7,7 @@
 use crate::args::{tiny_cell_params, DEFAULT_MATRIX_SEED};
 use crate::{critpath, figures, matrix, mem, perf, postmortem, profile, series, single};
 use clme_core::engine::EngineKind;
-use clme_mem::{Block, EncryptionLayer, MemoryAdt, VecBackend, PAGE_BLOCKS};
+use clme_mem::{Block, EncryptionLayer, MemoryAdt, StoreBackend, VecBackend, PAGE_BLOCKS};
 use clme_sim::SimParams;
 use clme_types::json::JsonValue;
 use clme_types::rng::SplitMix64;
@@ -456,6 +456,22 @@ fn tamper_victims_are_the_addresses_populate_writes() {
             model.into_values().collect::<Vec<_>>()
         );
     }
+}
+
+#[test]
+fn critpath_exits_1_when_a_counter_check_fails() {
+    // The hot pattern populates only the first four pages; page 6's
+    // flipped counter word fails the counterless count that follows.
+    let layer = vec_layer(8 * PAGE_BLOCKS);
+    let index = layer.geometry().counter_word(6);
+    let mut word = layer.backend().read_word(index).unwrap();
+    word[5] ^= 0x01;
+    layer.backend().write_word(index, &word).unwrap();
+    let args = mem::MemArgs {
+        ops: 64,
+        ..mem::MemArgs::default()
+    };
+    assert_eq!(critpath::trace_mem(&args, &layer, "hot"), 1);
 }
 
 /// Reference for the uniform bench stream, written out loop by loop:

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Tier-1 gate: offline build, full test suite, and exact golden diffs
-# of the 12-cell tiny and the 72-cell full run matrix. No network, no
-# external crates.
+# Tier-1 gate: rustfmt check, offline build, full test suite, and
+# exact golden diffs of the 12-cell tiny and the 72-cell full run
+# matrix. No network, no external crates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== format (rustfmt) =="
+# perfbench/ is a workspace of its own and is not formatted from here.
+cargo fmt --all -- --check
 
 echo "== build (release) =="
 cargo build --release --offline
