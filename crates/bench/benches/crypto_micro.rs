@@ -37,7 +37,7 @@ fn bench_crypto(c: &mut Criterion) {
     group.bench_function("sha3_tag64_141B", |b| {
         b.iter(|| sha3_tag64(black_box(&node_input), &[]))
     });
-    for n in [8usize, 64] {
+    for n in [1usize, 8, 64] {
         let inputs = vec![&node_input[..]; n];
         let mut tags = vec![0u64; n];
         group.bench_function(format!("sha3_tag64_batch{n}_141B"), |b| {
