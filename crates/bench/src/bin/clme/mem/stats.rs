@@ -227,7 +227,7 @@ fn print_tenant_stats(tenant: &TenantSnapshot) {
         let listed: Vec<String> = tenant
             .hot_unadmitted
             .iter()
-            .map(|(id, count)| format!("tenant-{id} (~{count} blocks)"))
+            .map(|(id, count)| format!("tenant-{id} ({count} blocks)"))
             .collect();
         println!(
             "telemetry: heavy hitters hiding in __other__ (raise --tenant-top): {}",

@@ -34,7 +34,6 @@ pub mod ring;
 pub mod series;
 pub mod sink;
 pub mod span;
-pub mod tenant;
 
 pub use chrome::{chrome_trace_json, span_flow_json};
 pub use counters::{Component, EventCounters, EventKind};
@@ -49,8 +48,4 @@ pub use sink::{NopSink, Recorder, Stage, TraceSink, DEFAULT_RING_CAPACITY, STAGE
 pub use span::{
     Blame, BlameTally, BlameTracker, ChildSpan, RequestSpans, SpanKind, SpanTracer, BLAME_KINDS,
     DEFAULT_SPAN_SAMPLES, SPAN_KINDS,
-};
-pub use tenant::{
-    tenant_label, HeavyHitter, SpaceSaving, TenantScope, TenantSketch, OTHER_TENANT,
-    TENANT_SKETCH_SHARDS,
 };

@@ -6,8 +6,8 @@
 /// that is probed and never iterated: the hash only picks buckets,
 /// never results. It offers no collision resistance, so use it only
 /// where no adversary picks the keys or the table is small and bounded
-/// (simulated block addresses; a sketch's at most `cap` tenant ids; the
-/// page index of one `clme-mem` CLOCK cache shard, bounded by its slab).
+/// (simulated block addresses; the page index of one `clme-mem` CLOCK
+/// cache shard, bounded by its slab).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BlockHasher(u64);
 
