@@ -785,7 +785,9 @@ impl<B: StoreBackend> EncryptionLayer<B> {
     }
 
     /// The verified write counter of a block (counts past the
-    /// saturation point mean the block is counterless).
+    /// saturation point mean the block is counterless). A page in the
+    /// verified-page cache lends its counter block, so no store word is
+    /// read.
     ///
     /// A verification failure takes the integrity-error path, as a
     /// failing batch op does.
@@ -798,7 +800,10 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 .read()
                 .unwrap_or_else(PoisonError::into_inner);
             self.foreign_writes_check();
-            let cb = self.verify_page(&self.keys(), page, addr, &mut TreeHops::default())?;
+            let cb = match self.lent_counter_block(page) {
+                Some(cb) => cb,
+                None => self.verify_page(&self.keys(), page, addr, &mut TreeHops::default())?,
+            };
             Ok(cb.counter(self.geo.slot_of(addr)))
         })();
         self.note_integrity_error(counter)
@@ -1285,6 +1290,18 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             )?;
         }
         Ok(())
+    }
+
+    /// The counter block of `page`'s verified-page cache entry, if the
+    /// entry is of the current key epoch: verified when the page was
+    /// cached and current while the caller holds the page's shard lock,
+    /// since every write to the page drops or refreshes the entry.
+    fn lent_counter_block(&self, page: u64) -> Option<CounterBlock> {
+        let epoch = self.key_epoch.load(Ordering::SeqCst);
+        self.cache
+            .as_ref()?
+            .with(page, |e| (e.epoch == epoch).then(|| e.cb.clone()))
+            .flatten()
     }
 
     /// Verifies one page's metadata for a read miss or
@@ -1779,7 +1796,6 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         let keys = self.keys();
         let mut root = self.tree.write().unwrap_or_else(PoisonError::into_inner);
         self.foreign_writes_check();
-        let epoch = self.key_epoch.load(Ordering::SeqCst);
         let generation = self.trust_generation();
 
         // Read every page's metadata first, then check all of its MACs
@@ -1796,11 +1812,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         let mut cbs: Vec<CounterBlock> = Vec::with_capacity(runs.len());
         let mut failure = None;
         for &(page, idxs) in &runs {
-            let cached = self.cache.as_ref().and_then(|cache| {
-                cache
-                    .with(page, |e| (e.epoch == epoch).then(|| e.cb.clone()))
-                    .flatten()
-            });
+            let cached = self.lent_counter_block(page);
             let addr = writes[idxs[0]].0;
             match self.walk_page(mkey, page, addr, cached, &mut walk) {
                 Ok(cb) => cbs.push(cb),
@@ -2516,6 +2528,20 @@ mod tests {
         assert_eq!(mem.metrics_snapshot().integrity_errors, 1);
         assert!(mem.is_counterless(65).is_err());
         assert_eq!(mem.metrics_snapshot().integrity_errors, 2);
+    }
+
+    #[test]
+    #[cfg(not(feature = "telemetry-off"))]
+    fn counter_of_a_cached_page_reads_no_store_word() {
+        let mem = layer(130);
+        mem.write_block(65, &pattern(1)).unwrap();
+        mem.write_block(66, &pattern(2)).unwrap();
+        assert_eq!(mem.read_block(65).unwrap(), pattern(1));
+        let before = mem.metrics_snapshot().store.words_read;
+        assert_eq!(mem.counter_of(65).unwrap(), 1);
+        assert_eq!(mem.counter_of(66).unwrap(), 1);
+        assert_eq!(mem.counter_of(67).unwrap(), 0);
+        assert_eq!(mem.metrics_snapshot().store.words_read, before);
     }
 
     #[test]
