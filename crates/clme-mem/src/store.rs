@@ -23,6 +23,16 @@ pub const WORD_BYTES: usize = 80;
 pub type StoredWord = [u8; WORD_BYTES];
 
 /// A flat, thread-safe store of [`StoredWord`]s.
+///
+/// A backend that wraps another (to time or trace its word I/O) must
+/// forward all six methods, the defaulted ones included: the layer
+/// turns its verified-page cache off without a
+/// [`write_generation`](StoreBackend::write_generation), folds the
+/// store counters in from [`store_metrics`](StoreBackend::store_metrics)
+/// and records [`kind`](StoreBackend::kind) in dump bundles. A wrapper
+/// that forwards them leaves the layer's counters, root and stored
+/// bytes exactly as on the bare backend
+/// (`crates/clme-mem/tests/mem_backend_wrapper.rs`).
 pub trait StoreBackend: Send + Sync {
     /// Number of stored words.
     fn words(&self) -> u64;
