@@ -94,16 +94,16 @@ pub struct ClockCache<V> {
 }
 
 impl<V> ClockCache<V> {
-    /// A cache of about `capacity` entries spread over `shards` shards.
-    /// Each shard gets `ceil(capacity / shards)` slots (so the true
-    /// capacity rounds up); both arguments are clamped to at least 1.
+    /// A cache of `capacity` entries spread over `shards` shards (at
+    /// least 1). Each shard gets `capacity / shards` slots and the first
+    /// `capacity % shards` shards one more, so the slots add up to
+    /// `capacity`; a shard left with none declines every insert.
     pub fn new(shards: usize, capacity: usize) -> ClockCache<V> {
         let shards = shards.max(1);
-        let capacity = capacity.max(1);
-        let per_shard = capacity.div_ceil(shards);
+        let slots = |i: usize| capacity / shards + usize::from(i < capacity % shards);
         ClockCache {
             shards: (0..shards)
-                .map(|_| Mutex::new(ClockShard::new(per_shard)))
+                .map(|i| Mutex::new(ClockShard::new(slots(i))))
                 .collect(),
         }
     }
@@ -136,9 +136,13 @@ impl<V> ClockCache<V> {
     }
 
     /// Inserts (or replaces) `key`. Returns the key this insertion
-    /// evicted, if the shard's slab was full.
+    /// evicted, if the shard's slab was full — `key` itself when the
+    /// shard has no slot and declines it.
     pub fn insert(&self, key: u64, value: V) -> Option<u64> {
         let mut shard = self.shard(key);
+        if shard.slots.is_empty() {
+            return Some(key);
+        }
         if let Some(&pos) = shard.index.get(&key) {
             let slot = shard.slots[pos].as_mut().expect("indexed slot");
             slot.value = value;
@@ -292,5 +296,34 @@ mod tests {
         assert_eq!(cache.len(), 4);
         // A fifth key landing in shard 0 (4 % 4 == 0) evicts key 0.
         assert_eq!(cache.insert(4, 0), Some(0));
+    }
+
+    #[test]
+    fn fewer_pages_than_shards_keeps_exactly_the_capacity() {
+        // Four slots over sixteen shards: shards 0-3 hold one page each,
+        // and the other twelve decline, displacing the new key at once.
+        let cache: ClockCache<u8> = ClockCache::new(16, 4);
+        for k in 0..4u64 {
+            assert_eq!(cache.insert(k, 0), None);
+        }
+        for k in 4..16u64 {
+            assert_eq!(cache.insert(k, 0), Some(k), "shard {k} has no slot");
+            assert!(cache.with(k, |_| ()).is_none());
+        }
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.insert(16, 0), Some(0), "shard 0 is full");
+        assert_eq!(cache.len(), 4);
+    }
+
+    #[test]
+    fn uneven_split_gives_the_remainder_to_the_first_shards() {
+        // Six slots over four shards: 2, 2, 1, 1.
+        let cache: ClockCache<u8> = ClockCache::new(4, 6);
+        let evicted: Vec<Option<u64>> = (0..8u64).map(|k| cache.insert(k, 0)).collect();
+        assert_eq!(
+            evicted,
+            [None, None, None, None, None, None, Some(2), Some(3)]
+        );
+        assert_eq!(cache.len(), 6);
     }
 }
