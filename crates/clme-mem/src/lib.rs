@@ -69,7 +69,7 @@ pub use metrics::{
     CacheCause, CacheStats, MemMetrics, MemMetricsSnapshot, MemOp, MemStage, OpStats, RekeyStats,
     StoreMetrics, StoreStats, TreeStats, CACHE_CAUSES, MEM_OPS, MEM_STAGES,
 };
-pub use observe::{READ_SAMPLE_EVERY, WRITE_SAMPLE_EVERY};
+pub use observe::SAMPLE_EVERY;
 pub use store::{FileBackend, StoreBackend, StoredWord, VecBackend, WORD_BYTES};
 pub use tenant::{
     SloRow, SloSpec, TailCause, TenantRanges, TenantRow, TenantServe, TenantSnapshot,

@@ -3,7 +3,7 @@
 //! under any thread interleaving, and the hot increment path must never
 //! touch the heap.
 
-use clme_mem::{EncryptionLayer, MemMetrics, MemOp, MemoryAdt, VecBackend};
+use clme_mem::{EncryptionLayer, MemMetrics, MemOp, MemoryAdt, VecBackend, SAMPLE_EVERY};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -48,8 +48,8 @@ fn pattern(tag: u8) -> clme_mem::Block {
 }
 
 /// Whatever order the scheduler runs the writers in, the merged
-/// telemetry must account for every block exactly once: counters and
-/// histogram totals are exact sums, not samples.
+/// telemetry must account for every block exactly once: counters are
+/// exact sums, and histogram totals count exactly the sampled calls.
 #[test]
 #[cfg_attr(feature = "telemetry-off", ignore = "telemetry compiled out")]
 fn merged_counts_are_deterministic_across_thread_interleavings() {
@@ -92,29 +92,18 @@ fn merged_counts_are_deterministic_across_thread_interleavings() {
         assert_eq!(snap.batch_writes, batches);
         assert_eq!(snap.batch_reads, batches);
         assert_eq!(snap.integrity_errors, 0);
-        // Read op latency is recorded on every page visit; write op
-        // latency rides the 1-in-8 per-thread batch sampling decision,
-        // so only bounds hold for its count.
-        let write_lat = snap.op(MemOp::Write).latency.count();
-        assert!(
-            write_lat >= total / 16 && write_lat <= total,
-            "{threads} threads: {write_lat} sampled write latencies of {total} blocks"
-        );
-        assert_eq!(snap.op(MemOp::Read).latency.count(), total);
-        assert_eq!(snap.op(MemOp::Batch).latency.count(), 2 * batches);
-        // Each batch touches exactly one page -> one lock acquisition,
-        // but the wait/hold probes ride the per-thread visit sampling
-        // decision (1-in-8 write batches, 1-in-64 read page visits), so
-        // only bounds are deterministic. Every thread's first visit is
-        // sampled, and every sampled wait pairs with a hold.
+        // Each thread's calls 0, SAMPLE_EVERY, ... of each kind are
+        // sampled, and a sampled call records every block's op latency,
+        // its batch latency and its one shard lock's wait and hold (each
+        // batch touches exactly one page).
+        let sampled = threads as u64 * (blocks_per_thread / 64).div_ceil(SAMPLE_EVERY);
+        assert_eq!(snap.op(MemOp::Write).latency.count(), 64 * sampled);
+        assert_eq!(snap.op(MemOp::Read).latency.count(), 64 * sampled);
+        assert_eq!(snap.op(MemOp::Batch).latency.count(), 2 * sampled);
         let waits: u64 = snap.lock_wait.iter().map(|h| h.count()).sum();
         let holds: u64 = snap.lock_hold.iter().map(|h| h.count()).sum();
-        assert_eq!(waits, holds);
-        assert!(
-            waits >= threads as u64 && waits <= 2 * batches,
-            "{threads} threads: {waits} sampled waits out of {} acquisitions",
-            2 * batches
-        );
+        assert_eq!(waits, 2 * sampled, "{threads} threads");
+        assert_eq!(holds, 2 * sampled, "{threads} threads");
         assert_eq!(snap.observed_writes_total, total);
     }
 }
