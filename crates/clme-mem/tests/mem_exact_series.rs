@@ -1,4 +1,4 @@
-//! Exact-series golden: every exact (unsampled) telemetry series of a
+//! Exact-series golden: every exact telemetry series of a
 //! seeded single-thread tenant stream, pinned in
 //! `goldens/mem/exact_series.json`.
 //!
@@ -6,10 +6,12 @@
 //! cache on (a 4-page cache, so it evicts) and off — and includes a
 //! forced page roll, a rekey sweep and a store-level tamper. What the
 //! golden pins is a pure function of the stream: every counter, the
-//! cache, observation, rekey-progress, store and tree-walk counters, the sample
-//! counts of the histograms recorded on every visit or batch, the
-//! per-tenant columns, and the flight events that are not sampled.
-//! Nanosecond values, wall-clock fields and sampled probes are left out.
+//! cache, observation, rekey-progress, store and tree-walk counters, the
+//! per-tenant columns, and the flight events that are not sampled. It
+//! also pins the sample counts of the latency and stage histograms:
+//! they hold the sampled calls only, and on the test's one thread which
+//! calls are sampled is a function of the stream too. Nanosecond values,
+//! wall-clock fields and the sampled flight events are left out.
 //!
 //! A mismatch prints the full actual document, which is also how the
 //! golden was first produced.
