@@ -73,12 +73,12 @@ use crate::dump::{DumpBundle, DumpContext};
 use crate::error::{IntegrityError, MemError, TamperClass};
 use crate::flight::FLIGHT_CAPACITY;
 use crate::geometry::{Geometry, Region, NODE_ARITY, PAGE_BLOCKS};
-use crate::metrics::{CacheCause, MemMetrics, MemMetricsSnapshot, MemOp};
+use crate::metrics::{CacheCause, MemMetrics, MemMetricsSnapshot, MemOp, MemStage};
 use crate::observe::{
     clock, ns_between, CacheServe, Observer, PageTally, PageVisit, ReadMarks, TreeHops, Visit,
 };
 use crate::store::{StoreBackend, StoredWord, WORD_BYTES};
-use crate::tenant::{TailCause, TenantTelemetry};
+use crate::tenant::TenantTelemetry;
 use clme_counters::split::CounterBlock;
 use clme_crypto::keys::KeyMaterial;
 use clme_crypto::mac::counterless_mac;
@@ -1519,7 +1519,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 .read()
                 .unwrap_or_else(PoisonError::into_inner);
             let held = now();
-            pv.add(TailCause::Lock, wait0, held);
+            pv.add(MemStage::Lock, wait0, held, 1);
             let result = self.read_page_group(addrs, idxs, &mut out, held, visit, &mut pv);
             pv.release(wait0, held, now());
             drop(guard);
@@ -1623,8 +1623,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 let meta0 = now();
                 let cb = self.verify_page(&keys, page, addrs[idxs[0]], &mut visit.hops)?;
                 let meta1 = now();
-                pv.walked = true;
-                pv.add(TailCause::TreeWalk, meta0, meta1);
+                pv.add(MemStage::TreeWalk, meta0, meta1, 1);
                 meta = meta0.zip(meta1);
                 (u64::MAX, cb)
             }
@@ -1645,7 +1644,8 @@ impl<B: StoreBackend> EncryptionLayer<B> {
         let p0 = now();
         let pads = keys.otp().pad_batch64(&pad_reqs);
         let pad_iv = p0.zip(now());
-        pv.add(TailCause::Pad, p0, pad_iv.map(|iv| iv.1));
+        let requests = pad_reqs.len() as u64;
+        pv.add(MemStage::PadGen, p0, pad_iv.map(|iv| iv.1), requests);
 
         let mut traced: Vec<(u64, ReadMarks)> = Vec::new();
         let mut next_pad = 0usize;
@@ -1677,7 +1677,6 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                     }
                 }
                 out[i] = block;
-                pv.fetched += 1;
             }
             Ok(())
         })();
@@ -1784,7 +1783,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             guards.push((s, ns_between(held, got), guard));
             held = got;
         }
-        pv.add(TailCause::Lock, wait0, held);
+        pv.add(MemStage::Lock, wait0, held, 1);
         let keys = self.keys();
         let mut root = self.tree.write().unwrap_or_else(PoisonError::into_inner);
         self.foreign_writes_check();
@@ -1829,7 +1828,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                 ..PageTally::default()
             }));
         let t1 = now();
-        pv.add(TailCause::TreeWalk, t0, t1);
+        pv.add(MemStage::TreeWalk, t0, t1, 1);
 
         // An encryption failure comes before any later page's verify
         // failure in batch order, so it replaces it.
@@ -1848,7 +1847,7 @@ impl<B: StoreBackend> EncryptionLayer<B> {
             Err(_) => self.purge_trust(),
         }
         let c1 = now();
-        pv.add(TailCause::Commit, c0, c1);
+        pv.add(MemStage::Commit, c0, c1, 1);
         pv.release(wait0, held, c1);
         drop(root);
         for (shard, wait_ns, guard) in guards {
@@ -1907,13 +1906,13 @@ impl<B: StoreBackend> EncryptionLayer<B> {
                         decrypt_verify(keys, other_addr, &word, old, self.saturation, None, None)?;
                     reencrypt.push((other_addr, pt, new_counter));
                 }
-                pv.add(TailCause::Mac, m0, now());
+                pv.add(MemStage::MacVerify, m0, now(), 1);
             }
             *cb = next;
             visit.pages[j].blocks += 1;
             let p0 = now();
             let word = encrypt_one(keys, addr, &block, outcome.new_counter, self.saturation);
-            pv.add(TailCause::Pad, p0, now());
+            pv.add(MemStage::PadGen, p0, now(), 1);
             self.store_write(self.geo.data_word(addr), &word)?;
             visit.pages[j].observed += 1;
             for (other_addr, pt, new_counter) in reencrypt {

@@ -72,7 +72,6 @@ pub use metrics::{
 pub use observe::SAMPLE_EVERY;
 pub use store::{FileBackend, StoreBackend, StoredWord, VecBackend, WORD_BYTES};
 pub use tenant::{
-    SloRow, SloSpec, TailCause, TenantRanges, TenantRow, TenantServe, TenantSnapshot,
-    TenantTelemetry, VisitSegments, BURN_WINDOWS, DEFAULT_TAIL_CUTOFF_NS, DEFAULT_TENANT_TOP,
-    TAIL_CAUSES,
+    SloRow, SloSpec, TenantRanges, TenantRow, TenantServe, TenantSnapshot, TenantTelemetry,
+    BURN_WINDOWS, DEFAULT_TAIL_CUTOFF_NS, DEFAULT_TENANT_TOP,
 };

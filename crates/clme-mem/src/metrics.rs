@@ -7,9 +7,10 @@
 //!
 //! * **Lock contention** — wait- and hold-time histograms per page-shard
 //!   lock.
-//! * **Crypto stages** — tree walk, MAC verify, pad generation, and
-//!   metadata commit latencies, split by operation class (single read /
-//!   single write / whole batch call).
+//! * **Page-visit stages** — per-block latencies of the six
+//!   [`MemStage`]s (lock wait, tree walk, store read, MAC verify, pad
+//!   generation, metadata commit), split by operation class. A stage
+//!   measured once for several blocks records each block's share.
 //! * **Store behaviour** — [`StoreMetrics`]: word traffic, the file
 //!   backend's page-cache hit/miss/eviction counts, and file I/O ops.
 //! * **Ciphertext-write observation counters** — per-page counts of how
@@ -26,6 +27,9 @@
 //! ring and the span tracer. Every count is exact. One call in
 //! `SAMPLE_EVERY` per thread and op kind is sampled, and only a sampled
 //! call feeds the latency, stage, lock and fan-in histograms.
+//! [`MemStage`] is the crate's one stage list: the same enum indexes
+//! these stage histograms and the per-tenant blame tables, and names
+//! each stage once per vocabulary.
 //!
 //! Compiling the crate with the `telemetry-off` feature swaps the
 //! observer for a twin that records nothing (the layer's snapshot and
@@ -74,39 +78,59 @@ impl MemOp {
     }
 }
 
-/// Crypto pipeline stages the layer times.
+/// The stages of a page visit the layer times: the one stage list of
+/// the per-op stage histograms and the per-tenant blame tables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MemStage {
+    /// Shard-lock wait — the noisy-neighbor signature.
+    Lock = 0,
     /// Root → tree path → counter word verification.
-    TreeWalk = 0,
+    TreeWalk = 1,
+    /// Backing-store word reads, with their ECC decode.
+    Store = 2,
     /// Data-block MAC check (reads; write-side only on page rolls).
-    MacVerify = 1,
+    MacVerify = 3,
     /// AES pad generation + encrypt (CTR) or XTS work.
-    PadGen = 2,
+    PadGen = 4,
     /// Metadata bump + reseal + write-back.
-    Commit = 3,
+    Commit = 5,
 }
 
 /// Number of [`MemStage`]s.
-pub const MEM_STAGES: usize = 4;
+pub const MEM_STAGES: usize = 6;
 
 impl MemStage {
     /// All stages, index order.
     pub const ALL: [MemStage; MEM_STAGES] = [
+        MemStage::Lock,
         MemStage::TreeWalk,
+        MemStage::Store,
         MemStage::MacVerify,
         MemStage::PadGen,
         MemStage::Commit,
     ];
 
-    /// Stable dashed name (label value in the Prometheus output).
+    /// Each stage's two stable names, index order: the metric `stage`
+    /// label and the tenant blame key (`cause` label).
+    const NAMES: [(&'static str, &'static str); MEM_STAGES] = [
+        ("lock", "lock"),
+        ("tree-walk", "tree_walk"),
+        ("store", "store"),
+        ("mac-verify", "mac"),
+        ("pad-gen", "pad"),
+        ("commit", "commit"),
+    ];
+
+    /// Dashed name: the `stage` label of the Prometheus output and the
+    /// `ops.<op>.stages` JSON key.
     pub fn name(self) -> &'static str {
-        match self {
-            MemStage::TreeWalk => "tree-walk",
-            MemStage::MacVerify => "mac-verify",
-            MemStage::PadGen => "pad-gen",
-            MemStage::Commit => "commit",
-        }
+        Self::NAMES[self as usize].0
+    }
+
+    /// Tenant blame name: the per-tenant `stage_ns` and `tail` JSON key
+    /// and `cause` label value.
+    pub fn tenant_name(self) -> &'static str {
+        Self::NAMES[self as usize].1
     }
 }
 
@@ -975,12 +999,6 @@ impl MemMetrics {
         self.ops[op as usize].latency.record_duration_n(d, n);
     }
 
-    /// Records a stage latency measured outside.
-    #[inline]
-    pub fn stage_duration(&self, op: MemOp, stage: MemStage, d: Duration) {
-        self.ops[op as usize].stages[stage as usize].record_duration(d);
-    }
-
     /// Records `n` stage latencies of the same duration in one pass —
     /// a visit's per-block share of a stage it measured once.
     #[inline]
@@ -1423,7 +1441,12 @@ mod tests {
         let m = MemMetrics::new(4, 8);
         m.op_duration(MemOp::Read, Duration::from_nanos(100));
         m.op_duration(MemOp::Write, Duration::from_nanos(200));
-        m.stage_duration(MemOp::Read, MemStage::MacVerify, Duration::from_nanos(50));
+        m.stage_duration_n(
+            MemOp::Read,
+            MemStage::MacVerify,
+            Duration::from_nanos(50),
+            1,
+        );
         let snap = m.snapshot(None);
         assert_eq!(snap.op(MemOp::Read).latency.count(), 1);
         assert_eq!(snap.op(MemOp::Write).latency.count(), 1);

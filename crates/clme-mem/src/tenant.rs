@@ -27,18 +27,21 @@
 //!   [`on_rekey`](TenantTelemetry::on_rekey) recorded, so no hot cell is
 //!   ever swapped or reset.
 //! * Noisy-neighbor attribution: sampled page visits report their
-//!   measured segments (lock wait, tree walk, store I/O, MAC, pad,
-//!   commit — the same marks span tracing reads), summed per tenant as
-//!   time-share blame; a sampled visit past the tail cutoff also counts
-//!   its *dominant* segment, so "tenant-3's tail is lock waits behind
-//!   tenant-0's page rolls" is a table lookup.
+//!   measured nanoseconds per [`MemStage`] (lock wait, tree walk, store
+//!   I/O, MAC, pad, commit — the same segments the per-op stage
+//!   histograms share out), summed per tenant as time-share blame; a
+//!   sampled visit past the tail cutoff also counts its *dominant*
+//!   stage, so "tenant-3's tail is lock waits behind tenant-0's page
+//!   rolls" is a table lookup. The blame keys and `cause` labels are
+//!   [`MemStage::tenant_name`]s (`lock`, `tree_walk`, `store`, `mac`,
+//!   `pad`, `commit`).
 //!
 //! The layer feeds it through its observer, one call per finished
 //! visit record, and the traffic driver through
 //! [`EncryptionLayer::record_tenant_batch`](crate::EncryptionLayer::record_tenant_batch).
 //! A `telemetry-off` layer drops an installed table and never feeds it.
 
-use crate::metrics::hist_json;
+use crate::metrics::{hist_json, MemStage, MEM_STAGES};
 use clme_obs::registry::{Counter, ShardedHistogram};
 use clme_obs::{Log2Histogram, MetricKind, Sample, SampleValue};
 use clme_types::json::JsonValue;
@@ -120,57 +123,6 @@ impl TenantRanges {
         })
     }
 }
-
-/// Where a tenant's visit time went. The vocabulary of the per-tenant
-/// blame tables; every cause maps to marks the layer already measures.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum TailCause {
-    /// Shard-lock wait — the noisy-neighbor signature.
-    Lock = 0,
-    /// Integrity-tree walk / page verification.
-    TreeWalk = 1,
-    /// Backing-store word I/O.
-    Store = 2,
-    /// MAC verification (including page-roll neighbour verifies).
-    Mac = 3,
-    /// AES pad generation (CTR batch or XTS).
-    Pad = 4,
-    /// Metadata commit (counter block + tree reseal).
-    Commit = 5,
-}
-
-/// Number of [`TailCause`]s.
-pub const TAIL_CAUSES: usize = 6;
-
-impl TailCause {
-    /// All causes, discriminant order.
-    pub const ALL: [TailCause; TAIL_CAUSES] = [
-        TailCause::Lock,
-        TailCause::TreeWalk,
-        TailCause::Store,
-        TailCause::Mac,
-        TailCause::Pad,
-        TailCause::Commit,
-    ];
-
-    /// Stable lower-case name (JSON key and Prometheus label value).
-    pub fn name(self) -> &'static str {
-        match self {
-            TailCause::Lock => "lock",
-            TailCause::TreeWalk => "tree_walk",
-            TailCause::Store => "store",
-            TailCause::Mac => "mac",
-            TailCause::Pad => "pad",
-            TailCause::Commit => "commit",
-        }
-    }
-}
-
-/// Measured nanosecond segments of one sampled page visit, by
-/// [`TailCause`] discriminant. Segments the visit did not exercise stay
-/// zero.
-pub type VisitSegments = [u64; TAIL_CAUSES];
 
 /// One per-tenant latency objective, e.g. "99% of reads under 120 µs".
 #[derive(Clone, Debug, PartialEq)]
@@ -320,10 +272,10 @@ pub struct TenantRow {
     /// Ciphertext writes under the *current* master key (key dwell in
     /// write-exposure terms; resets on rekey).
     pub key_exposure_writes: u64,
-    /// Sampled time-share blame, ns summed per [`TailCause`].
-    pub stage_ns: [u64; TAIL_CAUSES],
-    /// Sampled tail visits (past the cutoff) per dominant cause.
-    pub tail: [u64; TAIL_CAUSES],
+    /// Sampled time-share blame, ns summed per [`MemStage`].
+    pub stage_ns: [u64; MEM_STAGES],
+    /// Sampled tail visits (past the cutoff) per dominant stage.
+    pub tail: [u64; MEM_STAGES],
     /// SLO scores, one per configured spec.
     pub slo: Vec<SloRow>,
 }
@@ -334,14 +286,15 @@ impl TenantRow {
         self.tail.iter().sum()
     }
 
-    /// The dominant tail cause, if any tail visit was recorded.
-    pub fn dominant_tail(&self) -> Option<TailCause> {
+    /// The dominant tail stage, if any tail visit was recorded; ties go
+    /// to the earlier stage.
+    pub fn dominant_tail(&self) -> Option<MemStage> {
         let (i, &n) = self
             .tail
             .iter()
             .enumerate()
             .max_by_key(|&(i, &n)| (n, std::cmp::Reverse(i)))?;
-        (n > 0).then_some(TailCause::ALL[i])
+        (n > 0).then_some(MemStage::ALL[i])
     }
 }
 
@@ -373,11 +326,11 @@ impl TenantSnapshot {
             .iter()
             .map(|r| {
                 let stage = JsonValue::Obj(
-                    TailCause::ALL
+                    MemStage::ALL
                         .iter()
                         .map(|&c| {
                             (
-                                c.name().to_string(),
+                                c.tenant_name().to_string(),
                                 JsonValue::Num(r.stage_ns[c as usize] as f64),
                             )
                         })
@@ -385,13 +338,16 @@ impl TenantSnapshot {
                 );
                 let mut tail: Vec<(String, JsonValue)> =
                     vec![("total".into(), JsonValue::Num(r.tail_total() as f64))];
-                for c in TailCause::ALL {
-                    tail.push((c.name().into(), JsonValue::Num(r.tail[c as usize] as f64)));
+                for c in MemStage::ALL {
+                    tail.push((
+                        c.tenant_name().into(),
+                        JsonValue::Num(r.tail[c as usize] as f64),
+                    ));
                 }
                 tail.push((
                     "dominant".into(),
                     match r.dominant_tail() {
-                        Some(c) => JsonValue::Str(c.name().into()),
+                        Some(c) => JsonValue::Str(c.tenant_name().into()),
                         None => JsonValue::Null,
                     },
                 ));
@@ -550,19 +506,19 @@ impl TenantSnapshot {
                 vec![t(r)],
                 SampleValue::Gauge(r.key_exposure_writes),
             ));
-            for c in TailCause::ALL {
+            for c in MemStage::ALL {
                 out.push(sample(
                     "clme_tenant_stage_ns_total",
                     "Sampled visit time per cause, nanoseconds.",
                     MetricKind::Counter,
-                    vec![t(r), ("cause".into(), c.name().into())],
+                    vec![t(r), ("cause".into(), c.tenant_name().into())],
                     SampleValue::Counter(r.stage_ns[c as usize]),
                 ));
                 out.push(sample(
                     "clme_tenant_tail_total",
                     "Sampled tail visits by dominant cause.",
                     MetricKind::Counter,
-                    vec![t(r), ("cause".into(), c.name().into())],
+                    vec![t(r), ("cause".into(), c.tenant_name().into())],
                     SampleValue::Counter(r.tail[c as usize]),
                 ));
             }
@@ -604,8 +560,8 @@ struct TenantSlot {
     blocks: [Counter; 2],
     cache: [Counter; 3],
     observed: Counter,
-    stage_ns: [Counter; TAIL_CAUSES],
-    tail: [Counter; TAIL_CAUSES],
+    stage_ns: [Counter; MEM_STAGES],
+    tail: [Counter; MEM_STAGES],
     /// Cumulative per-SLO good/bad.
     slo_good: Box<[Counter]>,
     slo_bad: Box<[Counter]>,
@@ -794,11 +750,11 @@ impl TenantTelemetry {
         }
     }
 
-    /// Layer hook: a sampled page visit measured `segs` nanosecond
-    /// segments over `total_ns`. Segments accumulate as time-share
+    /// Layer hook: a sampled page visit measured `segs` nanoseconds per
+    /// [`MemStage`] over `total_ns`. Segments accumulate as time-share
     /// blame; a visit past the tail cutoff also counts its dominant
     /// segment.
-    pub fn visit_sample(&self, page: u64, total_ns: u64, segs: &VisitSegments) {
+    pub fn visit_sample(&self, page: u64, total_ns: u64, segs: &[u64; MEM_STAGES]) {
         let Some(slot_idx) = self.slot_of_page(page) else {
             return;
         };
@@ -1058,20 +1014,20 @@ mod tests {
             pages_per: 4,
         };
         let t = TenantTelemetry::new(ranges, 2, &[0, 1], Vec::new());
-        let mut segs = [0u64; TAIL_CAUSES];
-        segs[TailCause::Lock as usize] = 90_000;
-        segs[TailCause::Mac as usize] = 20_000;
+        let mut segs = [0u64; MEM_STAGES];
+        segs[MemStage::Lock as usize] = 90_000;
+        segs[MemStage::MacVerify as usize] = 20_000;
         // Past the default 100us cutoff: dominant cause is lock wait.
         t.visit_sample(0, 150_000, &segs);
         // Under the cutoff: blame sums accrue, tail count does not.
         t.visit_sample(0, 50_000, &segs);
         let snap = t.snapshot();
         let row = &snap.rows[0];
-        assert_eq!(row.stage_ns[TailCause::Lock as usize], 180_000);
-        assert_eq!(row.stage_ns[TailCause::Mac as usize], 40_000);
-        assert_eq!(row.tail[TailCause::Lock as usize], 1);
+        assert_eq!(row.stage_ns[MemStage::Lock as usize], 180_000);
+        assert_eq!(row.stage_ns[MemStage::MacVerify as usize], 40_000);
+        assert_eq!(row.tail[MemStage::Lock as usize], 1);
         assert_eq!(row.tail_total(), 1);
-        assert_eq!(row.dominant_tail(), Some(TailCause::Lock));
+        assert_eq!(row.dominant_tail(), Some(MemStage::Lock));
     }
 
     #[test]

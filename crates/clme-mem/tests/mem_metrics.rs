@@ -127,10 +127,11 @@ fn hot_increment_path_does_not_allocate() {
         metrics.note_write_batch(64);
         metrics.op_duration(MemOp::Read, std::time::Duration::from_nanos(500 + i));
         metrics.op_duration(MemOp::Write, t0.elapsed());
-        metrics.stage_duration(
+        metrics.stage_duration_n(
             MemOp::Read,
             clme_mem::MemStage::MacVerify,
             std::time::Duration::from_nanos(i),
+            1,
         );
         metrics.lock_wait((i % 16) as usize, t0.elapsed());
         metrics.lock_hold((i % 16) as usize, t0.elapsed());
