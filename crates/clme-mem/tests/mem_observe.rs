@@ -5,7 +5,7 @@
 //! read path.
 
 use clme_mem::{
-    EncryptionLayer, LayerOptions, MemOp, MemStage, MemoryAdt, VecBackend, PAGE_BLOCKS,
+    EncryptionLayer, LayerOptions, MemOp, MemStage, MemoryAdt, VecBackend, MEM_STAGES, PAGE_BLOCKS,
     SAMPLE_EVERY,
 };
 
@@ -126,4 +126,77 @@ fn prom_scrape_sees_the_resident_page_gauge() {
         "scrape must show 3 resident pages:\n{text}"
     );
     assert_eq!(mem.metrics_snapshot().cache.resident_pages, 3);
+}
+
+/// Runs `call` as the first call of its kind on a fresh thread, so it
+/// is sampled, and returns the stage counts it added, `[read, write]`
+/// by [`MemStage`].
+fn stage_counts(
+    mem: &EncryptionLayer<VecBackend>,
+    call: impl FnOnce(&EncryptionLayer<VecBackend>) + Send,
+) -> [[u64; MEM_STAGES]; 2] {
+    let counts = |mem: &EncryptionLayer<VecBackend>| {
+        let snap = mem.metrics_snapshot();
+        [MemOp::Read, MemOp::Write]
+            .map(|op| MemStage::ALL.map(|s| snap.op(op).stages[s as usize].count()))
+    };
+    let before = counts(mem);
+    std::thread::scope(|s| s.spawn(|| call(mem)).join().expect("call runs"));
+    let after = counts(mem);
+    core::array::from_fn(|op| core::array::from_fn(|s| after[op][s] - before[op][s]))
+}
+
+/// A stage counts the blocks its measured interval covered: 1 for a
+/// lock wait, a walk and a commit; 1 per fetched block for store and
+/// MAC; the pad requests of a read page's batched pad pass plus 1 per
+/// XTS decrypt; 1 per page roll for write-side MAC and 1 per encrypted
+/// block for write-side pad. Stage order: lock, tree-walk, store,
+/// mac-verify, pad-gen, commit.
+#[test]
+#[cfg_attr(feature = "telemetry-off", ignore = "telemetry compiled out")]
+fn sampled_calls_count_each_stage_by_the_blocks_it_covered() {
+    const SATURATION: u64 = 3;
+    let blocks = 4 * PAGE_BLOCKS;
+    let options = LayerOptions {
+        counter_saturation: SATURATION,
+        ..LayerOptions::default()
+    };
+    let mem =
+        EncryptionLayer::with_options(VecBackend::for_blocks(blocks), blocks, MASTER, options)
+            .expect("layer builds");
+    // Block 0 passes saturation and turns counterless; block 1 stays in
+    // counter mode. Block 64 is one write short of rolling page 1.
+    let mut setup = vec![(0, [1u8; 64]); SATURATION as usize + 1];
+    setup.push((1, [2u8; 64]));
+    setup.extend(std::iter::repeat_n((PAGE_BLOCKS, [3u8; 64]), 127));
+    mem.batch_write(&setup).expect("setup writes");
+    assert!(mem.is_counterless(0).expect("counter"));
+    assert!(!mem.is_counterless(1).expect("counter"));
+    let none = [0; MEM_STAGES];
+
+    // A miss on page 0: one walk, three fetched blocks, two pads from
+    // the batched pass and one XTS decrypt.
+    let miss = stage_counts(&mem, |m| {
+        m.batch_read(&[0, 1, 2]).expect("miss");
+    });
+    assert_eq!(miss, [[1, 1, 3, 3, 3, 0], none]);
+    // A partial hit: block 0 from the cache, block 3 fetched under the
+    // cached counter block, no walk.
+    let partial = stage_counts(&mem, |m| {
+        m.batch_read(&[0, 3]).expect("partial hit");
+    });
+    assert_eq!(partial, [[1, 0, 1, 1, 1, 0], none]);
+    // A full hit: only the lock wait is timed.
+    let hit = stage_counts(&mem, |m| {
+        m.batch_read(&[1, 2]).expect("full hit");
+    });
+    assert_eq!(hit, [[1, 0, 0, 0, 0, 0], none]);
+    // A two-page write batch whose first block rolls page 1: one lock
+    // wait, walk and commit, one roll verified, two blocks encrypted.
+    let write = stage_counts(&mem, |m| {
+        m.batch_write(&[(PAGE_BLOCKS, [4u8; 64]), (2 * PAGE_BLOCKS, [5u8; 64])])
+            .expect("write");
+    });
+    assert_eq!(write, [none, [1, 1, 0, 1, 2, 1]]);
+    assert_eq!(mem.metrics_snapshot().page_rolls, 1);
 }
