@@ -57,10 +57,19 @@ impl Log2Histogram {
     /// Records one latency sample.
     #[inline]
     pub fn record(&mut self, latency: TimeDelta) {
+        self.record_n(latency, 1);
+    }
+
+    /// Records `n` samples of the same latency.
+    #[inline]
+    pub fn record_n(&mut self, latency: TimeDelta, n: u64) {
+        if n == 0 {
+            return;
+        }
         let ps = latency.picos();
-        self.counts[Self::bucket_of(ps)] += 1;
-        self.total += 1;
-        self.sum_ps += ps as u128;
+        self.counts[Self::bucket_of(ps)] += n;
+        self.total += n;
+        self.sum_ps += ps as u128 * n as u128;
         self.max_ps = self.max_ps.max(ps);
     }
 
