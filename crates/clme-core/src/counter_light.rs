@@ -130,11 +130,6 @@ impl CounterLightEngine {
         self.counters.get(&block.raw()).copied().unwrap_or(0)
     }
 
-    /// Counter-cache hit statistics (writeback path only).
-    pub fn counter_cache_hit_ratio(&self) -> clme_types::stats::Ratio {
-        self.metadata.cache_hit_ratio()
-    }
-
     fn in_quarantined_rank(&self, block: BlockAddr) -> bool {
         if self.quarantined_ranks.is_empty() {
             return false;

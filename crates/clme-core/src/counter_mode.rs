@@ -118,11 +118,6 @@ impl CounterModeEngine {
     pub fn counter_of(&self, block: BlockAddr) -> u64 {
         self.counters.get(&block.raw()).copied().unwrap_or(0)
     }
-
-    /// Counter-cache hit statistics.
-    pub fn counter_cache_hit_ratio(&self) -> clme_types::stats::Ratio {
-        self.metadata.cache_hit_ratio()
-    }
 }
 
 impl EncryptionEngine for CounterModeEngine {

@@ -163,34 +163,24 @@ impl TraceSink for NopSink {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Recorder {
-    enabled: bool,
     counters: EventCounters,
     stages: [Log2Histogram; STAGES],
     ring: TraceRing,
 }
 
 impl Recorder {
-    /// Creates an enabled recorder with the default ring capacity.
+    /// Creates a recorder with the default ring capacity.
     pub fn new() -> Recorder {
         Recorder::with_capacity(DEFAULT_RING_CAPACITY)
     }
 
-    /// Creates an enabled recorder retaining at most `capacity` events.
+    /// Creates a recorder retaining at most `capacity` events.
     pub fn with_capacity(capacity: usize) -> Recorder {
         Recorder {
-            enabled: true,
             counters: EventCounters::new(),
             stages: Default::default(),
             ring: TraceRing::new(capacity),
         }
-    }
-
-    /// Creates a recorder that is plumbed in but records nothing — the
-    /// "instrumented-but-disabled build" of the conformance tests.
-    pub fn disabled() -> Recorder {
-        let mut rec = Recorder::with_capacity(1);
-        rec.enabled = false;
-        rec
     }
 
     /// The event counter bank.
@@ -222,7 +212,7 @@ impl Default for Recorder {
 
 impl TraceSink for Recorder {
     fn enabled(&self) -> bool {
-        self.enabled
+        true
     }
 
     fn event(
@@ -233,9 +223,6 @@ impl TraceSink for Recorder {
         addr: u64,
         latency: TimeDelta,
     ) {
-        if !self.enabled {
-            return;
-        }
         self.counters.bump(event);
         self.ring.push(TraceEvent {
             at,
@@ -247,15 +234,11 @@ impl TraceSink for Recorder {
     }
 
     fn count(&mut self, event: EventKind) {
-        if self.enabled {
-            self.counters.bump(event);
-        }
+        self.counters.bump(event);
     }
 
     fn latency(&mut self, stage: Stage, latency: TimeDelta) {
-        if self.enabled {
-            self.stages[stage as usize].record(latency);
-        }
+        self.stages[stage as usize].record(latency);
     }
 
     fn window_reset(&mut self) {
@@ -292,23 +275,6 @@ mod tests {
         // nothing; downcast must still work.
         let boxed: Box<dyn TraceSink> = Box::new(NopSink);
         assert!(boxed.into_any().downcast::<NopSink>().is_ok());
-    }
-
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let mut rec = Recorder::disabled();
-        rec.event(
-            Time::ZERO,
-            Component::Dram,
-            EventKind::RowHit,
-            1,
-            TimeDelta::from_ns(1),
-        );
-        rec.count(EventKind::RowHit);
-        rec.latency(Stage::Dram, TimeDelta::from_ns(1));
-        assert_eq!(rec.counters().get(EventKind::RowHit), 0);
-        assert_eq!(rec.stage(Stage::Dram).count(), 0);
-        assert!(rec.ring().is_empty());
     }
 
     #[test]
