@@ -21,8 +21,8 @@ fn bench_components(c: &mut Criterion) {
     group.bench_function("set_assoc_access", |b| {
         b.iter(|| {
             let block = rng.below(1 << 16);
-            if !cache.access(black_box(block), false) {
-                cache.fill(block, false);
+            if let Err(victim) = cache.access(black_box(block), false) {
+                cache.fill_victim(block, false, victim);
             }
         })
     });

@@ -170,17 +170,31 @@ impl MemorySystemCaches {
     ) {
         result.writebacks.clear();
         result.prefetch_fills.clear();
-
-        // Train prefetchers on every demand access; collect suggestions.
-        let mut suggestions = std::mem::take(&mut self.suggestions);
-        {
-            let cc = &mut self.cores[core];
-            cc.throttle.on_demand(block);
-            cc.stride_l1.observe(block, &mut suggestions);
-            cc.stride_l2.observe(block, &mut suggestions);
-        }
-
+        self.train(core, block);
         let level = self.demand_path(core, block, write, result);
+        self.finish(core, block, level, at, obs, result);
+    }
+
+    /// Trains `core`'s prefetchers on a demand access, collecting their
+    /// suggestions.
+    fn train(&mut self, core: usize, block: u64) {
+        let cc = &mut self.cores[core];
+        cc.throttle.on_demand(block);
+        cc.stride_l1.observe(block, &mut self.suggestions);
+        cc.stride_l2.observe(block, &mut self.suggestions);
+    }
+
+    /// Records the serving `level`, reports it to `obs` and installs the
+    /// accepted prefetch suggestions.
+    fn finish(
+        &mut self,
+        core: usize,
+        block: u64,
+        level: HitLevel,
+        at: Time,
+        obs: &mut dyn TraceSink,
+        result: &mut CacheAccessResult,
+    ) {
         result.level = Some(level);
         if obs.enabled() {
             match level {
@@ -214,12 +228,13 @@ impl MemorySystemCaches {
         // workloads far beyond the utilisation real systems report).
         if level == HitLevel::Llc || level == HitLevel::Memory {
             if let Some(nl) = self.cores[core].next_line {
-                suggestions.push(nl.suggest(block));
+                self.suggestions.push(nl.suggest(block));
             }
         }
 
         // Install prefetches into L2 + LLC (accuracy-throttled); count
         // LLC misses as memory fetches.
+        let mut suggestions = std::mem::take(&mut self.suggestions);
         suggestions.sort_unstable();
         suggestions.dedup();
         for &pf_block in &suggestions {
@@ -235,6 +250,11 @@ impl MemorySystemCaches {
         self.suggestions = suggestions;
     }
 
+    /// Looks `block` up level by level and installs it in every level it
+    /// missed, each into the victim its own miss found. A level's set is
+    /// untouched between its miss and its fill: the LLC and L2 fills (and
+    /// their dirty spills) touch only the LLC and L2, and nothing touches
+    /// L1 before its fill, so each victim is still its set's LRU line.
     fn demand_path(
         &mut self,
         core: usize,
@@ -242,62 +262,55 @@ impl MemorySystemCaches {
         write: bool,
         result: &mut CacheAccessResult,
     ) -> HitLevel {
-        if self.cores[core].l1.access(block, write) {
+        let Err(l1_victim) = self.cores[core].l1.access(block, write) else {
             return HitLevel::L1;
+        };
+        let level = match self.cores[core].l2.access(block, false) {
+            Ok(()) => HitLevel::L2,
+            Err(l2_victim) => {
+                let level = match self.llc.access(block, false) {
+                    Ok(()) => HitLevel::Llc,
+                    Err(llc_victim) => {
+                        // Fetch from memory: install at every level.
+                        let evicted = self.llc.fill_victim(block, false, llc_victim);
+                        Self::write_back(evicted, result);
+                        HitLevel::Memory
+                    }
+                };
+                self.llc_demand.record(level == HitLevel::Llc);
+                let evicted = self.cores[core].l2.fill_victim(block, false, l2_victim);
+                self.spill_l2(evicted, result);
+                level
+            }
+        };
+        let cc = &mut self.cores[core];
+        if let Some(Evicted { block, dirty: true }) = cc.l1.fill_victim(block, write, l1_victim) {
+            // Dirty L1 victim moves down into L2.
+            let evicted = cc.l2.fill(block, true);
+            self.spill_l2(evicted, result);
         }
-        if self.cores[core].l2.access(block, false) {
-            self.fill_l1(core, block, write, result);
-            return HitLevel::L2;
-        }
-        if self.llc.access(block, false) {
-            self.llc_demand.record(true);
-            self.fill_l2(core, block, result);
-            self.fill_l1(core, block, write, result);
-            return HitLevel::Llc;
-        }
-        self.llc_demand.record(false);
-        // Fetch from memory: install at every level.
-        self.fill_llc(block, false, result);
-        self.fill_l2(core, block, result);
-        self.fill_l1(core, block, write, result);
-        HitLevel::Memory
+        level
     }
 
+    /// Installs prefetched `block` into the LLC and `core`'s L2, leaving a
+    /// resident line of either alone.
     fn prefetch_install(&mut self, core: usize, block: u64, result: &mut CacheAccessResult) {
         if let Install::Filled(evicted) = self.llc.install(block, false) {
             result.prefetch_fills.push(block);
             Self::write_back(evicted, result);
         }
-        self.fill_l2(core, block, result);
-    }
-
-    fn fill_l1(&mut self, core: usize, block: u64, dirty: bool, result: &mut CacheAccessResult) {
-        if let Some(evicted) = self.cores[core].l1.fill(block, dirty) {
-            if evicted.dirty {
-                // Dirty L1 victim moves down into L2.
-                if let Some(l2_evicted) = self.cores[core].l2.fill(evicted.block, true) {
-                    if l2_evicted.dirty {
-                        self.fill_llc(l2_evicted.block, true, result);
-                    }
-                }
-            }
+        if let Install::Filled(evicted) = self.cores[core].l2.install(block, false) {
+            self.spill_l2(evicted, result);
         }
     }
 
-    /// Installs `block` into `core`'s L2 unless it is resident (a demand
-    /// fill follows an L2 miss; a prefetch leaves a resident line alone).
-    fn fill_l2(&mut self, core: usize, block: u64, result: &mut CacheAccessResult) {
-        if let Install::Filled(Some(evicted)) = self.cores[core].l2.install(block, false) {
-            if evicted.dirty {
-                self.fill_llc(evicted.block, true, result);
+    /// A dirty line displaced from L2 moves down into the LLC; a resident
+    /// LLC line only merges the dirtiness.
+    fn spill_l2(&mut self, evicted: Option<Evicted>, result: &mut CacheAccessResult) {
+        if let Some(Evicted { block, dirty: true }) = evicted {
+            if let Install::Filled(evicted) = self.llc.install(block, true) {
+                Self::write_back(evicted, result);
             }
-        }
-    }
-
-    fn fill_llc(&mut self, block: u64, dirty: bool, result: &mut CacheAccessResult) {
-        // A resident line only merges the dirtiness.
-        if let Install::Filled(evicted) = self.llc.install(block, dirty) {
-            Self::write_back(evicted, result);
         }
     }
 
@@ -597,6 +610,152 @@ mod hierarchy_properties {
                     "case {case}: just-touched block must hit L1"
                 );
             }
+        }
+    }
+}
+
+/// The demand path as it was before a miss handed its victim to the fill,
+/// kept as the reference model the new path is compared with.
+#[cfg(test)]
+mod probe_then_fill {
+    use super::*;
+    use clme_types::rng::Xoshiro256;
+
+    impl MemorySystemCaches {
+        /// `access` through [`MemorySystemCaches::demand_path_reference`].
+        fn access_reference(&mut self, core: usize, block: u64, write: bool) -> CacheAccessResult {
+            let mut result = CacheAccessResult::default();
+            self.train(core, block);
+            let level = self.demand_path_reference(core, block, write, &mut result);
+            self.finish(core, block, level, Time::ZERO, &mut NopSink, &mut result);
+            result
+        }
+
+        /// Each level is looked up by `access`; a level that missed is then
+        /// filled by `fill` or `install`, which scan its set a second time.
+        fn demand_path_reference(
+            &mut self,
+            core: usize,
+            block: u64,
+            write: bool,
+            result: &mut CacheAccessResult,
+        ) -> HitLevel {
+            if self.cores[core].l1.access(block, write).is_ok() {
+                return HitLevel::L1;
+            }
+            if self.cores[core].l2.access(block, false).is_ok() {
+                self.fill_l1_reference(core, block, write, result);
+                return HitLevel::L2;
+            }
+            if self.llc.access(block, false).is_ok() {
+                self.llc_demand.record(true);
+                self.fill_l2_reference(core, block, result);
+                self.fill_l1_reference(core, block, write, result);
+                return HitLevel::Llc;
+            }
+            self.llc_demand.record(false);
+            self.fill_llc_reference(block, false, result);
+            self.fill_l2_reference(core, block, result);
+            self.fill_l1_reference(core, block, write, result);
+            HitLevel::Memory
+        }
+
+        fn fill_l1_reference(
+            &mut self,
+            core: usize,
+            block: u64,
+            dirty: bool,
+            result: &mut CacheAccessResult,
+        ) {
+            if let Some(evicted) = self.cores[core].l1.fill(block, dirty) {
+                if evicted.dirty {
+                    if let Some(l2_evicted) = self.cores[core].l2.fill(evicted.block, true) {
+                        if l2_evicted.dirty {
+                            self.fill_llc_reference(l2_evicted.block, true, result);
+                        }
+                    }
+                }
+            }
+        }
+
+        fn fill_l2_reference(&mut self, core: usize, block: u64, result: &mut CacheAccessResult) {
+            if let Install::Filled(Some(evicted)) = self.cores[core].l2.install(block, false) {
+                if evicted.dirty {
+                    self.fill_llc_reference(evicted.block, true, result);
+                }
+            }
+        }
+
+        fn fill_llc_reference(&mut self, block: u64, dirty: bool, result: &mut CacheAccessResult) {
+            if let Install::Filled(evicted) = self.llc.install(block, dirty) {
+                Self::write_back(evicted, result);
+            }
+        }
+    }
+
+    /// Every per-level hit ratio and the LLC demand ratio.
+    fn ratios(caches: &MemorySystemCaches) -> Vec<Ratio> {
+        let mut all = vec![caches.llc.hit_ratio(), caches.llc_demand];
+        for cc in &caches.cores {
+            all.extend([cc.l1.hit_ratio(), cc.l2.hit_ratio()]);
+        }
+        all
+    }
+
+    /// Runs a seeded 4-core stream of strided runs (which train the
+    /// prefetchers), repeats (L1 hits) and scattered reads and writes over
+    /// `footprint` blocks through the new path and the reference, requiring every
+    /// result and the final ratios to agree. Returns the writebacks seen:
+    /// a written block reaches memory only through a dirty L1 → L2 → LLC
+    /// cascade.
+    fn drive(mut cfg: SystemConfig, seed: u64, steps: u64, footprint: u64) -> usize {
+        cfg.cores = 4;
+        let mut caches = MemorySystemCaches::new(&cfg);
+        let mut reference = MemorySystemCaches::new(&cfg);
+        let mut rng = Xoshiro256::seed_from(seed);
+        let mut cursor = [0u64; 4];
+        let mut writebacks = 0;
+        for step in 0..steps {
+            let core = rng.below(4) as usize;
+            cursor[core] = match rng.below(10) {
+                0..=4 => (cursor[core] + core as u64 + 1) % footprint,
+                5..=6 => cursor[core],
+                _ => rng.below(footprint),
+            };
+            let block = cursor[core];
+            let write = rng.chance(0.35);
+            let got = caches.access(core, block, write);
+            assert_eq!(
+                got,
+                reference.access_reference(core, block, write),
+                "seed {seed} step {step}: core {core} block {block:#x} write {write}"
+            );
+            writebacks += got.writebacks.len();
+        }
+        assert_eq!(ratios(&caches), ratios(&reference), "seed {seed} ratios");
+        writebacks
+    }
+
+    #[test]
+    fn victim_path_matches_probe_then_fill_on_the_small_geometry() {
+        for seed in 0..8 {
+            let mut cfg = SystemConfig::isca_table1();
+            cfg.l1d.capacity_bytes = 1 << 10;
+            cfg.l2.capacity_bytes = 4 << 10;
+            cfg.llc.capacity_bytes = 16 << 10;
+            cfg.l1d.ways = 2;
+            cfg.l2.ways = 4;
+            cfg.llc.ways = 4;
+            let writebacks = drive(cfg, 0xD1A5 + seed, 20_000, 1 << 12);
+            assert!(writebacks > 500, "seed {seed}: {writebacks} writebacks");
+        }
+    }
+
+    #[test]
+    fn victim_path_matches_probe_then_fill_on_table1() {
+        for seed in 0..2 {
+            let writebacks = drive(SystemConfig::isca_table1(), 0x7AB1 + seed, 400_000, 1 << 18);
+            assert!(writebacks > 10_000, "seed {seed}: {writebacks} writebacks");
         }
     }
 }

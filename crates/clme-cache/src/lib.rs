@@ -18,9 +18,9 @@
 //! use clme_cache::set_assoc::SetAssocCache;
 //!
 //! let mut cache = SetAssocCache::new(4, 2);
-//! assert!(!cache.access(0x10, false)); // cold miss
-//! cache.fill(0x10, false);
-//! assert!(cache.access(0x10, false)); // hit
+//! let victim = cache.access(0x10, false).unwrap_err(); // cold miss
+//! cache.fill_victim(0x10, false, victim);
+//! assert!(cache.access(0x10, false).is_ok()); // hit
 //! ```
 
 pub mod hierarchy;

@@ -17,6 +17,16 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
+/// The line a missed block would displace: the first line of its set with
+/// the smallest stamp, so an invalid line before the true-LRU one.
+///
+/// A miss in [`SetAssocCache::access`] returns it and
+/// [`SetAssocCache::fill_victim`] installs the missed block there without
+/// scanning the set again. It stays the set's victim while nothing fills,
+/// hits or invalidates a line of that set; misses and probes leave it be.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Victim(usize);
+
 /// What [`SetAssocCache::install`] found.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Install {
@@ -42,6 +52,11 @@ pub enum Install {
 /// cache.fill(2, false); // same set as 0 (even blocks)
 /// cache.fill(4, false); // evicts LRU (block 0, dirty)
 /// assert_eq!(cache.fill(6, false).unwrap().block, 2);
+///
+/// // A miss hands its victim to the fill: one scan of the set in all.
+/// let victim = cache.access(8, false).unwrap_err();
+/// assert_eq!(cache.fill_victim(8, false, victim).unwrap().block, 4);
+/// assert!(cache.access(8, false).is_ok());
 /// ```
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
@@ -146,17 +161,18 @@ impl SetAssocCache {
         evicted
     }
 
-    /// Looks up `block`; on a hit updates recency (and dirtiness for a
-    /// write) and returns `true`. A miss returns `false` and does *not*
-    /// allocate — call [`SetAssocCache::fill`] when the data arrive.
-    pub fn access(&mut self, block: u64, write: bool) -> bool {
-        let hit = self.find(block);
-        match hit {
-            Some(line) => self.touch(line, write),
-            None => self.tick += 1,
+    /// Looks up `block` in one pass over its set. A hit updates recency
+    /// (and dirtiness for a write) and returns `Ok`. A miss does *not*
+    /// allocate: it returns the set's [`Victim`], for
+    /// [`SetAssocCache::fill_victim`] when the data arrive.
+    pub fn access(&mut self, block: u64, write: bool) -> Result<(), Victim> {
+        let found = self.lookup(block);
+        match found {
+            Ok(line) => self.touch(line, write),
+            Err(_) => self.tick += 1,
         }
-        self.hits.record(hit.is_some());
-        hit.is_some()
+        self.hits.record(found.is_ok());
+        found.map(|_| ()).map_err(Victim)
     }
 
     /// Checks presence without touching recency or statistics.
@@ -175,6 +191,20 @@ impl SetAssocCache {
             }
             Err(victim) => self.replace(victim, block, dirty),
         }
+    }
+
+    /// Installs the block that [`SetAssocCache::access`] just missed into
+    /// the victim that miss returned, returning the line it displaced. No
+    /// line of `block`'s set may have been filled, hit or invalidated in
+    /// between, or the victim is no longer the set's LRU line.
+    pub fn fill_victim(&mut self, block: u64, dirty: bool, victim: Victim) -> Option<Evicted> {
+        let base = self.base(block);
+        debug_assert!(
+            (base..base + self.ways).contains(&victim.0),
+            "victim line {} is outside block {block:#x}'s set",
+            victim.0
+        );
+        self.replace(victim.0, block, dirty)
     }
 
     /// Installs `block` if it is absent, as [`SetAssocCache::fill`] does.
@@ -232,9 +262,9 @@ mod tests {
     #[test]
     fn cold_miss_then_hit() {
         let mut c = SetAssocCache::new(4, 2);
-        assert!(!c.access(5, false));
+        assert!(c.access(5, false).is_err());
         c.fill(5, false);
-        assert!(c.access(5, false));
+        assert!(c.access(5, false).is_ok());
         assert_eq!(c.hit_ratio().hits(), 1);
         assert_eq!(c.hit_ratio().total(), 2);
     }
@@ -244,7 +274,7 @@ mod tests {
         let mut c = SetAssocCache::new(1, 2);
         c.fill(1, false);
         c.fill(2, false);
-        c.access(1, false); // 2 is now LRU
+        assert!(c.access(1, false).is_ok()); // 2 is now LRU
         let evicted = c.fill(3, false).unwrap();
         assert_eq!(evicted.block, 2);
         assert!(c.probe(1));
@@ -255,7 +285,7 @@ mod tests {
     fn dirty_eviction_reported() {
         let mut c = SetAssocCache::new(1, 1);
         c.fill(7, false);
-        c.access(7, true); // make dirty
+        assert!(c.access(7, true).is_ok()); // make dirty
         let evicted = c.fill(9, false).unwrap();
         assert_eq!(
             evicted,
@@ -338,7 +368,7 @@ mod tests {
     fn write_access_marks_dirty() {
         let mut c = SetAssocCache::new(1, 1);
         c.fill(4, false);
-        assert!(c.access(4, true));
+        assert!(c.access(4, true).is_ok());
         assert_eq!(c.invalidate(4), Some(true));
     }
 
@@ -346,10 +376,19 @@ mod tests {
     fn reset_stats_keeps_contents() {
         let mut c = SetAssocCache::new(2, 1);
         c.fill(1, false);
-        c.access(1, false);
+        assert!(c.access(1, false).is_ok());
         c.reset_stats();
         assert_eq!(c.hit_ratio().total(), 0);
         assert!(c.probe(1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside block 0x1's set")]
+    fn victim_from_another_set_panics() {
+        let mut c = SetAssocCache::new(2, 1);
+        let victim = c.access(0, false).unwrap_err();
+        c.fill_victim(1, false, victim);
     }
 
     #[test]
@@ -363,7 +402,7 @@ mod tests {
         let mut c = SetAssocCache::new(2, 2);
         c.fill(1, true);
         c.fill(3, false);
-        c.access(1, false);
+        assert!(c.access(1, false).is_ok());
         c.clear();
         assert!(!c.probe(1));
         assert!(!c.probe(3));
@@ -501,25 +540,50 @@ mod equivalence {
     /// seeded random operation sequence and requires every return value,
     /// every `Evicted` and the hit statistics to agree. `install` is
     /// checked against the reference's probe-then-access/fill, the two
-    /// calls it replaces in the hierarchy. Blocks come from a small
-    /// window (so sets conflict) either near 0 or near `u64::MAX`.
+    /// calls it replaces in the hierarchy. Half the misses hold their
+    /// `Victim` while operations on other sets run, as the hierarchy
+    /// holds its L1 victim across the L2 and LLC fills; the held victim
+    /// is filled before any operation reaches its set, and checked
+    /// against the reference's `fill`. Blocks come from a small window
+    /// (so sets conflict) either near 0 or near `u64::MAX`.
     fn drive(sets: usize, ways: usize, seed: u64, steps: usize) {
         let mut flat = SetAssocCache::new(sets, ways);
         let mut reference = ReferenceCache::new(sets, ways);
         let mut rng = Xoshiro256::seed_from(seed);
         let window = (sets * ways * 3) as u64;
         let high = rng.chance(0.5);
+        let set_of = |block: u64| block & (sets as u64 - 1);
+        let mut held: Option<(u64, bool, Victim)> = None;
         for step in 0..steps {
             let offset = rng.below(window);
             let block = if high { u64::MAX - offset } else { offset };
             let flag = rng.chance(0.3);
             let what = format!("{sets}x{ways} seed {seed} step {step} block {block:#x}");
-            match rng.below(100) {
-                0..=34 => assert_eq!(
-                    flat.access(block, flag),
-                    reference.access(block, flag),
-                    "access: {what}"
-                ),
+            let op = rng.below(100);
+            if let Some((missed, dirty, victim)) = held {
+                if op == 99 || set_of(missed) == set_of(block) || rng.chance(0.25) {
+                    assert_eq!(
+                        flat.fill_victim(missed, dirty, victim),
+                        reference.fill(missed, dirty),
+                        "fill_victim of {missed:#x}: {what}"
+                    );
+                    held = None;
+                }
+            }
+            match op {
+                0..=34 => {
+                    let found = flat.access(block, flag);
+                    assert_eq!(
+                        found.is_ok(),
+                        reference.access(block, flag),
+                        "access: {what}"
+                    );
+                    if let (Err(victim), None) = (found, held) {
+                        if rng.chance(0.5) {
+                            held = Some((block, rng.chance(0.3), victim));
+                        }
+                    }
+                }
                 35..=64 => assert_eq!(
                     flat.fill(block, flag),
                     reference.fill(block, flag),

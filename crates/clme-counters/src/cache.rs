@@ -48,7 +48,7 @@ impl CounterCache {
 
     /// Looks up a metadata block; `write` marks it dirty on a hit.
     pub fn access(&mut self, block: BlockAddr, write: bool) -> bool {
-        self.inner.access(block.raw(), write)
+        self.inner.access(block.raw(), write).is_ok()
     }
 
     /// Installs a metadata block fetched from DRAM; returns the dirty

@@ -267,7 +267,7 @@ echo "== golden diff (full 72-cell grid, exact) =="
 # The diff re-runs all 72 cells through the parallel RunMatrix workers
 # (arena-reusing, default --threads = max(cores, 4)) and requires every
 # snapshot to equal its golden exactly. Measured 2026-10 on a 2-vCPU
-# host: 6.3-8.6 s wall, 12-17 s CPU.
+# host: 7.2-7.4 s wall, 13.9-14.5 s CPU.
 "$CLME" diff --golden goldens/full --tol 0
 
 echo "ci: all green"
