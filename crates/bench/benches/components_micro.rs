@@ -5,10 +5,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use clme_cache::hierarchy::MemorySystemCaches;
+use clme_cache::hierarchy::{CacheAccessResult, MemorySystemCaches};
 use clme_cache::set_assoc::SetAssocCache;
 use clme_counters::memo::MemoTable;
 use clme_dram::timing::{AccessKind, Dram};
+use clme_obs::NopSink;
 use clme_types::rng::Xoshiro256;
 use clme_types::{BlockAddr, SystemConfig, Time, TimeDelta};
 
@@ -39,12 +40,13 @@ fn bench_components(c: &mut Criterion) {
     });
 
     let cfg = SystemConfig::isca_table1();
+    let nop = &mut NopSink;
     let mut dram = Dram::new(&cfg);
     let mut t = Time::ZERO;
     group.bench_function("dram_demand_access", |b| {
         b.iter(|| {
             t += TimeDelta::from_ns(10);
-            dram.access(BlockAddr::new(rng.below(1 << 22)), AccessKind::Read, t)
+            dram.access(BlockAddr::new(rng.below(1 << 22)), AccessKind::Read, t, nop)
         })
     });
     let mut dram_bg = Dram::new(&cfg);
@@ -52,13 +54,19 @@ fn bench_components(c: &mut Criterion) {
     group.bench_function("dram_background_access", |b| {
         b.iter(|| {
             t2 += TimeDelta::from_ns(10);
-            dram_bg.background_access(BlockAddr::new(rng.below(1 << 22)), AccessKind::Write, t2)
+            let block = BlockAddr::new(rng.below(1 << 22));
+            dram_bg.background_access(block, AccessKind::Write, t2, nop)
         })
     });
 
+    // One result reused across accesses, as the simulator's machine does.
     let mut hierarchy = MemorySystemCaches::new(&cfg);
+    let mut result = CacheAccessResult::default();
     group.bench_function("hierarchy_access", |b| {
-        b.iter(|| hierarchy.access(0, black_box(rng.below(1 << 20)), false))
+        b.iter(|| {
+            let block = black_box(rng.below(1 << 20));
+            hierarchy.access_into(0, block, false, Time::ZERO, nop, &mut result);
+        })
     });
     group.finish();
 }

@@ -17,7 +17,7 @@
 
 use crate::prefetch::{NextLinePrefetcher, PrefetchThrottle, StridePrefetcher};
 use crate::set_assoc::{Evicted, Install, SetAssocCache};
-use clme_obs::{Component, EventKind, NopSink, TraceSink};
+use clme_obs::{Component, EventKind, TraceSink};
 use clme_types::config::SystemConfig;
 use clme_types::stats::Ratio;
 use clme_types::{Time, TimeDelta};
@@ -68,14 +68,16 @@ struct CoreCaches {
 /// # Examples
 ///
 /// ```
-/// use clme_cache::hierarchy::{HitLevel, MemorySystemCaches};
-/// use clme_types::SystemConfig;
+/// use clme_cache::hierarchy::{CacheAccessResult, HitLevel, MemorySystemCaches};
+/// use clme_obs::NopSink;
+/// use clme_types::{SystemConfig, Time};
 ///
 /// let mut caches = MemorySystemCaches::new(&SystemConfig::isca_table1());
-/// let first = caches.access(0, 0x1000, false);
-/// assert_eq!(first.level, Some(HitLevel::Memory)); // cold miss
-/// let second = caches.access(0, 0x1000, false);
-/// assert_eq!(second.level, Some(HitLevel::L1)); // now resident
+/// let mut result = CacheAccessResult::default();
+/// caches.access_into(0, 0x1000, false, Time::ZERO, &mut NopSink, &mut result);
+/// assert_eq!(result.level, Some(HitLevel::Memory)); // cold miss
+/// caches.access_into(0, 0x1000, false, Time::ZERO, &mut NopSink, &mut result);
+/// assert_eq!(result.level, Some(HitLevel::L1)); // now resident
 /// ```
 pub struct MemorySystemCaches {
     cores: Vec<CoreCaches>,
@@ -119,36 +121,6 @@ impl MemorySystemCaches {
             timeliness: clme_types::rng::Xoshiro256::seed_from(TIMELINESS_SEED),
             suggestions: Vec::new(),
         }
-    }
-
-    /// Performs one demand access by `core` to `block` and returns a
-    /// fresh result; [`MemorySystemCaches::access_into`] is the form that
-    /// reuses one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn access(&mut self, core: usize, block: u64, write: bool) -> CacheAccessResult {
-        self.access_obs(core, block, write, Time::ZERO, &mut NopSink)
-    }
-
-    /// [`MemorySystemCaches::access`] with an observability sink, as
-    /// [`MemorySystemCaches::access_into`] reports to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn access_obs(
-        &mut self,
-        core: usize,
-        block: u64,
-        write: bool,
-        at: Time,
-        obs: &mut dyn TraceSink,
-    ) -> CacheAccessResult {
-        let mut result = CacheAccessResult::default();
-        self.access_into(core, block, write, at, obs, &mut result);
-        result
     }
 
     /// Performs one demand access by `core` to `block`, overwriting
@@ -358,6 +330,17 @@ impl MemorySystemCaches {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clme_obs::NopSink;
+
+    impl MemorySystemCaches {
+        /// One demand access by `core` to `block`, reported to no sink,
+        /// into a fresh result.
+        pub(crate) fn demand(&mut self, core: usize, block: u64, write: bool) -> CacheAccessResult {
+            let mut result = CacheAccessResult::default();
+            self.access_into(core, block, write, Time::ZERO, &mut NopSink, &mut result);
+            result
+        }
+    }
 
     fn small_config() -> SystemConfig {
         let mut cfg = SystemConfig::isca_table1();
@@ -381,16 +364,16 @@ mod tests {
     #[test]
     fn cold_miss_then_l1_hit() {
         let mut caches = MemorySystemCaches::new(&no_prefetch(small_config()));
-        assert_eq!(caches.access(0, 100, false).level, Some(HitLevel::Memory));
-        assert_eq!(caches.access(0, 100, false).level, Some(HitLevel::L1));
+        assert_eq!(caches.demand(0, 100, false).level, Some(HitLevel::Memory));
+        assert_eq!(caches.demand(0, 100, false).level, Some(HitLevel::L1));
     }
 
     #[test]
     fn private_caches_are_per_core_but_llc_is_shared() {
         let mut caches = MemorySystemCaches::new(&no_prefetch(small_config()));
-        caches.access(0, 7, false);
+        caches.demand(0, 7, false);
         // Core 1 misses its private caches but hits the shared LLC.
-        assert_eq!(caches.access(1, 7, false).level, Some(HitLevel::Llc));
+        assert_eq!(caches.demand(1, 7, false).level, Some(HitLevel::Llc));
     }
 
     #[test]
@@ -399,11 +382,11 @@ mod tests {
         let mut caches = MemorySystemCaches::new(&cfg);
         // Dirty one block, then stream enough blocks to push it out of
         // every level.
-        caches.access(0, 0, true);
+        caches.demand(0, 0, true);
         let mut writebacks = Vec::new();
         let total_lines = 1000;
         for b in 1..=total_lines {
-            writebacks.extend(caches.access(0, b, false).writebacks);
+            writebacks.extend(caches.demand(0, b, false).writebacks);
         }
         assert!(
             writebacks.contains(&0),
@@ -417,7 +400,7 @@ mod tests {
         let mut caches = MemorySystemCaches::new(&cfg);
         let mut writebacks = Vec::new();
         for b in 0..1000 {
-            writebacks.extend(caches.access(0, b, false).writebacks);
+            writebacks.extend(caches.demand(0, b, false).writebacks);
         }
         assert!(writebacks.is_empty(), "clean stream produced writebacks");
     }
@@ -428,7 +411,7 @@ mod tests {
         let mut prefetched = 0usize;
         let mut memory_misses = 0usize;
         for b in 0..256u64 {
-            let r = caches.access(0, b, false);
+            let r = caches.demand(0, b, false);
             prefetched += r.prefetch_fills.len();
             if r.is_llc_miss() {
                 memory_misses += 1;
@@ -450,7 +433,7 @@ mod tests {
         let accesses = 2_000;
         for _ in 0..accesses {
             let block = rng.below(1 << 22); // 256 MB footprint
-            if caches.access(0, block, false).is_llc_miss() {
+            if caches.demand(0, block, false).is_llc_miss() {
                 memory_misses += 1;
             }
         }
@@ -463,8 +446,8 @@ mod tests {
     #[test]
     fn llc_demand_ratio_counts_only_demand() {
         let mut caches = MemorySystemCaches::new(&no_prefetch(small_config()));
-        caches.access(0, 1, false);
-        caches.access(0, 1, false); // L1 hit: no LLC consultation
+        caches.demand(0, 1, false);
+        caches.demand(0, 1, false); // L1 hit: no LLC consultation
         let r = caches.llc_demand_hit_ratio();
         assert_eq!(r.total(), 1);
         assert_eq!(r.hits(), 0);
@@ -473,13 +456,13 @@ mod tests {
     #[test]
     fn write_allocates_and_dirties() {
         let mut caches = MemorySystemCaches::new(&no_prefetch(small_config()));
-        let r = caches.access(0, 50, true);
+        let r = caches.demand(0, 50, true);
         assert_eq!(r.level, Some(HitLevel::Memory));
         // The block is dirty in L1: pushing it out must eventually surface
         // a writeback of block 50.
         let mut writebacks = Vec::new();
         for b in 51..1100u64 {
-            writebacks.extend(caches.access(0, b, false).writebacks);
+            writebacks.extend(caches.demand(0, b, false).writebacks);
         }
         assert!(writebacks.contains(&50));
     }
@@ -487,10 +470,10 @@ mod tests {
     #[test]
     fn reset_stats_preserves_contents() {
         let mut caches = MemorySystemCaches::new(&no_prefetch(small_config()));
-        caches.access(0, 9, false);
+        caches.demand(0, 9, false);
         caches.reset_stats();
         assert_eq!(caches.llc_demand_hit_ratio().total(), 0);
-        assert_eq!(caches.access(0, 9, false).level, Some(HitLevel::L1));
+        assert_eq!(caches.demand(0, 9, false).level, Some(HitLevel::L1));
     }
 
     #[test]
@@ -503,7 +486,7 @@ mod tests {
         let mut rng = clme_types::rng::Xoshiro256::seed_from(11);
         for _ in 0..5_000 {
             let core = rng.below(2) as usize;
-            used.access(core, rng.below(1 << 16), rng.chance(0.3));
+            used.demand(core, rng.below(1 << 16), rng.chance(0.3));
         }
         used.reset_full();
         let mut fresh = MemorySystemCaches::new(&cfg);
@@ -513,8 +496,8 @@ mod tests {
             let block = replay.below(1 << 14);
             let write = replay.chance(0.4);
             assert_eq!(
-                used.access(core, block, write),
-                fresh.access(core, block, write),
+                used.demand(core, block, write),
+                fresh.demand(core, block, write),
                 "divergence at step {step}"
             );
         }
@@ -545,7 +528,7 @@ mod tests {
             };
             let write = rng.chance(0.3);
             reusing.access_into(core, block, write, Time::ZERO, &mut NopSink, &mut result);
-            assert_eq!(result, fresh.access(core, block, write), "step {step}");
+            assert_eq!(result, fresh.demand(core, block, write), "step {step}");
         }
     }
 
@@ -555,9 +538,10 @@ mod tests {
 
         let mut caches = MemorySystemCaches::new(&no_prefetch(small_config()));
         let mut rec = Recorder::new();
-        caches.access_obs(0, 100, false, Time::ZERO, &mut rec); // memory
-        caches.access_obs(0, 100, false, Time::ZERO, &mut rec); // L1
-        caches.access_obs(1, 100, false, Time::ZERO, &mut rec); // LLC (other core)
+        let result = &mut CacheAccessResult::default();
+        caches.access_into(0, 100, false, Time::ZERO, &mut rec, result); // memory
+        caches.access_into(0, 100, false, Time::ZERO, &mut rec, result); // L1
+        caches.access_into(1, 100, false, Time::ZERO, &mut rec, result); // LLC (other core)
         assert_eq!(rec.counters().get(EventKind::LlcMiss), 1);
         assert_eq!(rec.counters().get(EventKind::L1Hit), 1);
         assert_eq!(rec.counters().get(EventKind::LlcHit), 1);
@@ -596,14 +580,14 @@ mod hierarchy_properties {
                 if write {
                     ever_written.insert(block);
                 }
-                let result = caches.access(core, block, write);
+                let result = caches.demand(core, block, write);
                 for wb in &result.writebacks {
                     assert!(
                         ever_written.contains(wb),
                         "case {case}: writeback of never-written {wb}"
                     );
                 }
-                let again = caches.access(core, block, false);
+                let again = caches.demand(core, block, false);
                 assert_eq!(
                     again.level,
                     Some(HitLevel::L1),
@@ -619,10 +603,11 @@ mod hierarchy_properties {
 #[cfg(test)]
 mod probe_then_fill {
     use super::*;
+    use clme_obs::NopSink;
     use clme_types::rng::Xoshiro256;
 
     impl MemorySystemCaches {
-        /// `access` through [`MemorySystemCaches::demand_path_reference`].
+        /// `demand` through [`MemorySystemCaches::demand_path_reference`].
         fn access_reference(&mut self, core: usize, block: u64, write: bool) -> CacheAccessResult {
             let mut result = CacheAccessResult::default();
             self.train(core, block);
@@ -724,7 +709,7 @@ mod probe_then_fill {
             };
             let block = cursor[core];
             let write = rng.chance(0.35);
-            let got = caches.access(core, block, write);
+            let got = caches.demand(core, block, write);
             assert_eq!(
                 got,
                 reference.access_reference(core, block, write),

@@ -5,9 +5,13 @@
 //! accesses through here. All metadata transfers go to real DRAM
 //! addresses (laid out by [`clme_counters::layout::MetadataLayout`]) so
 //! they contend with data traffic — the mechanism behind Fig. 8's late
-//! counters and Fig. 18's bandwidth overhead.
+//! counters and Fig. 18's bandwidth overhead. Those DRAM transfers are
+//! not reported to a sink: the read path reports only the counter-fetch
+//! child spans, so metadata traffic never blurs the data path's DRAM
+//! events and stage latencies.
 
-use clme_counters::cache::CounterCache;
+use crate::stats::EngineStats;
+use clme_cache::set_assoc::{Evicted, SetAssocCache};
 use clme_counters::layout::MetadataLayout;
 use clme_dram::timing::{AccessKind, Dram};
 use clme_obs::{NopSink, SpanKind, TraceSink};
@@ -32,7 +36,11 @@ pub struct MetadataOutcome {
 #[derive(Clone, Debug)]
 pub struct MetadataTraffic {
     layout: MetadataLayout,
-    cache: CounterCache,
+    /// The counter cache (Table I: 64 KB, 32-way) over counter blocks and
+    /// tree-node blocks. Under Counter-light only writebacks consult it:
+    /// read misses take the counter from the data block's own ECC
+    /// (Section IV-D).
+    cache: SetAssocCache,
     lookup_latency: TimeDelta,
 }
 
@@ -42,19 +50,22 @@ impl MetadataTraffic {
     pub fn new(cfg: &SystemConfig, data_blocks: u64) -> MetadataTraffic {
         MetadataTraffic {
             layout: MetadataLayout::new(data_blocks),
-            cache: CounterCache::new(cfg.counter_cache_bytes, cfg.counter_cache_ways),
+            cache: SetAssocCache::with_capacity(cfg.counter_cache_bytes, cfg.counter_cache_ways),
             lookup_latency: cfg.counter_cache_latency,
         }
     }
 
-    /// The metadata address layout.
-    pub fn layout(&self) -> &MetadataLayout {
-        &self.layout
+    /// Whether `block` lies in protected memory, so it has a counter.
+    pub fn protects(&self, block: BlockAddr) -> bool {
+        block.raw() < self.layout.data_blocks()
     }
 
-    /// Counter-cache hit statistics.
-    pub fn cache_hit_ratio(&self) -> clme_types::stats::Ratio {
-        self.cache.hit_ratio()
+    /// Adds `outcome`'s DRAM traffic to `stats` and refreshes their
+    /// counter-cache hit ratio.
+    pub fn tally(&self, outcome: &MetadataOutcome, stats: &mut EngineStats) {
+        stats.metadata_reads += outcome.dram_reads;
+        stats.metadata_writes += outcome.dram_writes;
+        stats.counter_cache = self.cache.hit_ratio();
     }
 
     /// Clears counter-cache statistics.
@@ -63,83 +74,33 @@ impl MetadataTraffic {
     }
 
     /// Read-path counter acquisition (Fig. 6b: *only* the missing block's
-    /// own counter block). The DRAM fetch, when needed, starts only after
-    /// the counter-cache lookup resolves — the serialisation the paper
-    /// calls out in Section IV-A. `fill_cache` selects whether the
-    /// fetched counter block is installed (the RMCC baseline installs it;
-    /// Counter-light "does not cache counters during LLC misses").
+    /// own counter block), installed in the counter cache as the RMCC
+    /// baseline does. The DRAM fetch, when needed, starts only after the
+    /// counter-cache lookup resolves — the serialisation the paper calls
+    /// out in Section IV-A. The acquisition (cache hit or DRAM fetch) is
+    /// reported to `obs` as a level-0 counter-fetch child span of the open
+    /// request.
     pub fn counter_for_read(
         &mut self,
         data_block: BlockAddr,
         issue: Time,
         dram: &mut Dram,
-        fill_cache: bool,
-    ) -> MetadataOutcome {
-        self.counter_for_read_obs(data_block, issue, dram, fill_cache, &mut NopSink)
-    }
-
-    /// [`MetadataTraffic::counter_for_read`] with an observability sink:
-    /// the counter acquisition (cache hit or DRAM fetch) is reported as a
-    /// level-0 counter-fetch child span of the open request.
-    pub fn counter_for_read_obs(
-        &mut self,
-        data_block: BlockAddr,
-        issue: Time,
-        dram: &mut Dram,
-        fill_cache: bool,
         obs: &mut dyn TraceSink,
     ) -> MetadataOutcome {
         let counter_block = self.layout.counter_block_of(data_block);
-        let lookup_done = issue + self.lookup_latency;
-        if self.cache.access(counter_block, false) {
-            if obs.enabled() {
-                obs.span_child(SpanKind::CounterFetch, 0, issue, lookup_done);
-            }
-            return MetadataOutcome {
-                available: lookup_done,
-                counter_dram_arrival: None,
-                dram_reads: 0,
-                dram_writes: 0,
-            };
-        }
-        // Deliberately the unobserved access: metadata fetches keep their
-        // pre-span-layer stage/event attribution so snapshots stay
-        // byte-identical with tracing off; only the child span is new.
-        let access = dram.access(counter_block, AccessKind::Read, lookup_done);
+        let fetch = self.touch(counter_block, issue, dram, false);
         if obs.enabled() {
-            obs.span_child(SpanKind::CounterFetch, 0, issue, access.arrival);
+            obs.span_child(SpanKind::CounterFetch, 0, issue, fetch.available);
         }
-        let mut outcome = MetadataOutcome {
-            available: access.arrival,
-            counter_dram_arrival: Some(access.arrival),
-            dram_reads: 1,
-            dram_writes: 0,
-        };
-        if fill_cache {
-            if let Some(evicted) = self.cache.fill(counter_block, false) {
-                dram.background_access(evicted.block, AccessKind::Write, access.arrival);
-                outcome.dram_writes += 1;
-            }
-        }
-        outcome
+        fetch
     }
 
     /// Read-path integrity verification for *traditional* counter mode
     /// (Fig. 6a): the tree nodes protecting the counter are consulted
-    /// through the counter cache; misses fetch from DRAM.
+    /// through the counter cache; misses fetch from DRAM. Each node is
+    /// reported to `obs` as a counter-fetch child span at its depth
+    /// (level 1 = lowest tree node).
     pub fn verify_tree_for_read(
-        &mut self,
-        data_block: BlockAddr,
-        issue: Time,
-        dram: &mut Dram,
-    ) -> MetadataOutcome {
-        self.verify_tree_for_read_obs(data_block, issue, dram, &mut NopSink)
-    }
-
-    /// [`MetadataTraffic::verify_tree_for_read`] with an observability
-    /// sink: each tree node consulted is reported as a counter-fetch
-    /// child span at its depth (level 1 = lowest tree node).
-    pub fn verify_tree_for_read_obs(
         &mut self,
         data_block: BlockAddr,
         issue: Time,
@@ -150,23 +111,20 @@ impl MetadataTraffic {
     }
 
     /// Writeback-path metadata update: read-modify-write the counter
-    /// block and (when `include_tree`) every tree node on the path,
-    /// through the counter cache. Dirty evictions become DRAM writes.
+    /// block and every tree node on the path, through the counter cache.
+    /// Dirty evictions become DRAM writes.
     pub fn update_for_writeback(
         &mut self,
         data_block: BlockAddr,
         now: Time,
         dram: &mut Dram,
-        include_tree: bool,
     ) -> MetadataOutcome {
         let counter_block = self.layout.counter_block_of(data_block);
-        let mut outcome = self.touch(counter_block, now, dram, true, false);
-        if include_tree {
-            let tree = self.walk_tree(data_block, now, dram, true, &mut NopSink);
-            outcome.dram_reads += tree.dram_reads;
-            outcome.dram_writes += tree.dram_writes;
-            outcome.available = outcome.available.max(tree.available);
-        }
+        let mut outcome = self.touch(counter_block, now, dram, true);
+        let tree = self.walk_tree(data_block, now, dram, true, &mut NopSink);
+        outcome.dram_reads += tree.dram_reads;
+        outcome.dram_writes += tree.dram_writes;
+        outcome.available = outcome.available.max(tree.available);
         outcome
     }
 
@@ -175,7 +133,7 @@ impl MetadataTraffic {
         data_block: BlockAddr,
         issue: Time,
         dram: &mut Dram,
-        dirty: bool,
+        write: bool,
         obs: &mut dyn TraceSink,
     ) -> MetadataOutcome {
         let mut outcome = MetadataOutcome {
@@ -183,7 +141,7 @@ impl MetadataTraffic {
             ..MetadataOutcome::default()
         };
         for (depth, node) in self.layout.tree_path_of(data_block).into_iter().enumerate() {
-            let touched = self.touch(node, issue, dram, dirty, !dirty);
+            let touched = self.touch(node, issue, dram, write);
             if obs.enabled() {
                 obs.span_child(
                     SpanKind::CounterFetch,
@@ -199,36 +157,35 @@ impl MetadataTraffic {
         outcome
     }
 
-    /// One read-modify-write (or read) of a metadata block through the
-    /// cache. `demand` selects whether a DRAM fetch is latency-critical
-    /// (the read path) or buffered behind demand reads (the writeback
-    /// path).
+    /// One read (or, for a `write`, read-modify-write) of a metadata block
+    /// through the cache, in one scan of its set: a miss fetches the block
+    /// and fills the victim the lookup found. A read's fetch is
+    /// latency-critical; a writeback's is buffered behind demand reads.
     fn touch(
         &mut self,
         meta_block: BlockAddr,
         now: Time,
         dram: &mut Dram,
-        dirty: bool,
-        demand: bool,
+        write: bool,
     ) -> MetadataOutcome {
         let lookup_done = now + self.lookup_latency;
-        if self.cache.access(meta_block, dirty) {
+        let Err(victim) = self.cache.access(meta_block.raw(), write) else {
             return MetadataOutcome {
                 available: lookup_done,
-                counter_dram_arrival: None,
-                dram_reads: 0,
-                dram_writes: 0,
+                ..MetadataOutcome::default()
             };
-        }
-        let arrival = if demand {
-            dram.access(meta_block, AccessKind::Read, lookup_done)
-                .arrival
+        };
+        let arrival = if write {
+            dram.background_access(meta_block, AccessKind::Read, lookup_done, &mut NopSink)
         } else {
-            dram.background_access(meta_block, AccessKind::Read, lookup_done)
+            dram.access(meta_block, AccessKind::Read, lookup_done, &mut NopSink)
+                .arrival
         };
         let mut writes = 0;
-        if let Some(evicted) = self.cache.fill(meta_block, dirty) {
-            dram.background_access(evicted.block, AccessKind::Write, arrival);
+        let evicted = self.cache.fill_victim(meta_block.raw(), write, victim);
+        if let Some(Evicted { block, dirty: true }) = evicted {
+            let block = BlockAddr::new(block);
+            dram.background_access(block, AccessKind::Write, arrival, &mut NopSink);
             writes = 1;
         }
         MetadataOutcome {
@@ -249,10 +206,21 @@ mod tests {
         (MetadataTraffic::new(&cfg, 1 << 20), Dram::new(&cfg))
     }
 
+    /// A metadata subsystem whose counter cache holds two lines in one
+    /// set.
+    fn two_line_cache() -> (MetadataTraffic, Dram) {
+        let cfg = SystemConfig {
+            counter_cache_bytes: 128,
+            counter_cache_ways: 2,
+            ..SystemConfig::isca_table1()
+        };
+        (MetadataTraffic::new(&cfg, 1 << 20), Dram::new(&cfg))
+    }
+
     #[test]
     fn read_counter_miss_fetches_after_lookup() {
         let (mut meta, mut dram) = setup();
-        let out = meta.counter_for_read(BlockAddr::new(0), Time::ZERO, &mut dram, true);
+        let out = meta.counter_for_read(BlockAddr::new(0), Time::ZERO, &mut dram, &mut NopSink);
         assert_eq!(out.dram_reads, 1);
         let arrival = out.counter_dram_arrival.expect("cold miss fetches");
         // Lookup 2 ns + closed-row access 27.5 ns + 2.5 ns transfer... the
@@ -264,8 +232,8 @@ mod tests {
     #[test]
     fn read_counter_hit_after_fill() {
         let (mut meta, mut dram) = setup();
-        meta.counter_for_read(BlockAddr::new(0), Time::ZERO, &mut dram, true);
-        let out = meta.counter_for_read(BlockAddr::new(1), Time::ZERO, &mut dram, true);
+        meta.counter_for_read(BlockAddr::new(0), Time::ZERO, &mut dram, &mut NopSink);
+        let out = meta.counter_for_read(BlockAddr::new(1), Time::ZERO, &mut dram, &mut NopSink);
         // Block 1 shares block 0's counter block.
         assert_eq!(out.dram_reads, 0);
         assert_eq!(out.available, Time::ZERO + TimeDelta::from_ns(2));
@@ -273,58 +241,100 @@ mod tests {
     }
 
     #[test]
-    fn no_fill_mode_never_caches() {
-        let (mut meta, mut dram) = setup();
-        meta.counter_for_read(BlockAddr::new(0), Time::ZERO, &mut dram, false);
-        let again = meta.counter_for_read(BlockAddr::new(0), Time::ZERO, &mut dram, false);
-        assert_eq!(again.dram_reads, 1, "uncached counter refetches");
-    }
-
-    #[test]
     fn writeback_updates_counter_and_tree() {
         let (mut meta, mut dram) = setup();
-        let out = meta.update_for_writeback(BlockAddr::new(0), Time::ZERO, &mut dram, true);
+        let out = meta.update_for_writeback(BlockAddr::new(0), Time::ZERO, &mut dram);
         // Cold: counter block + 4 tree levels fetched.
         assert_eq!(out.dram_reads, 1 + 4);
         // Re-dirtying the same page is free (all hot).
-        let again = meta.update_for_writeback(BlockAddr::new(5), Time::ZERO, &mut dram, true);
+        let again = meta.update_for_writeback(BlockAddr::new(5), Time::ZERO, &mut dram);
         assert_eq!(again.dram_reads, 0);
     }
 
     #[test]
-    fn writeback_without_tree_touches_only_counter() {
-        let (mut meta, mut dram) = setup();
-        let out = meta.update_for_writeback(BlockAddr::new(0), Time::ZERO, &mut dram, false);
-        assert_eq!(out.dram_reads, 1);
-    }
-
-    #[test]
     fn dirty_evictions_write_to_dram() {
-        let cfg = SystemConfig::isca_table1();
-        let mut small = MetadataTraffic {
-            layout: MetadataLayout::new(1 << 20),
-            cache: CounterCache::new(128, 2), // 2 lines total
-            lookup_latency: cfg.counter_cache_latency,
-        };
-        let mut dram = Dram::new(&cfg);
-        // Three conflicting dirty counter blocks: the third fill must
-        // evict a dirty one to DRAM.
+        let (mut small, mut dram) = two_line_cache();
+        // Conflicting dirty counter blocks and tree nodes: later fills
+        // must evict dirty ones to DRAM.
         let mut writes = 0;
         for page in 0..6u64 {
-            let out =
-                small.update_for_writeback(BlockAddr::new(page * 64), Time::ZERO, &mut dram, false);
+            let out = small.update_for_writeback(BlockAddr::new(page * 64), Time::ZERO, &mut dram);
             writes += out.dram_writes;
         }
         assert!(writes > 0, "dirty metadata evictions must reach DRAM");
+        assert_eq!(dram.tracker().writes(), writes);
+    }
+
+    #[test]
+    fn dirty_evictions_surface() {
+        let (mut small, mut dram) = two_line_cache();
+        let now = Time::ZERO;
+        small.touch(BlockAddr::new(0), now, &mut dram, true);
+        small.touch(BlockAddr::new(2), now, &mut dram, true);
+        // The third block evicts the least recently used one, block 0,
+        // dirty: exactly one write, to block 0.
+        let out = small.touch(BlockAddr::new(4), now, &mut dram, false);
+        assert_eq!(out.dram_writes, 1);
+        assert_eq!(dram.tracker().writes(), 1);
+        assert!(!small.cache.probe(0));
+        assert!(small.cache.probe(2) && small.cache.probe(4));
+    }
+
+    #[test]
+    fn clean_evictions_are_silent() {
+        let (mut small, mut dram) = two_line_cache();
+        let mut writes = 0;
+        for page in 0..6u64 {
+            let block = BlockAddr::new(page * 64);
+            writes += small
+                .counter_for_read(block, Time::ZERO, &mut dram, &mut NopSink)
+                .dram_writes;
+        }
+        assert_eq!(writes, 0);
+        assert_eq!(dram.tracker().writes(), 0);
+        assert_eq!(dram.tracker().reads(), 6, "every counter read missed");
+    }
+
+    #[test]
+    fn table1_geometry_holds_1024_blocks() {
+        let (mut meta, mut dram) = setup();
+        // 1,024 pages' counter blocks fill the 64 KB cache exactly...
+        for page in 0..1024u64 {
+            let block = BlockAddr::new(page * 64);
+            meta.counter_for_read(block, Time::ZERO, &mut dram, &mut NopSink);
+        }
+        // ...so every one of them is still resident.
+        for page in 0..1024u64 {
+            let block = BlockAddr::new(page * 64);
+            let out = meta.counter_for_read(block, Time::ZERO, &mut dram, &mut NopSink);
+            assert_eq!(out.dram_reads, 0, "page {page}'s counter was evicted");
+        }
+    }
+
+    #[test]
+    fn irregular_metadata_stream_thrashes() {
+        // The Section IV-B observation: for irregular workloads the
+        // counter cache sees ≥ 98% write-path miss rates once the
+        // footprint exceeds its reach.
+        let (mut meta, mut dram) = setup();
+        let mut rng = clme_types::rng::Xoshiro256::seed_from(11);
+        for _ in 0..20_000 {
+            let block = BlockAddr::new(rng.below(1 << 21));
+            meta.touch(block, Time::ZERO, &mut dram, true);
+        }
+        let rate = meta.cache.hit_ratio().rate();
+        assert!(rate < 0.05, "rate {rate}");
     }
 
     #[test]
     fn tree_verification_reads_nodes() {
         let (mut meta, mut dram) = setup();
-        let out = meta.verify_tree_for_read(BlockAddr::new(77), Time::ZERO, &mut dram);
+        let out =
+            meta.verify_tree_for_read(BlockAddr::new(77), Time::ZERO, &mut dram, &mut NopSink);
         assert_eq!(out.dram_reads, 4);
         // Second verification of the same path is cached.
-        let again = meta.verify_tree_for_read(BlockAddr::new(77), Time::ZERO, &mut dram);
+        let again =
+            meta.verify_tree_for_read(BlockAddr::new(77), Time::ZERO, &mut dram, &mut NopSink);
         assert_eq!(again.dram_reads, 0);
     }
 }

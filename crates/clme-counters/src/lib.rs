@@ -9,9 +9,6 @@
 //! * [`tree`] — the 8-ary counter integrity tree with an on-chip root:
 //!   writebacks update a counter on every level; replaying any in-memory
 //!   counter is detected because the root cannot be replayed.
-//! * [`cache`] — the 64 KB, 32-way counter cache (Table I), used by
-//!   Counter-light **only for writebacks** (Section IV-D: "Counter-light
-//!   Encryption does not cache counters during LLC misses").
 //! * [`memo`] — the RMCC memoization table: 128 memoized counter-value
 //!   AES results plus the counter-advance update policy that steers
 //!   writebacks onto memoized values, giving ≥ 90% hit rates even for
@@ -31,13 +28,11 @@
 //! assert!(outcome.page_reencryption.is_none());
 //! ```
 
-pub mod cache;
 pub mod layout;
 pub mod memo;
 pub mod split;
 pub mod tree;
 
-pub use cache::CounterCache;
 pub use memo::MemoTable;
 pub use split::CounterBlock;
 pub use tree::IntegrityTree;

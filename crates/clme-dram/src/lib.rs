@@ -19,10 +19,11 @@
 //!
 //! ```
 //! use clme_dram::timing::{AccessKind, Dram};
+//! use clme_obs::NopSink;
 //! use clme_types::{BlockAddr, SystemConfig, Time};
 //!
 //! let mut dram = Dram::new(&SystemConfig::isca_table1());
-//! let access = dram.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO);
+//! let access = dram.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO, &mut NopSink);
 //! assert!(access.arrival > Time::ZERO);
 //! ```
 

@@ -22,7 +22,7 @@
 
 use crate::mapping::{AddressMapping, DramCoord};
 use crate::stats::BandwidthTracker;
-use clme_obs::{Component, EventKind, NopSink, SpanKind, Stage, TraceSink};
+use clme_obs::{Component, EventKind, SpanKind, Stage, TraceSink};
 use clme_types::config::SystemConfig;
 use clme_types::{BlockAddr, Time, TimeDelta};
 
@@ -147,12 +147,13 @@ impl Reservations {
 ///
 /// ```
 /// use clme_dram::timing::{AccessKind, Dram, RowOutcome};
+/// use clme_obs::NopSink;
 /// use clme_types::{BlockAddr, SystemConfig, Time};
 ///
 /// let mut dram = Dram::new(&SystemConfig::isca_table1());
-/// let first = dram.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO);
+/// let first = dram.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO, &mut NopSink);
 /// assert_eq!(first.row, RowOutcome::Closed);
-/// let second = dram.access(BlockAddr::new(1), AccessKind::Read, first.arrival);
+/// let second = dram.access(BlockAddr::new(1), AccessKind::Read, first.arrival, &mut NopSink);
 /// assert_eq!(second.row, RowOutcome::Hit);
 /// assert!(second.arrival - first.arrival < first.arrival - Time::ZERO);
 /// ```
@@ -200,15 +201,11 @@ impl Dram {
     }
 
     /// Performs one *demand* 64-byte access issued at time `at`,
-    /// returning its resolved timing.
-    pub fn access(&mut self, block: BlockAddr, kind: AccessKind, at: Time) -> DramAccess {
-        self.access_obs(block, kind, at, &mut NopSink)
-    }
-
-    /// [`Dram::access`] with an observability sink: emits the row-buffer
-    /// outcome as a trace event, the issue-to-arrival latency to the DRAM
-    /// stage histogram, and a bus-occupancy trace event per transfer.
-    pub fn access_obs(
+    /// returning its resolved timing. Reports to `obs` the row-buffer
+    /// outcome and the bus transfer as trace events, the issue-to-arrival
+    /// latency to the DRAM stage histogram, and the bank and bus
+    /// occupancy as child spans of the open request.
+    pub fn access(
         &mut self,
         block: BlockAddr,
         kind: AccessKind,
@@ -278,14 +275,8 @@ impl Dram {
     /// banks opportunistically). When utilisation is low they land in
     /// gaps no demand read wanted; when it is high they genuinely
     /// compete — which is when Counter-light's epoch switch turns them
-    /// off.
-    pub fn background_access(&mut self, block: BlockAddr, kind: AccessKind, at: Time) -> Time {
-        self.background_access_obs(block, kind, at, &mut NopSink)
-    }
-
-    /// [`Dram::background_access`] with an observability sink: counts the
-    /// transfer toward bus occupancy.
-    pub fn background_access_obs(
+    /// off. Counts the transfer toward bus occupancy in `obs`.
+    pub fn background_access(
         &mut self,
         block: BlockAddr,
         kind: AccessKind,
@@ -378,6 +369,7 @@ impl Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clme_obs::NopSink;
 
     fn dram() -> Dram {
         Dram::new(&SystemConfig::isca_table1())
@@ -389,10 +381,11 @@ mod tests {
 
     #[test]
     fn row_outcome_counters_track_accesses() {
+        let nop = &mut NopSink;
         let mut d = dram();
-        let first = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO);
+        let first = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO, nop);
         assert_eq!((d.row_closed(), d.row_hits(), d.row_conflicts()), (1, 0, 0));
-        d.access(BlockAddr::new(1), AccessKind::Read, first.arrival);
+        d.access(BlockAddr::new(1), AccessKind::Read, first.arrival, nop);
         assert_eq!((d.row_closed(), d.row_hits(), d.row_conflicts()), (1, 1, 0));
         d.reset_stats();
         assert_eq!((d.row_closed(), d.row_hits(), d.row_conflicts()), (0, 0, 0));
@@ -400,8 +393,9 @@ mod tests {
 
     #[test]
     fn closed_row_pays_rcd_plus_cl() {
+        let nop = &mut NopSink;
         let mut d = dram();
-        let a = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO);
+        let a = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO, nop);
         assert_eq!(a.row, RowOutcome::Closed);
         // 13.75 + 13.75 + 2.5 transfer = 30 ns.
         assert_eq!(a.arrival, Time::ZERO + ns(30.0));
@@ -409,35 +403,43 @@ mod tests {
 
     #[test]
     fn row_hit_pays_cl_only() {
+        let nop = &mut NopSink;
         let mut d = dram();
-        let first = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO);
-        let second = d.access(BlockAddr::new(1), AccessKind::Read, first.arrival);
+        let first = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO, nop);
+        let second = d.access(BlockAddr::new(1), AccessKind::Read, first.arrival, nop);
         assert_eq!(second.row, RowOutcome::Hit);
         assert_eq!(second.arrival - first.arrival, ns(13.75) + ns(2.5));
     }
 
     #[test]
     fn row_conflict_pays_full_cycle() {
+        let nop = &mut NopSink;
         let mut d = dram();
         let cfg = SystemConfig::isca_table1();
         let blocks_per_row = cfg.row_bytes / 64;
         let banks = (cfg.ranks * cfg.banks_per_rank) as u64;
         let conflicting = BlockAddr::new(blocks_per_row * banks);
-        let first = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO);
-        let second = d.access(conflicting, AccessKind::Read, first.arrival);
+        let first = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO, nop);
+        let second = d.access(conflicting, AccessKind::Read, first.arrival, nop);
         assert_eq!(second.row, RowOutcome::Conflict);
         assert_eq!(second.arrival - first.arrival, ns(13.75) * 3 + ns(2.5));
     }
 
     #[test]
     fn bus_serialises_concurrent_banks() {
+        let nop = &mut NopSink;
         let mut d = dram();
         let cfg = SystemConfig::isca_table1();
         let blocks_per_row = cfg.row_bytes / 64;
         // Two different banks at the same instant: array latencies
         // overlap, data transfers serialise.
-        let a = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO);
-        let b = d.access(BlockAddr::new(blocks_per_row), AccessKind::Read, Time::ZERO);
+        let a = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO, nop);
+        let b = d.access(
+            BlockAddr::new(blocks_per_row),
+            AccessKind::Read,
+            Time::ZERO,
+            nop,
+        );
         assert_ne!(a.coord.bank, b.coord.bank);
         assert_eq!(b.bus_start, a.arrival, "second transfer waits for the bus");
         assert_eq!(b.arrival - a.arrival, ns(2.5));
@@ -445,15 +447,17 @@ mod tests {
 
     #[test]
     fn same_bank_requests_serialise_at_the_bank() {
+        let nop = &mut NopSink;
         let mut d = dram();
-        let a = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO);
-        let b = d.access(BlockAddr::new(2), AccessKind::Read, Time::ZERO);
+        let a = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO, nop);
+        let b = d.access(BlockAddr::new(2), AccessKind::Read, Time::ZERO, nop);
         assert!(b.bank_start >= a.array_done);
         assert!(b.arrival > a.arrival);
     }
 
     #[test]
     fn early_stamped_request_backfills_idle_time() {
+        let nop = &mut NopSink;
         // The property the monotone-cursor model lacked: after a request
         // far in the future, an early-stamped request to another bank
         // still uses the idle bus before it.
@@ -464,8 +468,14 @@ mod tests {
             BlockAddr::new(0),
             AccessKind::Read,
             Time::ZERO + TimeDelta::from_us(10),
+            nop,
         );
-        let early = d.access(BlockAddr::new(blocks_per_row), AccessKind::Read, Time::ZERO);
+        let early = d.access(
+            BlockAddr::new(blocks_per_row),
+            AccessKind::Read,
+            Time::ZERO,
+            nop,
+        );
         assert!(
             early.arrival < late.arrival,
             "backfill must serve the early request first"
@@ -475,38 +485,41 @@ mod tests {
 
     #[test]
     fn writes_occupy_bus_like_reads() {
+        let nop = &mut NopSink;
         let mut d = dram();
-        let w = d.access(BlockAddr::new(0), AccessKind::Write, Time::ZERO);
-        let r = d.access(BlockAddr::new(128), AccessKind::Read, Time::ZERO);
+        let w = d.access(BlockAddr::new(0), AccessKind::Write, Time::ZERO, nop);
+        let r = d.access(BlockAddr::new(128), AccessKind::Read, Time::ZERO, nop);
         assert_eq!(r.bus_start, w.arrival);
     }
 
     #[test]
     fn background_fills_gaps_without_delaying_later_demand() {
+        let nop = &mut NopSink;
         let mut d = dram();
-        let a = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO);
-        let bg = d.background_access(BlockAddr::new(500), AccessKind::Write, Time::ZERO);
+        let a = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO, nop);
+        let bg = d.background_access(BlockAddr::new(500), AccessKind::Write, Time::ZERO, nop);
         assert!(bg > Time::ZERO);
         // A later demand read finds free bus despite the background write.
         let later_issue = a.arrival + TimeDelta::from_us(1);
-        let b = d.access(BlockAddr::new(1), AccessKind::Read, later_issue);
+        let b = d.access(BlockAddr::new(1), AccessKind::Read, later_issue, nop);
         assert_eq!(b.arrival, later_issue + ns(13.75) + ns(2.5));
     }
 
     #[test]
     fn saturated_bus_makes_background_queue() {
+        let nop = &mut NopSink;
         let mut d = Dram::new(&SystemConfig::low_bandwidth());
         let mut last = Time::ZERO;
         for i in 0..64u64 {
             last = d
-                .access(BlockAddr::new(i), AccessKind::Read, Time::ZERO)
+                .access(BlockAddr::new(i), AccessKind::Read, Time::ZERO, nop)
                 .arrival;
         }
         // Early gaps absorb the first few background writes, but a burst
         // of them must eventually queue past the demand transfers.
         let mut bg = Time::ZERO;
         for i in 0..200u64 {
-            bg = d.background_access(BlockAddr::new(4096 + i), AccessKind::Write, Time::ZERO);
+            bg = d.background_access(BlockAddr::new(4096 + i), AccessKind::Write, Time::ZERO, nop);
         }
         assert!(
             bg >= last,
@@ -516,27 +529,30 @@ mod tests {
 
     #[test]
     fn low_bandwidth_quadruples_transfer_time() {
+        let nop = &mut NopSink;
         let mut d = Dram::new(&SystemConfig::low_bandwidth());
-        let a = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO);
+        let a = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO, nop);
         assert_eq!(a.arrival, Time::ZERO + ns(37.5));
     }
 
     #[test]
     fn activations_counted_for_non_hits() {
+        let nop = &mut NopSink;
         let mut d = dram();
-        d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO); // closed
-        d.access(BlockAddr::new(1), AccessKind::Read, Time::ZERO); // hit
+        d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO, nop); // closed
+        d.access(BlockAddr::new(1), AccessKind::Read, Time::ZERO, nop); // hit
         let cfg = SystemConfig::isca_table1();
         let far = BlockAddr::new((cfg.row_bytes / 64) * (cfg.ranks * cfg.banks_per_rank) as u64);
-        d.access(far, AccessKind::Read, Time::ZERO); // conflict
+        d.access(far, AccessKind::Read, Time::ZERO, nop); // conflict
         assert_eq!(d.activations(), 2);
     }
 
     #[test]
     fn tracker_accumulates_traffic() {
+        let nop = &mut NopSink;
         let mut d = dram();
-        d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO);
-        d.access(BlockAddr::new(1), AccessKind::Write, Time::ZERO);
+        d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO, nop);
+        d.access(BlockAddr::new(1), AccessKind::Write, Time::ZERO, nop);
         assert_eq!(d.tracker().reads(), 1);
         assert_eq!(d.tracker().writes(), 1);
         assert_eq!(d.tracker().busy_time(), ns(5.0));
@@ -578,6 +594,7 @@ mod tests {
 
     #[test]
     fn reset_full_restores_fresh_behaviour() {
+        let nop = &mut NopSink;
         // Drive a dram hard, reset it, and require the exact access
         // timings of a freshly constructed device.
         let mut used = dram();
@@ -585,8 +602,13 @@ mod tests {
         let mut t = Time::ZERO;
         for _ in 0..5_000 {
             t += TimeDelta::from_picos(1 + rng.below(20_000));
-            used.access(BlockAddr::new(rng.below(1 << 20)), AccessKind::Read, t);
-            used.background_access(BlockAddr::new(rng.below(1 << 20)), AccessKind::Write, t);
+            used.access(BlockAddr::new(rng.below(1 << 20)), AccessKind::Read, t, nop);
+            used.background_access(
+                BlockAddr::new(rng.below(1 << 20)),
+                AccessKind::Write,
+                t,
+                nop,
+            );
         }
         used.reset_full();
         let mut fresh = dram();
@@ -596,8 +618,8 @@ mod tests {
             at += TimeDelta::from_picos(1 + replay.below(15_000));
             let block = BlockAddr::new(replay.below(1 << 20));
             assert_eq!(
-                used.access(block, AccessKind::Read, at),
-                fresh.access(block, AccessKind::Read, at)
+                used.access(block, AccessKind::Read, at, nop),
+                fresh.access(block, AccessKind::Read, at, nop)
             );
         }
         assert_eq!(used.row_hits(), fresh.row_hits());
@@ -607,33 +629,40 @@ mod tests {
 
     #[test]
     fn access_obs_reports_row_outcomes_and_latency() {
+        let nop = &mut NopSink;
         use clme_obs::Recorder;
 
         let mut d = dram();
         let mut rec = Recorder::new();
-        let first = d.access_obs(BlockAddr::new(0), AccessKind::Read, Time::ZERO, &mut rec);
-        d.access_obs(BlockAddr::new(1), AccessKind::Read, first.arrival, &mut rec);
-        d.background_access_obs(BlockAddr::new(77), AccessKind::Write, Time::ZERO, &mut rec);
+        let first = d.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO, &mut rec);
+        d.access(BlockAddr::new(1), AccessKind::Read, first.arrival, &mut rec);
+        d.background_access(BlockAddr::new(77), AccessKind::Write, Time::ZERO, &mut rec);
         assert_eq!(rec.counters().get(EventKind::RowClosed), 1);
         assert_eq!(rec.counters().get(EventKind::RowHit), 1);
         assert_eq!(rec.counters().get(EventKind::BusTransfer), 3);
         assert_eq!(rec.stage(Stage::Dram).count(), 2);
-        // The plain entry point must match the instrumented one exactly.
-        let mut plain = dram();
-        let p = plain.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO);
+        // A silent sink must see the same timing as a recording one.
+        let mut silent = dram();
+        let p = silent.access(BlockAddr::new(0), AccessKind::Read, Time::ZERO, nop);
         assert_eq!(p, first);
     }
 
     #[test]
     fn long_run_interval_lists_stay_small() {
+        let nop = &mut NopSink;
         let mut d = dram();
         let mut rng = clme_types::rng::Xoshiro256::seed_from(1);
         let mut t = Time::ZERO;
         for _ in 0..50_000 {
             t += TimeDelta::from_picos(1 + rng.below(10_000));
-            d.access(BlockAddr::new(rng.below(1 << 22)), AccessKind::Read, t);
+            d.access(BlockAddr::new(rng.below(1 << 22)), AccessKind::Read, t, nop);
             if rng.chance(0.5) {
-                d.background_access(BlockAddr::new(rng.below(1 << 22)), AccessKind::Write, t);
+                d.background_access(
+                    BlockAddr::new(rng.below(1 << 22)),
+                    AccessKind::Write,
+                    t,
+                    nop,
+                );
             }
         }
         let bus: usize = d.bus_busy.iter().map(Reservations::len).sum();
@@ -646,6 +675,7 @@ mod tests {
 #[cfg(test)]
 mod reservation_properties {
     use super::*;
+    use clme_obs::NopSink;
     use clme_types::rng::Xoshiro256;
 
     /// The first-fit scan from index 0 that `reserve`'s binary-searched
@@ -708,6 +738,7 @@ mod reservation_properties {
     /// arrivals on one bank never regress below the array occupancy.
     #[test]
     fn accesses_respect_causality() {
+        let nop = &mut NopSink;
         for case in 0..64u64 {
             let mut rng = Xoshiro256::seed_from(0xCA05 + case);
             let len = 1 + rng.below(199) as usize;
@@ -719,6 +750,7 @@ mod reservation_properties {
                     BlockAddr::new(block),
                     AccessKind::Read,
                     Time::from_picos(at),
+                    nop,
                 );
                 assert!(access.bank_start.picos() >= at, "case {case}");
                 assert!(access.array_done > access.bank_start, "case {case}");

@@ -194,7 +194,7 @@ impl Machine {
                     self.obs
                         .span_child(SpanKind::CacheLookup, 0, issue, mc_issue);
                 }
-                let outcome = self.engine.on_read_miss_obs(
+                let outcome = self.engine.on_read_miss(
                     clme_types::BlockAddr::new(block),
                     slot,
                     &mut self.dram,
@@ -221,7 +221,7 @@ impl Machine {
         }
         let traffic_time = issue + self.llc_path;
         for &wb in &self.access.writebacks {
-            self.engine.on_writeback_obs(
+            self.engine.on_writeback(
                 clme_types::BlockAddr::new(wb),
                 traffic_time,
                 &mut self.dram,
@@ -229,7 +229,7 @@ impl Machine {
             );
         }
         for &pf in &self.access.prefetch_fills {
-            self.engine.on_prefetch_fill_obs(
+            self.engine.on_prefetch_fill(
                 clme_types::BlockAddr::new(pf),
                 traffic_time,
                 &mut self.dram,

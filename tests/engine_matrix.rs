@@ -8,6 +8,7 @@ use clme::core::engine::EngineKind;
 use clme::core::epoch::WritebackMode;
 use clme::core::functional::MemoryImage;
 use clme::dram::timing::Dram;
+use clme::obs::NopSink;
 use clme::sim::{run_benchmark, SimParams};
 use clme::types::{SystemConfig, Time, TimeDelta, BLOCK_BYTES};
 use clme::workloads::trace::RecordedTrace;
@@ -113,7 +114,7 @@ fn all_engines_decrypt_the_same_trace_to_identical_plaintext() {
             match replay.next_op() {
                 Op::Store { addr } => {
                     let block = addr.block();
-                    let wb = engine.on_writeback(block, now, &mut dram);
+                    let wb = engine.on_writeback(block, now, &mut dram, &mut NopSink);
                     image.set_writeback_mode(if wb.used_counter_mode {
                         WritebackMode::Counter
                     } else {
@@ -125,7 +126,7 @@ fn all_engines_decrypt_the_same_trace_to_identical_plaintext() {
                 }
                 Op::Load { addr, .. } => {
                     let block = addr.block();
-                    engine.on_read_miss(block, now, &mut dram);
+                    engine.on_read_miss(block, now, &mut dram, &mut NopSink);
                     // Reading back through the image must decrypt to the
                     // last write regardless of the mode it was stored in.
                     if let Some(&ord) = stores.get(&block.raw()) {

@@ -7,6 +7,7 @@ use clme::core::epoch::WritebackMode;
 use clme::core::functional::MemoryImage;
 use clme::core::CounterLightEngine;
 use clme::dram::timing::Dram;
+use clme::obs::NopSink;
 use clme::sim::{run_benchmark, Machine, SimParams};
 use clme::types::rng::Xoshiro256;
 use clme::types::{BlockAddr, SystemConfig, Time, TimeDelta};
@@ -75,10 +76,15 @@ fn timing_engine_and_functional_twin_agree_on_mode_decisions() {
         let burst = (1_000..1_800).contains(&step);
         if burst {
             for _ in 0..40 {
-                engine.on_prefetch_fill(BlockAddr::new(rng.below(1 << 12)), now, &mut dram);
+                engine.on_prefetch_fill(
+                    BlockAddr::new(rng.below(1 << 12)),
+                    now,
+                    &mut dram,
+                    &mut NopSink,
+                );
             }
         }
-        let wb = engine.on_writeback(block, now, &mut dram);
+        let wb = engine.on_writeback(block, now, &mut dram, &mut NopSink);
         // Mirror the timing engine's decision into the functional image —
         // in the full system the MC makes one decision and both the
         // stored bits and the timing reflect it.
