@@ -1,10 +1,11 @@
 //! Zero-overhead-when-off observability for the simulator stack.
 //!
-//! Every timed component (engines, DRAM, caches, the interval core) takes a
-//! `&mut dyn` [`TraceSink`] on its `_obs` entry points. The default
-//! [`NopSink`] implements every hook as an empty inline method, so the
-//! un-instrumented call paths keep their exact behaviour and cost; the
-//! [`Recorder`] sink accumulates:
+//! Every timed component (engines, DRAM, caches) has one method per
+//! event, and that method takes a `&mut dyn` [`TraceSink`]. The
+//! [`NopSink`] implements every hook as an empty inline method, so a
+//! caller that observes nothing (or must stay silent, as the engines'
+//! metadata DRAM traffic does) passes it and keeps the exact behaviour
+//! and cost of an unobserved run; the [`Recorder`] sink accumulates:
 //!
 //! * [`Log2Histogram`] — fixed 64-bucket power-of-two picosecond latency
 //!   histograms, one per pipeline [`Stage`],

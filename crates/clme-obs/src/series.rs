@@ -12,8 +12,8 @@
 //! percentiles.
 //!
 //! Epoch boundaries are driven by the [`TraceSink::tick`] hook (called
-//! by the machine per executed op and by the engines/DRAM on their
-//! `_obs` entry points) and instruction counts by [`TraceSink::retire`];
+//! by the machine per executed op and by the engines and DRAM on each
+//! event) and instruction counts by [`TraceSink::retire`];
 //! both are pure integer bookkeeping on the single-threaded simulation
 //! sequence, so a cell's series is byte-identical no matter how many
 //! matrix worker threads ran around it.

@@ -98,8 +98,8 @@ pub trait TraceSink: Any {
     fn latency(&mut self, _stage: Stage, _latency: TimeDelta) {}
 
     /// Simulated time has progressed to (at least) `now`. The machine
-    /// calls this once per executed op and the engines/DRAM call it on
-    /// their `_obs` entry points, so time-resolved sinks (the epoch
+    /// calls this once per executed op and the engines and DRAM call it
+    /// on each event, so time-resolved sinks (the epoch
     /// sampler) can flush epoch boundaries promptly even while a single
     /// long op is in flight. Sinks must tolerate non-monotonic calls:
     /// component-local timestamps can trail the global maximum.

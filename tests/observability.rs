@@ -21,7 +21,7 @@ fn params() -> SimParams {
 
 const SEED: u64 = 0x00C0_FFEE;
 
-/// The whole point of the `_obs` hooks: attaching a live [`Recorder`]
+/// The whole point of the sink hooks: attaching a live [`Recorder`]
 /// must not change a single byte of the simulation's statistics
 /// relative to the default no-op sink.
 #[test]
