@@ -60,16 +60,14 @@ pub use adt::{Block, MemoryAdt, BLOCK_BYTES};
 pub use cache::ClockCache;
 pub use dump::{write_atomic, DumpBundle, DumpContext, DumpCounts, DUMP_SCHEMA};
 pub use error::{IntegrityError, MemError, TamperClass};
-pub use flight::{
-    FlightKind, FlightRecorder, BURST_FLOOR, FLIGHT_CAPACITY, FLIGHT_KINDS, SLOW_LOCK_NS,
-};
+pub use flight::{FlightKind, FLIGHT_CAPACITY, FLIGHT_KINDS};
 pub use geometry::{Geometry, Region, NODE_ARITY, PAGE_BLOCKS};
 pub use layer::{EncryptionLayer, LayerOptions, RekeyReport, DEFAULT_CACHE_PAGES};
 pub use metrics::{
     CacheCause, CacheStats, MemMetrics, MemMetricsSnapshot, MemOp, MemStage, OpStats, RekeyStats,
     StoreMetrics, StoreStats, TreeStats, CACHE_CAUSES, MEM_OPS, MEM_STAGES,
 };
-pub use observe::SAMPLE_EVERY;
+pub use observe::{BURST_FLOOR, REKEY_FLIGHT_EVERY, SAMPLE_EVERY, SLOW_LOCK_NS};
 pub use store::{FileBackend, StoreBackend, StoredWord, VecBackend, WORD_BYTES};
 pub use tenant::{
     SloRow, SloSpec, TenantRanges, TenantRow, TenantServe, TenantSnapshot, TenantTelemetry,

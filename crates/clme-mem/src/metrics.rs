@@ -20,13 +20,15 @@
 //!   time, and the dwell of the key just retired (Security Through
 //!   Amnesia's lifetime concern, live instead of test-only).
 //!
-//! The layer never calls these recorders from its data path directly.
-//! There is one observation path: each batch call fills one visit
-//! record, and the layer's observer (`observe.rs`) folds it into these
-//! metrics once per call and feeds the per-tenant tables, the flight
-//! ring and the span tracer. Every count is exact. One call in
-//! `SAMPLE_EVERY` per thread and op kind is sampled, and only a sampled
-//! call feeds the latency, stage, lock and fan-in histograms.
+//! This module registers the handles and reads them back; it records
+//! nothing itself. There is one observation path: each batch call
+//! fills one visit record, and the layer's observer (`observe.rs`)
+//! folds it into these handles once per call, writing them directly,
+//! and feeds the per-tenant tables, the flight ring and the span
+//! tracer. Each observer method is the one place its event is
+//! recorded. Every count is exact. One call in `SAMPLE_EVERY` per
+//! thread and op kind is sampled, and only a sampled call feeds the
+//! latency, stage, lock and fan-in histograms.
 //! [`MemStage`] is the crate's one stage list: the same enum indexes
 //! these stage histograms and the per-tenant blame tables, and names
 //! each stage once per vocabulary.
@@ -41,13 +43,11 @@
 //! Snapshot types ([`MemMetricsSnapshot`] and friends) serve both modes
 //! so callers (the `clme mem --stats` pipeline) are feature-agnostic.
 
-use crate::observe::clock;
 use clme_obs::registry::{Counter, Gauge, Registry, Sample, ShardedHistogram};
 use clme_obs::Log2Histogram;
 use clme_types::json::JsonValue;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Operation classes the per-op histograms split on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -416,10 +416,12 @@ pub(crate) fn hist_json(h: &Log2Histogram) -> JsonValue {
     ])
 }
 
+/// Fan-in histograms store blocks × this scale in their picosecond
+/// slots, so their "ps" accessors divided by it read as block counts.
+pub(crate) const FANIN_SCALE: u64 = 1000;
+
 fn fanin_json(h: &Log2Histogram) -> JsonValue {
-    // Fan-in histograms store blocks × 1000 in the picosecond slots, so
-    // dividing the "ps" accessors by 1000 recovers plain block counts.
-    let blocks = |ps: u64| ps as f64 / 1000.0;
+    let blocks = |ps: u64| ps as f64 / FANIN_SCALE as f64;
     JsonValue::Obj(vec![
         ("count".into(), JsonValue::Num(h.count() as f64)),
         (
@@ -430,7 +432,10 @@ fn fanin_json(h: &Log2Histogram) -> JsonValue {
             "p99_blocks".into(),
             JsonValue::Num(blocks(h.percentile_ps(0.99))),
         ),
-        ("mean_blocks".into(), JsonValue::Num(h.mean_ps() / 1000.0)),
+        (
+            "mean_blocks".into(),
+            JsonValue::Num(h.mean_ps() / FANIN_SCALE as f64),
+        ),
         ("max_blocks".into(), JsonValue::Num(blocks(h.max_ps()))),
     ])
 }
@@ -746,57 +751,55 @@ impl MemMetricsSnapshot {
 // Live metrics — real implementation
 // ---------------------------------------------------------------------
 
-struct OpHandles {
-    latency: Arc<ShardedHistogram>,
-    stages: [Arc<ShardedHistogram>; MEM_STAGES],
+pub(crate) struct OpHandles {
+    pub(crate) latency: Arc<ShardedHistogram>,
+    pub(crate) stages: [Arc<ShardedHistogram>; MEM_STAGES],
 }
 
 /// Live telemetry for one [`EncryptionLayer`](crate::EncryptionLayer).
 ///
 /// Handles are registered once at layer construction in an internal
-/// [`Registry`]; the record methods below are the hot path (relaxed
-/// atomics, no locks, no allocation) and the snapshot/exposition
-/// methods are the cold path.
+/// [`Registry`]. The layer's observer is their only writer: it bumps
+/// the handles directly (relaxed atomics, no locks, no allocation).
+/// This type only registers them and reads them back: the
+/// snapshot/exposition methods are the cold path.
 pub struct MemMetrics {
     registry: Registry,
-    ops: Vec<OpHandles>,
-    lock_wait: Vec<Arc<ShardedHistogram>>,
-    lock_hold: Vec<Arc<ShardedHistogram>>,
-    blocks_read: Arc<Counter>,
-    blocks_written: Arc<Counter>,
-    batch_reads: Arc<Counter>,
-    batch_writes: Arc<Counter>,
-    integrity_errors: Arc<Counter>,
-    page_rolls: Arc<Counter>,
-    counterless_reads: Arc<Counter>,
-    counterless_writes: Arc<Counter>,
-    observed_total: Arc<Counter>,
-    observed: Vec<AtomicU64>,
-    observed_max: Arc<Gauge>,
-    observed_max_page: Arc<Gauge>,
-    cache_hits: Arc<Counter>,
-    cache_partial_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    cache_fills: Arc<Counter>,
-    cache_evictions: Arc<Counter>,
-    cache_bypasses: Arc<Counter>,
-    cache_invalidations: [Arc<Counter>; CACHE_CAUSES],
-    cache_foreign_purges: Arc<Counter>,
-    cache_resident: Arc<Gauge>,
-    tree_nodes_trusted: Arc<Counter>,
-    tree_nodes_verified: Arc<Counter>,
-    fanin_read: Arc<ShardedHistogram>,
-    fanin_write: Arc<ShardedHistogram>,
-    rekey_sweeps: Arc<Counter>,
-    rekey_pages_total: Arc<Gauge>,
-    rekey_pages_done: Arc<Gauge>,
-    rekey_in_progress: Arc<Gauge>,
-    key_dwell_ms: Arc<Gauge>,
-    rekey_last_ms: Arc<Gauge>,
-    old_key_dwell_ms: Arc<Gauge>,
-    epoch: Instant,
-    key_epoch_ms: AtomicU64,
-    sweep_start_ms: AtomicU64,
+    pub(crate) ops: Vec<OpHandles>,
+    pub(crate) lock_wait: Vec<Arc<ShardedHistogram>>,
+    pub(crate) lock_hold: Vec<Arc<ShardedHistogram>>,
+    pub(crate) blocks_read: Arc<Counter>,
+    pub(crate) blocks_written: Arc<Counter>,
+    pub(crate) batch_reads: Arc<Counter>,
+    pub(crate) batch_writes: Arc<Counter>,
+    pub(crate) integrity_errors: Arc<Counter>,
+    pub(crate) page_rolls: Arc<Counter>,
+    pub(crate) counterless_reads: Arc<Counter>,
+    pub(crate) counterless_writes: Arc<Counter>,
+    pub(crate) observed_total: Arc<Counter>,
+    pub(crate) observed: Vec<AtomicU64>,
+    pub(crate) observed_max: Arc<Gauge>,
+    pub(crate) observed_max_page: Arc<Gauge>,
+    pub(crate) cache_hits: Arc<Counter>,
+    pub(crate) cache_partial_hits: Arc<Counter>,
+    pub(crate) cache_misses: Arc<Counter>,
+    pub(crate) cache_fills: Arc<Counter>,
+    pub(crate) cache_evictions: Arc<Counter>,
+    pub(crate) cache_bypasses: Arc<Counter>,
+    pub(crate) cache_invalidations: [Arc<Counter>; CACHE_CAUSES],
+    pub(crate) cache_foreign_purges: Arc<Counter>,
+    pub(crate) cache_resident: Arc<Gauge>,
+    pub(crate) tree_nodes_trusted: Arc<Counter>,
+    pub(crate) tree_nodes_verified: Arc<Counter>,
+    pub(crate) fanin_read: Arc<ShardedHistogram>,
+    pub(crate) fanin_write: Arc<ShardedHistogram>,
+    pub(crate) rekey_sweeps: Arc<Counter>,
+    pub(crate) rekey_pages_total: Arc<Gauge>,
+    pub(crate) rekey_pages_done: Arc<Gauge>,
+    pub(crate) rekey_in_progress: Arc<Gauge>,
+    pub(crate) key_dwell_ms: Arc<Gauge>,
+    pub(crate) rekey_last_ms: Arc<Gauge>,
+    pub(crate) old_key_dwell_ms: Arc<Gauge>,
 }
 
 impl MemMetrics {
@@ -960,105 +963,7 @@ impl MemMetrics {
                 "clme_mem_old_key_dwell_ms",
                 "lifetime of the most recently retired key",
             ),
-            epoch: clock(),
-            key_epoch_ms: AtomicU64::new(0),
-            sweep_start_ms: AtomicU64::new(0),
             registry,
-        }
-    }
-
-    #[inline]
-    fn now_ms(&self) -> u64 {
-        clock().saturating_duration_since(self.epoch).as_millis() as u64
-    }
-
-    /// Records a shard-lock wait.
-    #[inline]
-    pub fn lock_wait(&self, shard: usize, d: Duration) {
-        self.lock_wait[shard].record_duration(d);
-    }
-
-    /// Records a shard-lock hold.
-    #[inline]
-    pub fn lock_hold(&self, shard: usize, d: Duration) {
-        self.lock_hold[shard].record_duration(d);
-    }
-
-    /// Records an op latency measured outside (e.g. from read marks the
-    /// layer already collects for span tracing).
-    #[inline]
-    pub fn op_duration(&self, op: MemOp, d: Duration) {
-        self.ops[op as usize].latency.record_duration(d);
-    }
-
-    /// Records `n` op latencies of the same duration in one atomic
-    /// pass: each block's share of an interval measured once for all of
-    /// them.
-    #[inline]
-    pub fn op_duration_n(&self, op: MemOp, d: Duration, n: u64) {
-        self.ops[op as usize].latency.record_duration_n(d, n);
-    }
-
-    /// Records `n` stage latencies of the same duration in one pass —
-    /// a visit's per-block share of a stage it measured once.
-    #[inline]
-    pub fn stage_duration_n(&self, op: MemOp, stage: MemStage, d: Duration, n: u64) {
-        self.ops[op as usize].stages[stage as usize].record_duration_n(d, n);
-    }
-
-    /// One `batch_read` call that decrypted `blocks` blocks.
-    #[inline]
-    pub fn note_read_batch(&self, blocks: u64) {
-        self.batch_reads.inc();
-        self.blocks_read.add(blocks);
-    }
-
-    /// One `batch_write` call that encrypted `blocks` blocks.
-    #[inline]
-    pub fn note_write_batch(&self, blocks: u64) {
-        self.batch_writes.inc();
-        self.blocks_written.add(blocks);
-    }
-
-    /// An operation failed integrity verification.
-    #[inline]
-    pub fn integrity_error(&self) {
-        self.integrity_errors.inc();
-    }
-
-    /// `n` minor-counter overflows re-encrypted whole pages.
-    #[inline]
-    pub fn page_rolls(&self, n: u64) {
-        if n > 0 {
-            self.page_rolls.add(n);
-        }
-    }
-
-    /// `n` reads hit counterless (XTS) blocks.
-    #[inline]
-    pub fn counterless_reads(&self, n: u64) {
-        if n > 0 {
-            self.counterless_reads.add(n);
-        }
-    }
-
-    /// `n` writes landed on counterless (XTS) blocks.
-    #[inline]
-    pub fn counterless_writes(&self, n: u64) {
-        if n > 0 {
-            self.counterless_writes.add(n);
-        }
-    }
-
-    /// `n` fresh ciphertexts for `page` became visible in the store.
-    /// Returns the page's new observation count (0 when the page is out
-    /// of range), so callers can detect write bursts without re-reading.
-    #[inline]
-    pub fn observe_ciphertext_writes(&self, page: u64, n: u64) -> u64 {
-        self.observed_total.add(n);
-        match self.observed.get(page as usize) {
-            Some(slot) => slot.fetch_add(n, Ordering::Relaxed) + n,
-            None => 0,
         }
     }
 
@@ -1070,112 +975,9 @@ impl MemMetrics {
             .unwrap_or(0)
     }
 
-    /// Page visits by how the verified-page cache served them: fully
-    /// from the cache, partly (the cached counter block reused), missed
-    /// (verified from the root) and bypassed (the cache is disabled).
-    #[inline]
-    pub fn cache_visits(&self, [hits, partial, misses, bypasses]: [u64; 4]) {
-        let counters = [
-            (&self.cache_hits, hits),
-            (&self.cache_partial_hits, partial),
-            (&self.cache_misses, misses),
-            (&self.cache_bypasses, bypasses),
-        ];
-        for (counter, n) in counters {
-            if n > 0 {
-                counter.add(n);
-            }
-        }
-    }
-
-    /// `fills` verified-page cache entries were inserted, and the CLOCK
-    /// policy displaced `evictions` resident ones.
-    #[inline]
-    pub fn cache_fills(&self, fills: u64, evictions: u64) {
-        if fills > 0 {
-            self.cache_fills.add(fills);
-        }
-        if evictions > 0 {
-            self.cache_evictions.add(evictions);
-        }
-    }
-
-    /// `entries` cache entries were dropped for `cause`.
-    #[inline]
-    pub fn cache_invalidated(&self, cause: CacheCause, entries: u64) {
-        if entries > 0 {
-            self.cache_invalidations[cause as usize].add(entries);
-        }
-        if cause == CacheCause::Foreign {
-            self.cache_foreign_purges.inc();
-        }
-    }
-
-    /// Publishes the cache's current resident-page count.
-    #[inline]
-    pub fn set_cache_resident(&self, pages: u64) {
-        self.cache_resident.set(pages);
-    }
-
-    /// Tree walks answered `trusted` hops from trusted nodes and read
-    /// and verified `verified` node words.
-    #[inline]
-    pub fn tree_hops(&self, trusted: u64, verified: u64) {
-        if trusted > 0 {
-            self.tree_nodes_trusted.add(trusted);
-        }
-        if verified > 0 {
-            self.tree_nodes_verified.add(verified);
-        }
-    }
-
-    /// One batch-read page visit touched `blocks` blocks.
-    #[inline]
-    pub fn fanin_read(&self, blocks: u64) {
-        // The layer records fan-in on sampled calls only: it is a
-        // shape, not a count.
-        self.fanin_read.record_ps(blocks.saturating_mul(1000));
-    }
-
-    /// One batch-write page visit touched `blocks` blocks.
-    #[inline]
-    pub fn fanin_write(&self, blocks: u64) {
-        self.fanin_write.record_ps(blocks.saturating_mul(1000));
-    }
-
-    /// A rekey sweep over `pages` pages is starting (locks held).
-    pub fn rekey_begin(&self, pages: u64) {
-        self.rekey_pages_total.set(pages);
-        self.rekey_pages_done.set(0);
-        self.rekey_in_progress.set(1);
-        self.sweep_start_ms.store(self.now_ms(), Ordering::Relaxed);
-    }
-
-    /// One page finished re-encrypting.
-    #[inline]
-    pub fn rekey_page_done(&self) {
-        self.rekey_pages_done.inc();
-    }
-
-    /// The sweep finished (successfully or not). On success the old
-    /// key's dwell time is recorded and the key epoch restarts.
-    pub fn rekey_end(&self, ok: bool) {
-        self.rekey_in_progress.set(0);
-        let now = self.now_ms();
-        if ok {
-            self.rekey_sweeps.inc();
-            self.rekey_last_ms
-                .set(now - self.sweep_start_ms.load(Ordering::Relaxed));
-            let key_epoch = self.key_epoch_ms.swap(now, Ordering::Relaxed);
-            self.old_key_dwell_ms.set(now - key_epoch);
-        }
-    }
-
-    /// Refreshes gauges derived at read time (key dwell, observation
-    /// maxima) so snapshots and scrapes see current values.
-    fn refresh_derived(&self) {
-        self.key_dwell_ms
-            .set(self.now_ms() - self.key_epoch_ms.load(Ordering::Relaxed));
+    /// Refreshes the observation maxima, which are derived at read
+    /// time, so snapshots and scrapes see current values.
+    fn refresh_observed_max(&self) {
         let mut max = 0u64;
         let mut max_page = 0u64;
         for (page, slot) in self.observed.iter().enumerate() {
@@ -1192,7 +994,7 @@ impl MemMetrics {
     /// Copies every metric out, merging histogram shards. Pass the
     /// backend's [`StoreMetrics`] to fold its counters in.
     pub fn snapshot(&self, store: Option<&StoreMetrics>) -> MemMetricsSnapshot {
-        self.refresh_derived();
+        self.refresh_observed_max();
         MemMetricsSnapshot {
             ops: self
                 .ops
@@ -1248,7 +1050,7 @@ impl MemMetrics {
     /// Every registered metric as exposition samples (the layer's plus,
     /// when given, the backend's), ready for [`clme_obs::prom::render`].
     pub fn prom_samples(&self, store: Option<&StoreMetrics>) -> Vec<Sample> {
-        self.refresh_derived();
+        self.refresh_observed_max();
         let mut samples = self.registry.snapshot();
         if let Some(s) = store {
             samples.extend(s.samples());
@@ -1435,19 +1237,75 @@ pub use store_counters::StoreMetrics;
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(not(feature = "telemetry-off"))]
+    use crate::observe::{CacheServe, Observer, PageTally, PageVisit, Visit};
+
+    // The observer is the metrics' only writer, so these tests record
+    // through it; the `telemetry-off` observer records nothing.
+
+    #[cfg(not(feature = "telemetry-off"))]
+    fn live(obs: &Observer) -> &MemMetrics {
+        obs.metrics(None).expect("telemetry compiled in")
+    }
+
+    /// Folds a finished call of `op` over `blocks` blocks with no page
+    /// visit.
+    #[cfg(not(feature = "telemetry-off"))]
+    fn call(obs: &Observer, op: MemOp, blocks: u64) {
+        obs.visit(&Visit::new(op, blocks, false, false), true);
+    }
+
+    /// Folds a read call whose page visits were served as `serves`, one
+    /// block and 50 ns each.
+    #[cfg(not(feature = "telemetry-off"))]
+    fn read(obs: &Observer, blocks: u64, sampled: bool, serves: &[CacheServe]) {
+        let mut v = Visit::new(MemOp::Read, blocks, sampled, sampled);
+        for (page, &serve) in serves.iter().enumerate() {
+            let p = PageVisit {
+                serve,
+                total_ns: 50,
+                ..PageVisit::new(page as u64, 1)
+            };
+            obs.page(&mut v, &p);
+        }
+        obs.visit(&v, true);
+    }
+
+    /// Folds a write call whose one page saw `observed` ciphertexts.
+    #[cfg(not(feature = "telemetry-off"))]
+    fn writes(obs: &Observer, page: u64, observed: u64) {
+        let mut v = Visit::new(MemOp::Write, 0, false, false);
+        v.pages.push(PageTally {
+            page,
+            observed,
+            ..PageTally::default()
+        });
+        obs.visit(&v, true);
+    }
 
     #[test]
+    #[cfg(not(feature = "telemetry-off"))]
     fn op_and_stage_histograms_split_by_class() {
-        let m = MemMetrics::new(4, 8);
-        m.op_duration(MemOp::Read, Duration::from_nanos(100));
-        m.op_duration(MemOp::Write, Duration::from_nanos(200));
-        m.stage_duration_n(
-            MemOp::Read,
-            MemStage::MacVerify,
-            Duration::from_nanos(50),
-            1,
-        );
-        let snap = m.snapshot(None);
+        let obs = Observer::new(4, 8, 64);
+        let mut read = Visit::new(MemOp::Read, 1, true, true);
+        let mut p = PageVisit {
+            total_ns: 100,
+            ..PageVisit::new(0, 1)
+        };
+        p.stage_ns[MemStage::MacVerify as usize] = 50;
+        p.stage_blocks[MemStage::MacVerify as usize] = 1;
+        obs.page(&mut read, &p);
+        let mut write = Visit::new(MemOp::Write, 1, true, true);
+        write.pages.push(PageTally {
+            blocks: 1,
+            ..PageTally::default()
+        });
+        let p = PageVisit {
+            data_ns: 200,
+            ..PageVisit::new(0, 1)
+        };
+        obs.page(&mut write, &p);
+        let snap = live(&obs).snapshot(None);
         assert_eq!(snap.op(MemOp::Read).latency.count(), 1);
         assert_eq!(snap.op(MemOp::Write).latency.count(), 1);
         assert_eq!(snap.op(MemOp::Batch).latency.count(), 0);
@@ -1462,12 +1320,14 @@ mod tests {
     }
 
     #[test]
+    #[cfg(not(feature = "telemetry-off"))]
     fn observation_counters_track_per_page_and_max() {
-        let m = MemMetrics::new(2, 4);
+        let obs = Observer::new(2, 4, 64);
         for _ in 0..3 {
-            m.observe_ciphertext_writes(1, 1);
+            writes(&obs, 1, 1);
         }
-        m.observe_ciphertext_writes(3, 1);
+        writes(&obs, 3, 1);
+        let m = live(&obs);
         let snap = m.snapshot(None);
         assert_eq!(snap.observed_writes_total, 4);
         assert_eq!(snap.observed_writes_max, 3);
@@ -1475,63 +1335,64 @@ mod tests {
         assert_eq!(m.observed_writes(1), 3);
         assert_eq!(m.observed_writes(3), 1);
         // Out-of-range pages are counted in the total only.
-        m.observe_ciphertext_writes(99, 1);
+        writes(&obs, 99, 1);
         assert_eq!(m.snapshot(None).observed_writes_total, 5);
     }
 
     #[test]
+    #[cfg(not(feature = "telemetry-off"))]
     fn rekey_gauges_progress_and_retire_keys() {
-        let m = MemMetrics::new(2, 4);
-        m.rekey_begin(4);
-        let snap = m.snapshot(None);
+        let obs = Observer::new(2, 4, 64);
+        obs.rekey_begin(4);
+        let snap = live(&obs).snapshot(None);
         assert!(snap.rekey.in_progress);
         assert_eq!(snap.rekey.pages_total, 4);
         assert_eq!(snap.rekey.pages_done, 0);
-        for _ in 0..4 {
-            m.rekey_page_done();
+        for page in 0..4 {
+            obs.rekey_page(page, 0);
         }
-        m.rekey_end(true);
-        let snap = m.snapshot(None);
+        obs.rekey_end(true);
+        let snap = live(&obs).snapshot(None);
         assert!(!snap.rekey.in_progress);
         assert_eq!(snap.rekey.pages_done, 4);
         assert_eq!(snap.rekey.sweeps, 1);
         // A failed sweep clears in_progress without retiring the key.
-        m.rekey_begin(4);
-        m.rekey_end(false);
-        let snap = m.snapshot(None);
+        obs.rekey_begin(4);
+        obs.rekey_end(false);
+        let snap = live(&obs).snapshot(None);
         assert!(!snap.rekey.in_progress);
         assert_eq!(snap.rekey.sweeps, 1);
     }
 
     #[test]
+    #[cfg(not(feature = "telemetry-off"))]
     fn snapshot_delta_brackets_traffic() {
-        let m = MemMetrics::new(2, 4);
-        m.note_read_batch(10);
-        let base = m.snapshot(None);
-        m.note_read_batch(5);
-        m.op_duration(MemOp::Read, Duration::from_nanos(100));
-        let delta = m.snapshot(None).delta_since(&base);
+        let obs = Observer::new(2, 4, 64);
+        call(&obs, MemOp::Read, 10);
+        let base = live(&obs).snapshot(None);
+        read(&obs, 5, true, &[CacheServe::Miss]);
+        let delta = live(&obs).snapshot(None).delta_since(&base);
         assert_eq!(delta.blocks_read, 5);
         assert_eq!(delta.batch_reads, 1);
         assert_eq!(delta.op(MemOp::Read).latency.count(), 1);
     }
 
     #[test]
+    #[cfg(not(feature = "telemetry-off"))]
     fn snapshot_delta_clamps_against_newer_baseline() {
         // A snapshot that outlived a purge/rekey — or was swapped between
         // layers — can be *ahead* of the live state. Deltas must clamp
         // to zero everywhere instead of wrapping to ~u64::MAX.
-        let live = MemMetrics::new(2, 4);
-        live.note_read_batch(3);
-        live.cache_visits([1, 0, 0, 0]);
-        let newer = MemMetrics::new(2, 4);
-        newer.note_read_batch(10);
-        newer.note_write_batch(10);
-        newer.cache_visits([2, 0, 0, 0]);
-        newer.cache_invalidated(CacheCause::Rekey, 7);
-        newer.observe_ciphertext_writes(0, 1);
-        newer.op_duration(MemOp::Read, Duration::from_nanos(50));
-        let delta = live.snapshot(None).delta_since(&newer.snapshot(None));
+        let live_obs = Observer::new(2, 4, 64);
+        read(&live_obs, 3, false, &[CacheServe::Hit]);
+        let newer = Observer::new(2, 4, 64);
+        read(&newer, 10, true, &[CacheServe::Hit, CacheServe::Hit]);
+        call(&newer, MemOp::Write, 10);
+        newer.cache_purge(CacheCause::Rekey, 7);
+        writes(&newer, 0, 1);
+        let delta = live(&live_obs)
+            .snapshot(None)
+            .delta_since(&live(&newer).snapshot(None));
         assert_eq!(delta.blocks_read, 0);
         assert_eq!(delta.blocks_written, 0);
         assert_eq!(delta.batch_reads, 0);
@@ -1549,18 +1410,16 @@ mod tests {
         s_newer.cache_hit();
         s_newer.cache_hit();
         s_newer.cache_miss();
-        let delta = live
+        let delta = live(&live_obs)
             .snapshot(Some(&s_live))
-            .delta_since(&newer.snapshot(Some(&s_newer)));
+            .delta_since(&live(&newer).snapshot(Some(&s_newer)));
         assert_eq!(delta.store.page_cache_hits, 0);
         assert_eq!(delta.store.page_cache_misses, 0);
     }
 
     #[test]
     fn snapshot_json_has_pipeline_keys() {
-        let m = MemMetrics::new(2, 4);
-        m.op_duration(MemOp::Batch, Duration::from_nanos(300));
-        let json = m.snapshot(None).to_json().to_pretty();
+        let json = MemMetrics::new(2, 4).snapshot(None).to_json().to_pretty();
         for key in [
             "\"lock_wait\"",
             "\"lock_hold\"",
@@ -1577,15 +1436,15 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "telemetry-off"))] // the store counters have a twin
+    #[cfg(not(feature = "telemetry-off"))]
     fn prom_samples_render_with_store() {
-        let m = MemMetrics::new(2, 4);
+        let obs = Observer::new(2, 4, 64);
         let s = StoreMetrics::new();
         s.cache_hit();
         s.cache_miss();
         s.cache_evicted();
-        m.note_write_batch(3);
-        let text = clme_obs::prom::render(&m.prom_samples(Some(&s)));
+        call(&obs, MemOp::Write, 3);
+        let text = clme_obs::prom::render(&live(&obs).prom_samples(Some(&s)));
         assert!(text.contains("clme_mem_blocks_written_total 3\n"), "{text}");
         assert!(text.contains("clme_store_page_cache_hits_total 1\n"));
         assert!(text.contains("clme_store_page_cache_evictions_total 1\n"));
@@ -1596,15 +1455,44 @@ mod tests {
     }
 
     #[test]
+    #[cfg(not(feature = "telemetry-off"))]
     fn cache_counters_snapshot_and_delta() {
-        let m = MemMetrics::new(2, 4);
-        m.cache_visits([2, 1, 1, 1]);
-        m.cache_fills(1, 1);
-        m.cache_invalidated(CacheCause::Write, 1);
-        m.cache_invalidated(CacheCause::Foreign, 5);
-        m.set_cache_resident(3);
-        m.fanin_read(8);
-        m.fanin_write(64);
+        use CacheServe::*;
+        let obs = Observer::new(2, 4, 64);
+        // An unsampled read call that filled one entry and evicted one,
+        // then a sampled one: a miss of 8 blocks, the one fan-in sample.
+        let mut v = Visit::new(MemOp::Read, 4, false, false);
+        for serve in [Hit, Hit, Partial, Bypass] {
+            obs.page(
+                &mut v,
+                &PageVisit {
+                    serve,
+                    ..PageVisit::new(0, 1)
+                },
+            );
+        }
+        v.fills = 1;
+        v.evictions = 1;
+        obs.visit(&v, true);
+        let mut v = Visit::new(MemOp::Read, 8, true, true);
+        let p = PageVisit {
+            serve: Miss,
+            ..PageVisit::new(1, 8)
+        };
+        obs.page(&mut v, &p);
+        obs.visit(&v, true);
+        // A sampled write of 64 blocks that invalidated its page.
+        let mut v = Visit::new(MemOp::Write, 64, true, true);
+        v.invalidated = 1;
+        v.pages.push(PageTally {
+            page: 2,
+            blocks: 64,
+            ..PageTally::default()
+        });
+        obs.page(&mut v, &PageVisit::new(2, 64));
+        obs.visit(&v, true);
+        obs.cache_purge(CacheCause::Foreign, 5);
+        let m = obs.metrics(Some(3)).expect("telemetry compiled in");
         let snap = m.snapshot(None);
         assert_eq!(snap.cache.hits, 2);
         assert_eq!(snap.cache.partial_hits, 1);
@@ -1623,13 +1511,13 @@ mod tests {
         // Scaled storage: "ps" percentiles divide back to block counts.
         assert!(snap.fanin_write.percentile_ps(0.5) as f64 / 1000.0 >= 64.0);
 
-        m.cache_visits([1, 0, 0, 0]);
-        let delta = m.snapshot(None).delta_since(&snap);
+        read(&obs, 1, false, &[Hit]);
+        let delta = live(&obs).snapshot(None).delta_since(&snap);
         assert_eq!(delta.cache.hits, 1);
         assert_eq!(delta.cache.misses, 0);
         assert_eq!(delta.cache.resident_pages, 3, "gauge keeps its level");
 
-        let json = m.snapshot(None).to_json().to_pretty();
+        let json = live(&obs).snapshot(None).to_json().to_pretty();
         for key in [
             "\"verify_cache\"",
             "\"partial_hits\"",

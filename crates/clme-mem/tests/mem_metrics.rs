@@ -1,47 +1,10 @@
-//! Telemetry pipeline invariants that need a real multi-threaded layer
-//! and a counting allocator: merged metrics must be exact (not sampled)
-//! under any thread interleaving, and the hot increment path must never
-//! touch the heap.
+//! Telemetry pipeline invariants that need a real multi-threaded layer:
+//! merged metrics must be exact (not sampled) under any thread
+//! interleaving. That the observer's per-call fold never allocates is
+//! pinned next to it, in `observe.rs`.
 
-use clme_mem::{EncryptionLayer, MemMetrics, MemOp, MemoryAdt, VecBackend, SAMPLE_EVERY};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use clme_mem::{EncryptionLayer, MemOp, MemoryAdt, VecBackend, SAMPLE_EVERY};
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------
-// Per-thread allocation counter
-// ---------------------------------------------------------------------
-
-// The counter is thread-local so concurrently running tests (and the
-// test harness's own threads) cannot leak allocations into another
-// test's measurement window.
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn thread_allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
-}
-
-// ---------------------------------------------------------------------
-// Tests
-// ---------------------------------------------------------------------
 
 fn pattern(tag: u8) -> clme_mem::Block {
     core::array::from_fn(|i| tag ^ i as u8)
@@ -106,50 +69,4 @@ fn merged_counts_are_deterministic_across_thread_interleavings() {
         assert_eq!(holds, 2 * sampled, "{threads} threads");
         assert_eq!(snap.observed_writes_total, total);
     }
-}
-
-/// The increment path — counters, gauges, sharded histograms, per-page
-/// observation slots — must stay allocation-free: it runs inside every
-/// read and write the layer serves.
-#[test]
-fn hot_increment_path_does_not_allocate() {
-    let metrics = MemMetrics::new(16, 64);
-    // Warm the per-thread histogram shard slot and any lazy TLS before
-    // the measurement window.
-    metrics.op_duration(MemOp::Read, std::time::Duration::from_micros(3));
-    metrics.observe_ciphertext_writes(0, 1);
-    metrics.note_read_batch(1);
-
-    let before = thread_allocs();
-    for i in 0..10_000u64 {
-        let t0 = std::time::Instant::now();
-        metrics.note_read_batch(64);
-        metrics.note_write_batch(64);
-        metrics.op_duration(MemOp::Read, std::time::Duration::from_nanos(500 + i));
-        metrics.op_duration(MemOp::Write, t0.elapsed());
-        metrics.stage_duration_n(
-            MemOp::Read,
-            clme_mem::MemStage::MacVerify,
-            std::time::Duration::from_nanos(i),
-            1,
-        );
-        metrics.lock_wait((i % 16) as usize, t0.elapsed());
-        metrics.lock_hold((i % 16) as usize, t0.elapsed());
-        metrics.observe_ciphertext_writes(i % 64, 1);
-        metrics.page_rolls(1);
-        metrics.counterless_reads(1);
-    }
-    let after = thread_allocs();
-    assert_eq!(
-        after - before,
-        0,
-        "hot telemetry increments allocated on the heap"
-    );
-
-    // Snapshotting is allowed to allocate; just prove the traffic above
-    // actually landed. `MemMetrics` is live in every build: under
-    // `telemetry-off` the layer simply never feeds it.
-    let snap = metrics.snapshot(None);
-    assert_eq!(snap.op(MemOp::Read).latency.count(), 10_001);
-    assert_eq!(snap.page_rolls, 10_000);
 }
