@@ -85,11 +85,6 @@ impl IntegrityTree {
         self.levels[0].len()
     }
 
-    /// The leaf counter for counter block `leaf`.
-    pub fn leaf_counter(&self, leaf: usize) -> u64 {
-        self.levels[0][leaf]
-    }
-
     /// Records a write that dirtied counter block `leaf`: increments a
     /// counter on every level up to the root and re-seals the affected
     /// group MACs — the full writeback cost of counter-mode encryption.
@@ -192,7 +187,7 @@ mod tests {
         for _ in 0..5 {
             t.record_write(10);
         }
-        assert_eq!(t.leaf_counter(10), 5);
+        assert_eq!(t.snapshot_leaf(10).0, 5);
         assert!(t.verify(10));
         assert!(t.verify(11), "sibling must remain valid");
         assert!(t.verify(63), "distant leaf must remain valid");

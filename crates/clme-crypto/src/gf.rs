@@ -134,16 +134,6 @@ impl Gf128 {
         Gf128(if carry != 0 { shifted ^ 0x87 } else { shifted })
     }
 
-    /// Multiplication by αʲ (repeated doubling); `j` is the 16-byte word
-    /// index within a block for XTS, so it is tiny.
-    pub fn mul_alpha_pow(self, j: u32) -> Gf128 {
-        let mut v = self;
-        for _ in 0..j {
-            v = v.mul_alpha();
-        }
-        v
-    }
-
     /// Full field multiplication, bit-serial: 128 shift-and-reduce steps.
     /// This is the reference. The counter-mode MAC multiplies on the
     /// CPU's carry-less multiplier where CPUID reports PCLMULQDQ, and
@@ -235,16 +225,6 @@ mod tests {
         // Overflow reduces by 0x87.
         let top = Gf128(1u128 << 127);
         assert_eq!(top.mul_alpha().0, 0x87);
-    }
-
-    #[test]
-    fn gf128_alpha_pow_matches_repeated() {
-        let x = Gf128(0x0123_4567_89AB_CDEF_1122_3344_5566_7788);
-        let mut manual = x;
-        for j in 0..8 {
-            assert_eq!(x.mul_alpha_pow(j), manual);
-            manual = manual.mul_alpha();
-        }
     }
 
     #[test]
